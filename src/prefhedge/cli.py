@@ -23,14 +23,12 @@ from .equilibrium import (
     FixedPointConfig,
     closed_form_policy_rho0,
     fixed_point_solve,
-    policy_from_h,
     reward_quadrature,
 )
 from .errors import ConfigError, ConvergenceError, DomainError, PositivityError
 from .mc import (
     SimConfig,
     equilibrium_spike_test,
-    gh_terminal_quadrature,
     reward_mc,
     simulate_conditioned,
     simulate_unconditional,
@@ -44,7 +42,7 @@ from .persist import (
     save_h_surface,
     save_policy_surface,
 )
-from .pide import default_grid, residual, solve_h
+from .pide import default_grid, residual
 
 T_COLUMNS = (0.0, 7.0, 14.0, 21.0, 28.0, 35.0)
 
@@ -449,9 +447,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["solve", "table", "verify", "bridge-test"])
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="advisory thread count (recorded; numerical kernels "
-                             "delegate threading to the BLAS layer)")
     parser.add_argument("--seed-override", type=int, default=None)
     args = parser.parse_args(argv)
 

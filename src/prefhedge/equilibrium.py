@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .conditional import bridge_drift_y, score
 from .errors import ConvergenceError, DomainError, PositivityError
@@ -27,12 +26,10 @@ from .model import ModelParams, expected_terminal_gamma
 from .pide import (
     GridSpec,
     HSurface,
-    _W_MAX,
-    _extend_log_linear,
-    _march_slice,
-    _slice_windows,
+    _march,
+    _march_level,
+    _terminal_layer_cut,
     bilinear_interp,
-    coefficients,
     solve_h,
 )
 
@@ -181,40 +178,33 @@ def _flatten_edges(hedging: np.ndarray) -> np.ndarray:
     return hedging
 
 
-def _flatten_degenerate_row(hed_row, t_k, grid: GridSpec, params: ModelParams):
-    """Hold the hedging flat where the terminal-state quadrature degenerates.
+def _quadrature_span(t_k, grid: GridSpec, params: ModelParams):
+    """y-index range [lo, hi) whose terminal quadrature does not degenerate.
 
-    Beyond the y-range whose conditional terminal mean falls inside the
-    solved slice interval, every mapped quadrature node clips to the same
-    end slice; the hedging value there is a one-sided extrapolation with no
-    information content, and letting it feed back into the factor equations
-    leaves a slowly relaxing mode pinned at the grid edge.  Constant
-    continuation is the neutral closure.
+    Beyond the y-range whose conditional terminal mean at t_k falls inside
+    the solved slice interval, every mapped quadrature node clips to the
+    same end slice.  The range always holds at least one node.
     """
     y = grid.y_nodes
     drift = params.mu_Y * (params.T - t_k)
     lo = int(np.searchsorted(y, grid.ybar_nodes[0] - drift, side="left"))
     hi = int(np.searchsorted(y, grid.ybar_nodes[-1] - drift, side="right"))
-    lo = min(max(lo, 0), y.size - 1)
-    hi = max(min(hi, y.size), lo + 1)
+    lo = min(lo, y.size - 1)
+    return lo, max(min(hi, y.size), lo + 1)
+
+
+def _flatten_degenerate_row(hed_row, t_k, grid: GridSpec, params: ModelParams):
+    """Hold the hedging flat where the terminal-state quadrature degenerates.
+
+    Outside _quadrature_span the hedging value is a one-sided extrapolation
+    with no information content, and letting it feed back into the factor
+    equations leaves a slowly relaxing mode pinned at the grid edge.
+    Constant continuation is the neutral closure.
+    """
+    lo, hi = _quadrature_span(t_k, grid, params)
     hed_row[:lo] = hed_row[lo]
     hed_row[hi:] = hed_row[hi - 1]
     return hed_row
-
-
-def _terminal_layer_cut(grid: GridSpec, rho: float) -> int:
-    """First time index inside the analytically closed terminal window.
-
-    The marched elasticity needs a few multiples of the elapsed backward
-    time to relax to its layer-free profile (the terminal condition is flat
-    while the singular transport builds the log-slope), and within that
-    window the discrete policy<->factor feedback is locally expansive with
-    gain scaling like rho**2/(T-t).  Inside the window the hedging demand is
-    closed analytically instead (see _layer_hedging); the window lies inside
-    the terminal layer, far later than any probe time.
-    """
-    frac = max(0.02, 0.1 * rho * rho)
-    return int(np.searchsorted(grid.t_nodes, grid.T - frac * grid.T))
 
 
 def _layer_hedging(t, y, params: ModelParams):
@@ -285,83 +275,41 @@ def policy_from_h(h: HSurface, grid: GridSpec, params: ModelParams,
 def _sweep_solve(grid: GridSpec, params: ModelParams):
     """One backward march closing the policy level by level.
 
-    All terminal-state slices step jointly from t = T - eps_T; at each new
-    level the hedging integral is evaluated from the just-computed factor
-    values and the step is repeated once with the corrected policy.  Exact
-    for rho = 0 (the policy decouples); otherwise the within-step policy lag
-    is second order after the corrector pass.
+    All terminal-state slices step jointly from t = T - eps_T, each level
+    one block-diagonal solve (pide._march_level).  Below the analytic
+    terminal window each level is stepped twice: a predictor with the
+    previous level's hedging, then a corrector with the hedging integral
+    of the predicted factors; the stored hedging is the integral of the
+    corrected factors.  Exact for rho = 0 (the policy decouples and one
+    step per level is taken); otherwise the within-step policy lag is
+    second order after the corrector pass.
     """
     t = grid.t_nodes
     y = grid.y_nodes
-    yb = grid.ybar_nodes
-    n_t, n_y, n_s = grid.shape
-    dy = grid.dy
-    R = 0.5 * params.sigma_Y**2
-
     myopic = _myopic_grid(grid, params)
-    hedging = np.zeros((n_t, n_y))
+    hedging = np.zeros_like(myopic)
     layer_cut = _terminal_layer_cut(grid, params.rho)
-    if params.rho != 0.0 and layer_cut < n_t:
-        hedging[layer_cut:] = _layer_hedging(
-            t[layer_cut:, None], y[None, :], params
-        )
+    if params.rho != 0.0:
+        _apply_terminal_layer(hedging, grid, params)
 
-    wlo, whi, blo, bhi = _slice_windows(grid, params)
-    values = np.empty((n_t, n_y, n_s))
-    level = np.zeros((n_s, n_y))       # log factor per slice, tube-extended
-    values[n_t - 1] = 1.0
+    def advance(level, k):
+        if params.rho == 0.0 or k >= layer_cut:
+            return _march_level(level, k, myopic[k] + hedging[k], grid, params)
+        pi_row = myopic[k] + hedging[k + 1]
+        for _ in range(2):
+            new_level = _march_level(level, k, pi_row, grid, params)
+            # The log-factor slope is the elasticity directly.
+            el = np.gradient(new_level, y, axis=1)   # (n_s, n_y)
+            hedging[k] = _flatten_degenerate_row(
+                _flatten_edges(
+                    _hedging_from_elasticity(el.T, grid, params, t[k], y)
+                ),
+                t[k], grid, params,
+            )
+            pi_row = myopic[k] + hedging[k]
+        return new_level
 
-    old = np.seterr(over="ignore", under="ignore")
-    try:
-        for k in range(n_t - 2, -1, -1):
-            dt = t[k + 1] - t[k]
-            in_layer = k >= layer_cut
-            pi_row = myopic[k] + (hedging[k] if in_layer else hedging[k + 1])
-            for sweep_pass in range(1 if in_layer else 2):
-                new_level = np.empty_like(level)
-                for j in range(n_s):
-                    a, b = int(wlo[j, k]), int(whi[j, k])
-                    P_row, Q_row, _ = coefficients(
-                        t[k], y[a:b], yb[j], pi_row[a:b], params
-                    )
-                    wj = _march_slice(
-                        level[j, a:b].copy(), P_row, Q_row, dt, dy, R,
-                        np.empty((3, b - a)),
-                    )
-                    band = wj[blo[j, k] - a:bhi[j, k] - a]
-                    wmax = np.abs(band).max() if band.size else 0.0
-                    if not np.isfinite(wmax) or wmax >= _W_MAX:
-                        i = blo[j, k] + int(np.argmax(np.abs(band)))
-                        raise PositivityError(
-                            "continuation factor left (H_MIN, H_MAX) inside "
-                            "its bridge tube during the march",
-                            t=t[k], y=y[i], ybar=yb[j],
-                        )
-                    new_level[j] = level[j]
-                    new_level[j, a:b] = np.clip(
-                        np.nan_to_num(wj, nan=0.0, posinf=_W_MAX, neginf=-_W_MAX),
-                        -_W_MAX, _W_MAX,
-                    )
-                    _extend_log_linear(new_level[j], a, b, y)
-                np.clip(new_level, -_W_MAX, _W_MAX, out=new_level)
-                if params.rho == 0.0 or in_layer:
-                    break
-                # The log-factor slope is the elasticity directly.
-                el = np.gradient(new_level, y, axis=1)   # (n_s, n_y)
-                hed_row = _flatten_degenerate_row(
-                    _flatten_edges(
-                        _hedging_from_elasticity(el.T, grid, params, t[k], y)
-                    ),
-                    t[k], grid, params,
-                )
-                hedging[k] = hed_row
-                pi_row = myopic[k] + hed_row
-            level = new_level
-            values[k] = np.exp(level).T
-    finally:
-        np.seterr(**old)
-
-    h = HSurface(grid=grid, values=values)
+    h = _march(grid, advance)
     pol = PolicySurface(
         grid=grid,
         pi=myopic + hedging,
@@ -405,9 +353,7 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     free = np.zeros((grid.t_nodes.size, grid.y_nodes.size), dtype=bool)
     cut = _terminal_layer_cut(grid, params.rho)
     for k in range(min(cut, grid.t_nodes.size)):
-        drift = params.mu_Y * (params.T - grid.t_nodes[k])
-        lo = int(np.searchsorted(grid.y_nodes, grid.ybar_nodes[0] - drift, "left"))
-        hi = int(np.searchsorted(grid.y_nodes, grid.ybar_nodes[-1] - drift, "right"))
+        lo, hi = _quadrature_span(grid.t_nodes[k], grid, params)
         free[k, max(lo, 2):min(hi, grid.y_nodes.size - 2)] = True
     if not free.any():
         free[:] = True

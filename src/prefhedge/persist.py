@@ -25,7 +25,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .model import ModelParams
 from .pide import GridSpec, HSurface
 from .equilibrium import PolicySurface
@@ -145,15 +145,3 @@ def policy_to_csv(path, pol: PolicySurface):
             for i, yi in enumerate(grid.y_nodes):
                 fh.write(f"{tk!r},{yi!r},{pol.pi[k, i]!r},"
                          f"{pol.myopic[k, i]!r},{pol.hedging[k, i]!r}\n")
-
-
-def h_slice_to_csv(path, h: HSurface, slice_index: int):
-    """One factor slice as CSV (t rows, y columns)."""
-    grid = h.grid
-    if not 0 <= slice_index < grid.ybar_nodes.size:
-        raise DomainError("slice index out of range")
-    with open(path, "w") as fh:
-        fh.write("t\\y," + ",".join(repr(float(v)) for v in grid.y_nodes) + "\n")
-        for k, tk in enumerate(grid.t_nodes):
-            row = ",".join(repr(float(v)) for v in h.values[k, :, slice_index])
-            fh.write(f"{tk!r},{row}\n")

@@ -7,7 +7,14 @@ solves a linear parabolic equation
 
 whose coefficients couple the Brownian-bridge pull toward ybar with the
 candidate investment policy.  Slices are independent given the policy; the
-policy feedback happens one level up, in the fixed-point iteration.
+policy feedback happens one level up, in the equilibrium sweep and the
+fixed-point iteration.
+
+One kernel, _march_level, advances every slice by one time level: each
+slice is marched only in a window around its bridge line, the windows are
+laid end to end, and one block-diagonal tridiagonal solve steps them all.
+solve_h runs it with a fixed policy; the equilibrium sweep runs it with the
+policy closed level by level.
 
 Numerical scheme: implicit (backward Euler) time stepping of the
 convection-diffusion part with central differences in y, switching to
@@ -343,10 +350,6 @@ class HSurface:
         out = np.exp(lo * (1.0 - jw) + hi * jw)
         return out if np.ndim(out) else float(out)
 
-    def dhdy(self):
-        """d h / d y on the grid (second-order central, one-sided at edges)."""
-        return np.gradient(self.values, self.grid.y_nodes, axis=1)
-
     def elasticity(self):
         """(d h / d y) / h = d(ln h)/d y on the grid.
 
@@ -383,61 +386,49 @@ def policy_values(policy, t_nodes, y_nodes, params: ModelParams | None = None):
     return np.full((tt.size, yy.size), float(arr))
 
 
-def _step_matrix(Q, dt, dy, R):
+def _step_matrix(Q, dt, dy, R, first, last):
     """Tridiagonal rows of (I - dt L) for L = Q d/dy + R d2/dy2.
 
-    Returns (lower, diag, upper) with lower[i] multiplying h[i-1] in row i
-    and upper[i] multiplying h[i+1] (lower[0] and upper[-1] unused).
+    ``Q`` holds one or more windows laid end to end; ``first`` and ``last``
+    index each window's boundary rows.  Returns (lower, diag, upper) with
+    lower[i] multiplying h[i-1] in row i and upper[i] multiplying h[i+1].
     Interior rows use central differences where the cell Peclet number
     allows, first-order upwinding otherwise; boundary rows carry no
-    diffusion (h_yy = 0) and only an inflow-sided transport term.
+    diffusion (h_yy = 0) and only an inflow-sided transport term, with
+    lower[first] = upper[last] = 0, so the windows do not couple.
     """
-    n = Q.size
     a = dt * R / dy**2
-    lower = np.empty(n)
-    diag = np.empty(n)
-    upper = np.empty(n)
-
-    Qi = Q[1:-1]
-    upwind = np.abs(Qi) * dy > 2.0 * R
-    Qp = np.where(Qi > 0, Qi, 0.0)
-    Qm = np.where(Qi < 0, -Qi, 0.0)
-    diag[1:-1] = np.where(
+    upwind = np.abs(Q) * dy > 2.0 * R
+    Qp = np.where(Q > 0, Q, 0.0)
+    Qm = np.where(Q < 0, -Q, 0.0)
+    diag = np.where(
         upwind,
         1.0 + 2.0 * a + dt * (Qp + Qm) / dy,
         1.0 + 2.0 * a,
     )
-    upper[1:-1] = np.where(
+    upper = np.where(
         upwind,
         -(a + dt * Qp / dy),
-        -(a + dt * Qi / (2.0 * dy)),
+        -(a + dt * Q / (2.0 * dy)),
     )
-    lower[1:-1] = np.where(
+    lower = np.where(
         upwind,
         -(a + dt * Qm / dy),
-        -(a - dt * Qi / (2.0 * dy)),
+        -(a - dt * Q / (2.0 * dy)),
     )
 
-    # Bottom row: transport uses the interior (forward) difference only when
-    # the scheme pulls information from above (Q >= 0); otherwise the
+    # Bottom rows: transport uses the interior (forward) difference only
+    # when the scheme pulls information from above (Q > 0); otherwise the
     # characteristic enters from outside and the gradient is zeroed.
-    q0 = Q[0]
-    if q0 > 0:
-        diag[0] = 1.0 + dt * q0 / dy
-        upper[0] = -dt * q0 / dy
-    else:
-        diag[0] = 1.0
-        upper[0] = 0.0
-    lower[0] = 0.0
+    q0 = Q[first]
+    diag[first] = np.where(q0 > 0, 1.0 + dt * q0 / dy, 1.0)
+    upper[first] = np.where(q0 > 0, -dt * q0 / dy, 0.0)
+    lower[first] = 0.0
 
-    qn = Q[-1]
-    if qn < 0:
-        diag[-1] = 1.0 - dt * qn / dy
-        lower[-1] = dt * qn / dy
-    else:
-        diag[-1] = 1.0
-        lower[-1] = 0.0
-    upper[-1] = 0.0
+    qn = Q[last]
+    diag[last] = np.where(qn < 0, 1.0 - dt * qn / dy, 1.0)
+    lower[last] = np.where(qn < 0, dt * qn / dy, 0.0)
+    upper[last] = 0.0
     return lower, diag, upper
 
 
@@ -447,8 +438,8 @@ _W_MAX = np.log(H_MAX)
 _TUBE_MARGIN = 4
 
 
-def _slice_windows(grid: GridSpec, params: ModelParams):
-    """Per-slice, per-time y-index marching bands around each bridge line.
+def _slice_windows(grid: GridSpec, params: ModelParams, t):
+    """Per-slice y-index marching bands around each bridge line at time t.
 
     Slice j's solution is only meaningful (and only read, after the capped
     quadrature) within BAND_SD conditional standard deviations of its
@@ -461,49 +452,31 @@ def _slice_windows(grid: GridSpec, params: ModelParams):
     accumulates the hundreds of e-folds the far (y, ybar) corners would
     produce.
 
-    Returns (lo, hi, band_lo, band_hi) of shape (n_ybar, n_t): the marched
+    Returns (lo, hi, band_lo, band_hi) of shape (n_ybar,): the marched
     index ranges (band plus margin rows buffering the closure) and the band
     proper, where the solution is range-checked.
     """
-    t = grid.t_nodes
     y = grid.y_nodes
     tau = params.T - t
     half = grid.band_sd * params.sigma_Y * np.sqrt(tau)
-    centers = grid.ybar_nodes[:, None] - params.mu_Y * tau[None, :]   # (n_s, n_t)
-    band_lo = np.searchsorted(y, centers - half[None, :], side="left")
-    band_hi = np.searchsorted(y, centers + half[None, :], side="right")
-    lo = np.clip(band_lo - _TUBE_MARGIN, 0, y.size - 5)
-    hi = np.clip(band_hi + _TUBE_MARGIN, 5, y.size)
+    centers = grid.ybar_nodes - params.mu_Y * tau
+    band_lo = np.searchsorted(y, centers - half, side="left")
+    band_hi = np.searchsorted(y, centers + half, side="right")
+    lo = np.minimum(np.maximum(band_lo - _TUBE_MARGIN, 0), y.size - 5)
+    hi = np.minimum(np.maximum(band_hi + _TUBE_MARGIN, 5), y.size)
     hi = np.maximum(hi, lo + 5)
     lo = np.minimum(lo, hi - 5)
-    band_lo = np.clip(band_lo, lo, hi)
-    band_hi = np.clip(band_hi, lo, hi)
+    band_lo = np.minimum(np.maximum(band_lo, lo), hi)
+    band_hi = np.minimum(np.maximum(band_hi, lo), hi)
     return lo, hi, band_lo, band_hi
 
 
-def _extend_log_linear(w, lo, hi, y):
-    """Fill a full y-row from its marched window by linear extension of w.
+def _march_level(level, k, pi_row, grid: GridSpec, params: ModelParams):
+    """One backward step of the log factor w = ln h, all slices at once.
 
-    Slopes come from strictly interior node pairs (the outermost marched
-    row carries the transport-only closure and drifts slightly off the
-    interior profile).
-    """
-    dy = y[1] - y[0]
-    if lo > 0:
-        s = min(lo + 1, hi - 2)
-        slope = (w[s + 1] - w[s]) / dy
-        w[:lo] = w[lo] + slope * (y[:lo] - y[lo])
-    if hi < y.size:
-        s = max(hi - 3, lo)
-        slope = (w[s + 1] - w[s]) / dy
-        w[hi:] = w[hi - 1] + slope * (y[hi:] - y[hi - 1])
-    return w
-
-
-def _march_slice(w, P_k, Q_k, dt, dy, R, ab):
-    """One backward step of the log-factor w = ln h.
-
-    In log variables the equation reads
+    ``level`` holds every slice's tube-extended w at t[k+1], shape
+    (n_ybar, n_y); ``pi_row`` is the policy at t[k].  Returns the level at
+    t[k].  In log variables the equation reads
         w_t + Q w_y + R w_yy + R (w_y)^2 + P = 0,
     and the factor's near-exponential y-profiles become near-linear, where
     finite differences are exact: the scheme has no cosh inflation and the
@@ -513,75 +486,113 @@ def _march_slice(w, P_k, Q_k, dt, dy, R, ab):
     exactly where the slope is large); the reaction P integrates exactly.
     At the boundary rows the linear-in-h closure (h_yy = 0) makes both
     diffusion-born terms cancel, leaving pure transport with the plain Q.
-    """
-    wy = np.gradient(w, dy)
-    q_eff = Q_k + R * wy
-    q_eff[0] = Q_k[0]
-    q_eff[-1] = Q_k[-1]
 
-    lower, diag, upper = _step_matrix(q_eff, dt, dy, R)
-    ab[0, 0] = 0.0
-    ab[2, -1] = 0.0
-    ab[0, 1:] = upper[:-1]
-    ab[1] = diag
-    ab[2, :-1] = lower[1:]
-    rhs = w + dt * P_k
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
+    The slices' windows are laid end to end and solved as one
+    block-diagonal tridiagonal system.  Each block's first row has no
+    lower and its last row no upper entry, so LAPACK's gtsv meets a zero
+    multiplier and no row swap at every block edge and returns each block
+    exactly as a separate solve would.
+    """
+    t, y, yb = grid.t_nodes, grid.y_nodes, grid.ybar_nodes
+    dt = t[k + 1] - t[k]
+    dy = grid.dy
+    R = 0.5 * params.sigma_Y**2
+    lo, hi, band_lo, band_hi = _slice_windows(grid, params, t[k])
+    width = hi - lo
+    last = np.cumsum(width) - 1
+    first = last - width + 1
+    seg = np.repeat(np.arange(yb.size), width)
+    rows = np.arange(last[-1] + 1) - np.repeat(first - lo, width)
+
+    with np.errstate(over="ignore", under="ignore"):
+        w = level[seg, rows]
+        P, Q, _ = coefficients(t[k], y[rows], yb[seg], pi_row[rows], params)
+        q_eff = Q.copy()
+        q_eff[1:-1] += R * ((w[2:] - w[:-2]) / (2.0 * dy))
+        q_eff[first] = Q[first]
+        q_eff[last] = Q[last]
+        lower, diag, upper = _step_matrix(q_eff, dt, dy, R, first, last)
+        ab = np.zeros((3, w.size))
+        ab[0, 1:] = upper[:-1]
+        ab[1] = diag
+        ab[2, :-1] = lower[1:]
+        w = solve_banded((1, 1), ab, w + dt * P,
+                         overwrite_ab=True, overwrite_b=True)
+
+    bad = ~(np.abs(w) < _W_MAX) & (rows >= band_lo[seg]) & (rows < band_hi[seg])
+    if bad.any():
+        j = seg[np.argmax(bad)]
+        band = w[first[j] + band_lo[j] - lo[j]:first[j] + band_hi[j] - lo[j]]
+        raise PositivityError(
+            "continuation factor left (H_MIN, H_MAX) inside "
+            "its bridge tube during the march",
+            t=t[k],
+            y=y[band_lo[j] + int(np.argmax(np.abs(band)))],
+            ybar=yb[j],
+        )
+
+    w = np.where(np.isnan(w), 0.0, np.clip(w, -_W_MAX, _W_MAX))
+    # Linear extension of w outside each window.  Slopes come from strictly
+    # interior node pairs (the outermost marched row carries the
+    # transport-only closure and drifts slightly off the interior profile).
+    slope_lo = (w[first + 2] - w[first + 1]) / dy
+    slope_hi = (w[last - 1] - w[last - 2]) / dy
+    new = np.where(
+        np.arange(y.size) < lo[:, None],
+        w[first, None] + slope_lo[:, None] * (y - y[lo, None]),
+        w[last, None] + slope_hi[:, None] * (y - y[hi - 1, None]),
+    )
+    new[seg, rows] = w
+    return np.clip(new, -_W_MAX, _W_MAX, out=new)
+
+
+def _march(grid: GridSpec, advance) -> HSurface:
+    """Backward march from w = 0 at t = T - eps_T down to t_nodes[0].
+
+    ``advance(level, k)`` returns the tube-extended log level at t[k] from
+    the one at t[k+1], shape (n_ybar, n_y).
+    """
+    n_t, n_y, n_s = grid.shape
+    values = np.empty((n_s, n_t, n_y))
+    values[:, n_t - 1] = 1.0
+    level = np.zeros((n_s, n_y))
+    for k in range(n_t - 2, -1, -1):
+        level = advance(level, k)
+        np.exp(level, out=values[:, k])
+    return HSurface(grid=grid, values=np.moveaxis(values, 0, 2))
 
 
 def solve_h(policy, grid: GridSpec, params: ModelParams) -> HSurface:
     """March every ybar slice backward from h = 1 at t = T - eps_T.
 
-    The policy enters only through the coefficient surfaces; slices do not
-    couple inside this routine, so solving any subset (in any order, or
-    concurrently) reproduces the same numbers bit for bit.  The march runs
-    in log space (see _march_slice); the returned surface holds the factor
-    itself, clamped into floating range outside the bridge-compatible band
-    and verified finite inside it.
+    The policy enters only through the coefficients; slices do not couple
+    inside this routine, so solving any subset reproduces the same numbers
+    bit for bit.  Each time level is one block-diagonal solve over all
+    slices' windows (see _march_level), in log space; the returned surface
+    holds the factor itself, clamped into floating range outside the
+    bridge-compatible band and verified finite inside it.  A factor that
+    leaves that range inside a band raises PositivityError at the first
+    such level in march order (latest t first), the lowest failing slice
+    there, and the node of largest |ln h| in its band.
     """
-    t = grid.t_nodes
-    y = grid.y_nodes
-    yb = grid.ybar_nodes
-    n_t, n_y, n_s = grid.shape
-    dy = grid.dy
-    R = 0.5 * params.sigma_Y**2
+    PI = policy_values(policy, grid.t_nodes, grid.y_nodes, params)
+    return _march(grid, lambda level, k: _march_level(level, k, PI[k], grid, params))
 
-    PI = policy_values(policy, t, y, params)
-    tt = t[:, None]
-    yy = y[None, :]
 
-    wlo, whi, blo, bhi = _slice_windows(grid, params)
-    values = np.empty((n_s, n_t, n_y))
-    old = np.seterr(over="ignore", under="ignore")
-    try:
-        for j in range(n_s):
-            P_j, Q_j, _ = coefficients(tt, yy, yb[j], PI, params)
-            full = np.zeros(n_y)
-            values[j, n_t - 1] = 1.0
-            for k in range(n_t - 2, -1, -1):
-                dt = t[k + 1] - t[k]
-                a, b = int(wlo[j, k]), int(whi[j, k])
-                w = _march_slice(full[a:b].copy(), P_j[k, a:b], Q_j[k, a:b],
-                                 dt, dy, R, np.empty((3, b - a)))
-                band = w[blo[j, k] - a:bhi[j, k] - a]
-                wmax = np.abs(band).max() if band.size else 0.0
-                if not np.isfinite(wmax) or wmax >= _W_MAX:
-                    i = blo[j, k] + int(np.argmax(np.abs(band)))
-                    raise PositivityError(
-                        "continuation factor left (H_MIN, H_MAX) inside "
-                        "its bridge tube during the march",
-                        t=t[k],
-                        y=y[i],
-                        ybar=yb[j],
-                    )
-                full[a:b] = np.clip(np.nan_to_num(w, nan=0.0, posinf=_W_MAX,
-                                                  neginf=-_W_MAX), -_W_MAX, _W_MAX)
-                _extend_log_linear(full, a, b, y)
-                np.clip(full, -_W_MAX, _W_MAX, out=full)
-                np.exp(full, out=values[j, k])
-    finally:
-        np.seterr(**old)
-    return HSurface(grid=grid, values=np.moveaxis(values, 0, 2))
+def _terminal_layer_cut(grid: GridSpec, rho: float) -> int:
+    """First time index inside the analytically closed terminal window.
+
+    The marched elasticity needs a few multiples of the elapsed backward
+    time to relax to its layer-free profile (the terminal condition is flat
+    while the singular transport builds the log-slope), and within that
+    window the discrete policy<->factor feedback is locally expansive with
+    gain scaling like rho**2/(T-t).  Inside the window the hedging demand is
+    closed analytically instead (see equilibrium._layer_hedging), and the
+    residual is not measured there; the window lies inside the terminal
+    layer, far later than any probe time.
+    """
+    frac = max(0.02, 0.1 * rho * rho)
+    return int(np.searchsorted(grid.t_nodes, grid.T - frac * grid.T))
 
 
 @dataclass(frozen=True)
@@ -640,8 +651,8 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
     tau = (params.T - t[1:-1])[:, None, None]
     dev = yb[None, None, :] - y[None, 1:-1, None] - params.mu_Y * tau
     band = np.abs(dev) <= grid.quad_sd * params.sigma_Y * np.sqrt(tau)
-    t_free = params.T * (1.0 - max(0.02, 0.1 * params.rho**2))
-    band &= (t[1:-1] < t_free)[:, None, None]
+    cut = _terminal_layer_cut(grid, params.rho)
+    band &= (np.arange(1, t.size - 1) < cut)[:, None, None]
     rel_band = rel[band] if np.any(band) else rel
 
     flat = np.argmax(np.abs(rel))

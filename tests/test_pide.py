@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from prefhedge import (
     DegenerateTimeError,
@@ -11,7 +12,45 @@ from prefhedge import (
     residual,
     solve_h,
 )
+from prefhedge import pide
+from prefhedge.equilibrium import _sweep_solve
 from prefhedge.pide import GridSpec, HSurface
+
+
+def reference_march(policy, grid, params, slices=None):
+    """Per-slice march: one scipy solve per slice and time level.
+
+    Marches each slice on its own (slice-major), so a failure is reported
+    at that slice's first failing level.  Returns values (n_t, n_y, n_ybar).
+    """
+    t, y, yb = grid.t_nodes, grid.y_nodes, grid.ybar_nodes
+    n_t, n_y, n_s = grid.shape
+    dy, R, W = grid.dy, 0.5 * params.sigma_Y**2, pide._W_MAX
+    PI = pide.policy_values(policy, t, y, params)
+    values = np.ones(grid.shape)
+    for j in range(n_s) if slices is None else slices:
+        full = np.zeros(n_y)
+        for k in range(n_t - 2, -1, -1):
+            a, b, blo, bhi = (int(v[j]) for v in pide._slice_windows(grid, params, t[k]))
+            dt = t[k + 1] - t[k]
+            P, Q, _ = coefficients(t[k], y[a:b], yb[j], PI[k, a:b], params)
+            q = Q + R * np.gradient(full[a:b], dy)
+            q[[0, -1]] = Q[[0, -1]]
+            lower, diag, upper = pide._step_matrix(q, dt, dy, R, [0], [b - a - 1])
+            ab = np.array([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])
+            w = solve_banded((1, 1), ab, full[a:b] + dt * P)
+            band = np.abs(w[blo - a:bhi - a])
+            if band.size and not band.max() < W:
+                raise PositivityError("reference march", t=t[k], ybar=yb[j],
+                                      y=y[blo + int(np.argmax(band))])
+            full[a:b] = np.clip(np.nan_to_num(w, posinf=W, neginf=-W), -W, W)
+            s = min(a + 1, b - 2)
+            full[:a] = full[a] + (full[s + 1] - full[s]) / dy * (y[:a] - y[a])
+            s = max(b - 3, a)
+            full[b:] = full[b - 1] + (full[s + 1] - full[s]) / dy * (y[b:] - y[b - 1])
+            values[k, :, j] = np.exp(np.clip(full, -W, W))
+    return values
+
 
 P06 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.6,
                   mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
@@ -199,6 +238,66 @@ class TestSolveH:
                        quad_sd=g.quad_sd)
         h_sub = solve_h(0.3, sub, P06)
         assert np.array_equal(h_sub.values, h_full.values[:, :, 2:5])
+
+
+def _params(mu_Y, rho):
+    return ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=rho, mu_Y=mu_Y,
+                       sigma_Y=0.04, T=40.0, y0=np.log(2.0))
+
+
+def _grid(params, kind):
+    if kind == "two_slices":
+        return default_grid(params, n_t_steps=30, n_y=61, n_ybar=2, n_gh=9)
+    g = default_grid(params, n_t_steps=30, n_y=61, n_ybar=7, n_gh=9)
+    if kind == "default":
+        return g
+    # Cut the y-domain so the outer slices' windows clip at both grid edges.
+    return GridSpec(T=g.T, eps_T=g.eps_T, t_nodes=g.t_nodes,
+                    y_nodes=g.y_nodes[18:-18], ybar_nodes=g.ybar_nodes,
+                    gh_nodes=g.gh_nodes, ybar_weights=g.ybar_weights,
+                    band_sd=g.band_sd, quad_sd=g.quad_sd)
+
+
+class TestBatchedMarch:
+    @pytest.mark.parametrize("kind", ["default", "clipped", "two_slices"])
+    @pytest.mark.parametrize("mu_Y,rho", [(0.02, 0.6), (-0.02, -0.6), (0.02, 0.0)])
+    def test_matches_per_slice_reference(self, mu_Y, rho, kind):
+        p = _params(mu_Y, rho)
+        g = _grid(p, kind)
+        if kind == "clipped":
+            windows = [pide._slice_windows(g, p, t) for t in g.t_nodes]
+            assert min(w[0].min() for w in windows) == 0
+            assert max(w[1].max() for w in windows) == g.y_nodes.size
+
+        def policy(t, y):
+            return 0.3 + 0.2 * np.tanh(y - p.y0) + 0.002 * t
+
+        h = solve_h(policy, g, p)
+        assert np.array_equal(h.values, reference_march(policy, g, p))
+
+    def test_positivity_error_is_reported_level_major(self):
+        # Constant pi = 50 blows up several slices.  The march reports the
+        # first failing level in march order (latest t), the lowest failing
+        # slice there, and the node of largest |ln h| in its band.
+        g = default_grid(P06, n_t_steps=40, n_y=61, n_ybar=7)
+        with pytest.raises(PositivityError) as exc:
+            solve_h(50.0, g, P06)
+        fails = []
+        for j in range(g.ybar_nodes.size):
+            try:
+                reference_march(50.0, g, P06, slices=[j])
+            except PositivityError as e:
+                fails.append((-e.t, j, e.y))
+        assert len(fails) > 1
+        neg_t, j, y = min(fails)
+        assert (exc.value.t, exc.value.ybar, exc.value.y) == (-neg_t, g.ybar_nodes[j], y)
+
+    def test_sweep_equals_solve_h_at_rho0(self):
+        # With rho = 0 the sweep marches the myopic policy once per level,
+        # so it must reproduce solve_h of its own policy bit for bit.
+        g = default_grid(P0, n_t_steps=60, n_y=81, n_ybar=9, n_gh=11)
+        h, pol = _sweep_solve(g, P0)
+        assert np.array_equal(h.values, solve_h(pol.pi, g, P0).values)
 
 
 class TestResidual:
