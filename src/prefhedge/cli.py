@@ -65,7 +65,7 @@ TABLE_BLOCKS = {
 
 _PARAM_KEYS = {"r", "mu_S", "sigma_S", "rho", "mu_Y", "sigma_Y", "T", "y0"}
 _GRID_KEYS = {"n_t_steps", "n_y", "n_ybar", "n_gh", "ybar_pad_sd", "eps_T"}
-_FP_KEYS = {"max_iters", "tol_sup", "damping"}
+_FP_KEYS = {"max_iters", "tol_sup"}
 _SIM_KEYS = {"n_paths", "n_steps", "seed", "antithetic"}
 _TOP_KEYS = {"params", "grid", "fixed_point", "sim", "probes",
              "table_block", "out_dir", "verify"}
@@ -205,9 +205,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     meta = pol.iteration_meta
     summary = {
         "probes": probe_rows,
-        "iterations": meta.iterations if meta else None,
-        "sup_changes": list(meta.sup_changes) if meta else [],
-        "converged": bool(meta.converged) if meta else None,
+        "iterations": meta.iterations,
+        "sup_changes": list(meta.sup_changes),
+        "converged": meta.converged,
         "residual": {
             "max_abs": res.max_abs, "rms": res.rms,
             "max_rel": res.max_rel, "rms_rel": res.rms_rel,
@@ -225,8 +225,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     for row in probe_rows:
         print(f"  pi(t={row['t']:g}, exp_y={row['exp_y']:g}) = {row['pi']:.4f} "
               f"(myopic {row['myopic']:.4f}, hedging {row['hedging']:+.4f})")
-    print(f"solve: {'converged' if summary['converged'] else 'NOT converged'} "
-          f"in {summary['iterations']} iteration(s); outputs in {cfg.out_dir}")
+    print(f"solve: converged, at most {meta.iterations} map evaluation(s) "
+          f"per level; outputs in {cfg.out_dir}")
     return 0
 
 
@@ -250,8 +250,6 @@ def cmd_table(cfg: RunConfig) -> int:
                     params, y, cfg.grid_kwargs, cfg.fixed_point
                 )
                 vals = [float(pol.value(t, y)) for t in T_COLUMNS]
-                if not pol.iteration_meta.converged:
-                    notes[exp_y] = "fixed point returned best iterate (not converged)"
             except (PositivityError, ConvergenceError) as exc:
                 vals = [float("nan")] * len(T_COLUMNS)
                 notes[exp_y] = f"{type(exc).__name__}: {exc}"

@@ -7,11 +7,12 @@ policy.  With zero stock/preference correlation the integral drops out and
 the policy is available in closed form.
 
 The coupling is triangular in time: the policy at a time level depends only
-on the factors at that level, which depend only on later levels.  The
-primary solve therefore marches all terminal-state slices backward jointly,
-closing the policy level by level (predictor-corrector within each step),
-and a damped Picard loop then polishes the result to the requested
-fixed-point tolerance.
+on the factors at that level, which depend only on later levels, as in the
+backward definition of an equilibrium (Bjork, Khapko & Murgoci, Finance
+Stoch. 21, 2017).  The solve therefore marches all terminal-state slices
+backward jointly and settles each level's policy to the fixed-point
+tolerance before taking the next step; there is no separate global
+iteration.
 """
 
 from __future__ import annotations
@@ -30,34 +31,44 @@ from .pide import (
     _march_level,
     _terminal_layer_cut,
     bilinear_interp,
-    solve_h,
 )
+
+# History depth of the Anderson mixing that settles each level's policy.
+_ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """Controls for the fixed-point polish coupling policy and factors."""
+    """Controls of the per-level policy fixed point in the backward march.
+
+    A level is settled once one more map evaluation moves its hedging row
+    by less than ``tol_sup`` (sup norm); ``max_iters`` caps the map
+    evaluations spent on one level.
+    """
 
     max_iters: int = 30
     tol_sup: float = 1e-5
-    damping: float = 1.0
 
     def __post_init__(self):
         if not self.tol_sup > 0:
             raise DomainError("tol_sup must be > 0")
-        if not 0.0 < self.damping <= 1.0:
-            raise DomainError("damping must lie in (0, 1]")
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
 class IterationMeta:
-    """Diagnostics of a coupled solve."""
+    """Diagnostics of a coupled solve, for its hardest level.
+
+    ``iterations`` is the largest number of map evaluations any level
+    needed and ``sup_changes`` that level's update history (the first such
+    level in march order).  A solve with no iterated level (rho = 0)
+    reports one evaluation with change 0.  ``converged`` is true on every
+    returned solve: a level that does not settle raises instead.
+    """
 
     iterations: int
     sup_changes: tuple
-    damping_final: float
     converged: bool
 
 
@@ -178,30 +189,23 @@ def _flatten_edges(hedging: np.ndarray) -> np.ndarray:
     return hedging
 
 
-def _quadrature_span(t_k, grid: GridSpec, params: ModelParams):
-    """y-index range [lo, hi) whose terminal quadrature does not degenerate.
+def _flatten_degenerate_row(hed_row, t_k, grid: GridSpec, params: ModelParams):
+    """Hold the hedging flat where the terminal-state quadrature degenerates.
 
     Beyond the y-range whose conditional terminal mean at t_k falls inside
     the solved slice interval, every mapped quadrature node clips to the
-    same end slice.  The range always holds at least one node.
+    same end slice: the hedging value there is a one-sided extrapolation
+    with no information content, and letting it feed back into the factor
+    equations leaves a slowly relaxing mode pinned at the grid edge.
+    Constant continuation from the range, which always keeps one node, is
+    the neutral closure.
     """
     y = grid.y_nodes
     drift = params.mu_Y * (params.T - t_k)
     lo = int(np.searchsorted(y, grid.ybar_nodes[0] - drift, side="left"))
     hi = int(np.searchsorted(y, grid.ybar_nodes[-1] - drift, side="right"))
     lo = min(lo, y.size - 1)
-    return lo, max(min(hi, y.size), lo + 1)
-
-
-def _flatten_degenerate_row(hed_row, t_k, grid: GridSpec, params: ModelParams):
-    """Hold the hedging flat where the terminal-state quadrature degenerates.
-
-    Outside _quadrature_span the hedging value is a one-sided extrapolation
-    with no information content, and letting it feed back into the factor
-    equations leaves a slowly relaxing mode pinned at the grid edge.
-    Constant continuation is the neutral closure.
-    """
-    lo, hi = _quadrature_span(t_k, grid, params)
+    hi = max(min(hi, y.size), lo + 1)
     hed_row[:lo] = hed_row[lo]
     hed_row[hi:] = hed_row[hi - 1]
     return hed_row
@@ -272,18 +276,42 @@ def policy_from_h(h: HSurface, grid: GridSpec, params: ModelParams,
     )
 
 
-def _sweep_solve(grid: GridSpec, params: ModelParams):
-    """One backward march closing the policy level by level.
+def _anderson_step(us, gs):
+    """Next iterate of undamped type-II Anderson mixing.
+
+    Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011: from iterates us and map
+    values gs, g_last - dG gamma with gamma minimizing |f_last - dF gamma|_2
+    over the residuals f = g - u.
+    """
+    if len(us) == 1:
+        return gs[0]
+    f = np.array(gs) - np.array(us)
+    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+    return gs[-1] - gamma @ np.diff(gs, axis=0)
+
+
+def fixed_point_solve(grid: GridSpec, params: ModelParams,
+                      cfg: FixedPointConfig | None = None):
+    """Coupled solve: one backward march settling the policy level by level.
 
     All terminal-state slices step jointly from t = T - eps_T, each level
-    one block-diagonal solve (pide._march_level).  Below the analytic
-    terminal window each level is stepped twice: a predictor with the
-    previous level's hedging, then a corrector with the hedging integral
-    of the predicted factors; the stored hedging is the integral of the
-    corrected factors.  Exact for rho = 0 (the policy decouples and one
-    step per level is taken); otherwise the within-step policy lag is
-    second order after the corrector pass.
+    one block-diagonal solve (pide._march_level).  For rho = 0 and inside
+    the analytic terminal window the hedging row is known before the step,
+    and the level is marched once.  Below the window the level's hedging
+    row u solves u = H(march(myopic + u)), H the hedging quadrature of the
+    marched level with its edge and degenerate-band closures.  The row is
+    iterated from the previous level's with Anderson acceleration and
+    accepted once one more map evaluation moves it by less than
+    cfg.tol_sup; the accepted iterate, not the map output, is stored, so
+    the returned factors are exactly the march of the returned policy
+    (solve_h(pol.pi) reproduces them bit for bit).
+
+    Returns the (factor surface, policy surface) pair.  Raises
+    ConvergenceError naming t, with that level's update history, when a
+    level is not settled within cfg.max_iters map evaluations; a
+    PositivityError from the march propagates.
     """
+    cfg = cfg or FixedPointConfig()
     t = grid.t_nodes
     y = grid.y_nodes
     myopic = _myopic_grid(grid, params)
@@ -291,23 +319,34 @@ def _sweep_solve(grid: GridSpec, params: ModelParams):
     layer_cut = _terminal_layer_cut(grid, params.rho)
     if params.rho != 0.0:
         _apply_terminal_layer(hedging, grid, params)
+    worst: list[float] = []
 
     def advance(level, k):
+        nonlocal worst
         if params.rho == 0.0 or k >= layer_cut:
             return _march_level(level, k, myopic[k] + hedging[k], grid, params)
-        pi_row = myopic[k] + hedging[k + 1]
-        for _ in range(2):
-            new_level = _march_level(level, k, pi_row, grid, params)
+        us, gs, history = [hedging[k + 1]], [], []
+        while len(history) < cfg.max_iters:
+            new_level = _march_level(level, k, myopic[k] + us[-1], grid, params)
             # The log-factor slope is the elasticity directly.
             el = np.gradient(new_level, y, axis=1)   # (n_s, n_y)
-            hedging[k] = _flatten_degenerate_row(
-                _flatten_edges(
-                    _hedging_from_elasticity(el.T, grid, params, t[k], y)
-                ),
+            gs.append(_flatten_degenerate_row(
+                _flatten_edges(_hedging_from_elasticity(el.T, grid, params, t[k], y)),
                 t[k], grid, params,
-            )
-            pi_row = myopic[k] + hedging[k]
-        return new_level
+            ))
+            history.append(float(np.max(np.abs(gs[-1] - us[-1]))))
+            if history[-1] < cfg.tol_sup:
+                hedging[k] = us[-1]
+                if len(history) > len(worst):
+                    worst = history
+                return new_level
+            us.append(_anderson_step(us[-_ANDERSON_DEPTH - 1:],
+                                     gs[-_ANDERSON_DEPTH - 1:]))
+        raise ConvergenceError(
+            f"hedging row at t = {float(t[k])!r} still moved by {history[-1]:.3e} "
+            f"after {len(history)} map evaluations",
+            history=history,
+        )
 
     h = _march(grid, advance)
     pol = PolicySurface(
@@ -315,103 +354,11 @@ def _sweep_solve(grid: GridSpec, params: ModelParams):
         pi=myopic + hedging,
         myopic=myopic,
         hedging=hedging,
-    )
-    return h, pol
-
-
-def fixed_point_solve(grid: GridSpec, params: ModelParams,
-                      cfg: FixedPointConfig | None = None):
-    """Coupled solve: backward sweep, then damped Picard polish.
-
-    The sweep closes the policy/factor coupling in one pass; the polish
-    iterates pi -> policy_from_h(solve_h(pi)) with automatic damping
-    halving on oscillation until the sup-norm update is below tol_sup.
-    Returns the converged (factor surface, policy surface) pair; raises
-    ConvergenceError with the update history if the loop is exhausted
-    without an acceptable iterate.
-    """
-    cfg = cfg or FixedPointConfig()
-    h, pol = _sweep_solve(grid, params)
-    pi_k = pol.pi
-
-    # Node-wise Newton scaling of the Picard update.  The policy map is
-    # nearly affine in the policy with local slope rho**2 (1 - 1/E[gamma]):
-    # a slow contraction where expected risk aversion is large and an
-    # expansive oscillation where E[gamma] < rho**2/(1+rho**2).  Scaling
-    # the update by 1/(1 - slope) makes both regimes converge in a few
-    # sweeps.
-    Eg = expected_terminal_gamma(
-        grid.t_nodes[:, None], grid.y_nodes[None, :], params
-    )
-    slope = params.rho**2 * (1.0 - 1.0 / Eg)
-    newton = np.clip(1.0 / (1.0 - slope), 0.05, 25.0)
-
-    # The fixed point is iterated only where the policy map is free: inside
-    # the analytic terminal window and the degenerate-quadrature flanks the
-    # hedging is closed by construction, so updates there measure closure
-    # re-evaluation, not fixed-point error.
-    free = np.zeros((grid.t_nodes.size, grid.y_nodes.size), dtype=bool)
-    cut = _terminal_layer_cut(grid, params.rho)
-    for k in range(min(cut, grid.t_nodes.size)):
-        lo, hi = _quadrature_span(grid.t_nodes[k], grid, params)
-        free[k, max(lo, 2):min(hi, grid.y_nodes.size - 2)] = True
-    if not free.any():
-        free[:] = True
-
-    damping = cfg.damping
-    history: list[float] = []
-    prev_change = np.inf
-    best = None
-    retreats = 0
-    it = 0
-    pi_last_good = pi_k
-    while it < cfg.max_iters:
-        try:
-            h = solve_h(pi_k, grid, params)
-        except PositivityError:
-            retreats += 1
-            if best is not None or retreats > 8:
-                break
-            pi_k = 0.5 * (pi_k + pi_last_good)
-            damping = max(0.5 * damping, 1.0 / 16.0)
-            continue
-        pi_last_good = pi_k
-        it += 1
-        pol = policy_from_h(h, grid, params)
-        change = float(np.max(np.abs(pol.pi - pi_k)[free]))
-        history.append(change)
-        if best is None or change < best[0]:
-            best = (change, h, pol)
-        if change < cfg.tol_sup:
-            pol.iteration_meta = IterationMeta(
-                iterations=it,
-                sup_changes=tuple(history),
-                damping_final=damping,
-                converged=True,
-            )
-            return h, pol
-        if len(history) >= 6 and history[-1] > 10.0 * min(history):
-            break
-        if change > prev_change:
-            damping = max(0.5 * damping, 1.0 / 16.0)
-        pi_k = pi_k + damping * newton * (pol.pi - pi_k)
-        prev_change = change
-    if best is None:
-        raise ConvergenceError(
-            "coupled solve produced no usable iterate", history=history
-        )
-    change, h, pol = best
-    if change > 0.05:
-        raise ConvergenceError(
-            f"fixed point stalled at sup change {change:.3e} "
-            f"after {len(history)} iterations",
-            history=history,
-        )
-    pol.iteration_meta = IterationMeta(
-        iterations=len(history),
-        sup_changes=tuple(history),
-        damping_final=damping,
-        converged=bool(change < cfg.tol_sup),
+        iteration_meta=IterationMeta(
+            iterations=max(len(worst), 1),
+            sup_changes=tuple(worst) or (0.0,),
+            converged=True,
+        ),
     )
     return h, pol
 

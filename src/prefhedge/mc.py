@@ -39,17 +39,14 @@ _TAIL_RATIO = 0.85
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path-simulation controls.
+    """Path-simulation controls (log-wealth Euler-Maruyama stepping).
 
-    ``scheme`` is informational (log-wealth Euler-Maruyama is the only
-    implemented stepping); ``antithetic`` mirrors the second half of the
-    paths against the first.
+    ``antithetic`` mirrors the second half of the paths against the first.
     """
 
     n_paths: int = 100_000
     n_steps: int = 400
     seed: int = 0
-    scheme: str = "euler-log"
     antithetic: bool = False
 
     def __post_init__(self):
@@ -59,8 +56,6 @@ class SimConfig:
             raise DomainError("n_steps must be >= 1")
         if self.antithetic and self.n_paths % 2:
             raise DomainError("antithetic sampling needs an even n_paths")
-        if self.scheme != "euler-log":
-            raise DomainError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass

@@ -7,14 +7,14 @@ solves a linear parabolic equation
 
 whose coefficients couple the Brownian-bridge pull toward ybar with the
 candidate investment policy.  Slices are independent given the policy; the
-policy feedback happens one level up, in the equilibrium sweep and the
-fixed-point iteration.
+policy feedback happens one level up, in the equilibrium sweep, which
+settles each level's policy before the next step.
 
 One kernel, _march_level, advances every slice by one time level: each
 slice is marched only in a window around its bridge line, the windows are
 laid end to end, and one block-diagonal tridiagonal solve steps them all.
 solve_h runs it with a fixed policy; the equilibrium sweep runs it with the
-policy closed level by level.
+policy settled level by level.
 
 Numerical scheme: implicit (backward Euler) time stepping of the
 convection-diffusion part with central differences in y, switching to
@@ -59,6 +59,10 @@ H_MIN = float(np.exp(-690.0))
 BAND_SD = 4.5
 
 _YBAR_EXCLUSION = 1e-8  # nodes this close to 0 would put gamma at 1
+
+# Fewest rows of a marched window: the tube extension reads slopes from
+# interior node pairs two rows inside each window edge.
+_MIN_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,10 @@ class GridSpec:
             raise DomainError("t_nodes must be strictly increasing")
         if t[0] < 0 or t[-1] > self.T - self.eps_T + 1e-12:
             raise DomainError("t_nodes must lie in [0, T - eps_T]")
-        if y.ndim != 1 or y.size < 3 or np.any(np.diff(y) <= 0):
+        if y.ndim != 1 or np.any(np.diff(y) <= 0):
             raise DomainError("y_nodes must be strictly increasing")
+        if y.size < _MIN_WINDOW:
+            raise DomainError(f"y_nodes needs at least {_MIN_WINDOW} nodes")
         dy = np.diff(y)
         if not np.allclose(dy, dy[0], rtol=1e-10, atol=0.0):
             raise DomainError("y_nodes must be uniformly spaced")
@@ -462,10 +468,10 @@ def _slice_windows(grid: GridSpec, params: ModelParams, t):
     centers = grid.ybar_nodes - params.mu_Y * tau
     band_lo = np.searchsorted(y, centers - half, side="left")
     band_hi = np.searchsorted(y, centers + half, side="right")
-    lo = np.minimum(np.maximum(band_lo - _TUBE_MARGIN, 0), y.size - 5)
-    hi = np.minimum(np.maximum(band_hi + _TUBE_MARGIN, 5), y.size)
-    hi = np.maximum(hi, lo + 5)
-    lo = np.minimum(lo, hi - 5)
+    lo = np.minimum(np.maximum(band_lo - _TUBE_MARGIN, 0), y.size - _MIN_WINDOW)
+    hi = np.minimum(np.maximum(band_hi + _TUBE_MARGIN, _MIN_WINDOW), y.size)
+    hi = np.maximum(hi, lo + _MIN_WINDOW)
+    lo = np.minimum(lo, hi - _MIN_WINDOW)
     band_lo = np.minimum(np.maximum(band_lo, lo), hi)
     band_hi = np.minimum(np.maximum(band_hi, lo), hi)
     return lo, hi, band_lo, band_hi

@@ -62,6 +62,11 @@ class TestConfigParsing:
         cfg = RunConfig.from_file(path, seed_override=99)
         assert cfg.sim.seed == 99
 
+    def test_unknown_fixed_point_key_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"fixed_point": {"damping": 0.5}})
+        with pytest.raises(ConfigError, match="damping"):
+            RunConfig.from_file(path)
+
     def test_all_table_blocks_known(self):
         assert len(TABLE_BLOCKS) == 12
 
@@ -89,6 +94,27 @@ class TestCommands:
         row = data["rows"]["7"]
         assert row[0] == pytest.approx(0.078, abs=1e-3)
         assert row[5] == pytest.approx(0.161, abs=1e-3)
+
+    def test_every_table_block_right_or_refused(self, tmp_path):
+        # Each row holds six finite cells, or NaN cells and a note naming
+        # the exception; every |rho| = 0.6 and rho = 0 row is finite.
+        grid = {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9}
+        for block, (_mu, rho, rows) in TABLE_BLOCKS.items():
+            path = write_config(tmp_path, {"table_block": block, "grid": grid})
+            out = tmp_path / "out"
+            assert main(["table", "--config", str(path), "--out", str(out)]) == 0
+            name = block.replace(",", "_")
+            data = json.loads((out / f"table_{name}.json").read_text())
+            assert list(data["rows"]) == [str(r) for r in rows]
+            for key, cells in data["rows"].items():
+                assert len(cells) == 6
+                if all(np.isfinite(cells)):
+                    assert key not in data["notes"], (block, key)
+                else:
+                    assert abs(rho) == 1.0, (block, key)
+                    assert np.all(np.isnan(cells)), (block, key)
+                    assert data["notes"][key].split(":")[0] in (
+                        "ConvergenceError", "PositivityError"), (block, key)
 
     def test_round_trip_solve_then_verify(self, tmp_path):
         out = tmp_path / "out"

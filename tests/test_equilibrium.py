@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prefhedge import (
+    ConvergenceError,
     FixedPointConfig,
     ModelParams,
     closed_form_policy_rho0,
@@ -13,7 +14,7 @@ from prefhedge import (
     reward_quadrature,
     solve_h,
 )
-from prefhedge.pide import HSurface
+from prefhedge.pide import HSurface, _terminal_layer_cut
 
 
 def params_with(mu_Y, rho):
@@ -136,6 +137,39 @@ class TestFixedPoint:
         # wherever the map is freely iterated (away from closed rows)
         core = np.abs(remap.pi - pol.pi)[:-20, 30:-30]
         assert core.max() < 5 * cfg.tol_sup
+
+    @pytest.mark.parametrize("mu_Y,rho", [(0.02, 0.6), (-0.02, -0.6), (0.02, 0.0)])
+    def test_solve_h_reproduces_returned_surface(self, mu_Y, rho):
+        # The solve stores each level's accepted policy row and the march
+        # of exactly that row, so re-marching the returned policy gives the
+        # returned factors bit for bit.
+        p = params_with(mu_Y, rho)
+        g = default_grid(p, n_t_steps=60, n_y=81, n_ybar=9, n_gh=11)
+        h, pol = fixed_point_solve(g, p)
+        assert np.array_equal(solve_h(pol.pi, g, p).values, h.values)
+
+    def test_coarse_time_grid_hard_point_settles(self):
+        # 41 time levels at (-0.02, -0.6, e^y = 0.8): plain per-level
+        # iteration diverges here; the accelerated one settles every level.
+        p = params_with(-0.02, -0.6)
+        y = np.log(0.8)
+        g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9, probe_y=[y])
+        cfg = FixedPointConfig()
+        h, pol = fixed_point_solve(g, p, cfg)
+        assert pol.iteration_meta.converged
+        assert pol.iteration_meta.sup_changes[-1] < cfg.tol_sup
+        remap = policy_from_h(solve_h(pol.pi, g, p), g, p)
+        assert np.abs(remap.pi - pol.pi)[:-2, 2:-2].max() < cfg.tol_sup
+
+    def test_unsettled_level_raises_naming_t(self):
+        p = params_with(0.02, 0.6)
+        g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
+        with pytest.raises(ConvergenceError) as exc:
+            fixed_point_solve(g, p, FixedPointConfig(max_iters=1))
+        # the first level below the analytic terminal window
+        t_first = float(g.t_nodes[_terminal_layer_cut(g, p.rho) - 1])
+        assert f"t = {t_first!r}" in str(exc.value)
+        assert len(exc.value.history) == 1
 
     def test_matches_constant_policy_oracle(self):
         # the exact best-constant fraction is a tight bracket for the

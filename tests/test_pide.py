@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -13,7 +15,6 @@ from prefhedge import (
     solve_h,
 )
 from prefhedge import pide
-from prefhedge.equilibrium import _sweep_solve
 from prefhedge.pide import GridSpec, HSurface
 
 
@@ -133,6 +134,17 @@ class TestGridSpec:
             GridSpec(T=g.T, eps_T=g.eps_T, t_nodes=g.t_nodes, y_nodes=g.y_nodes,
                      ybar_nodes=yb, gh_nodes=g.gh_nodes,
                      ybar_weights=g.ybar_weights)
+
+    def test_rejects_fewer_y_nodes_than_a_window(self):
+        # A marched window needs pide._MIN_WINDOW = 5 rows: four y-nodes
+        # are refused, five still march as the per-slice reference does.
+        g = default_grid(P06, n_t_steps=10, n_y=21, n_ybar=3)
+        i = int(np.searchsorted(g.y_nodes, P06.y0)) - 2
+        with pytest.raises(DomainError, match="at least 5"):
+            dataclasses.replace(g, y_nodes=g.y_nodes[i:i + 4])
+        g5 = dataclasses.replace(g, y_nodes=g.y_nodes[i:i + 5])
+        h = solve_h(0.3, g5, P06)
+        assert np.array_equal(h.values, reference_march(0.3, g5, P06))
 
 
 class TestHSurface:
@@ -291,13 +303,6 @@ class TestBatchedMarch:
         assert len(fails) > 1
         neg_t, j, y = min(fails)
         assert (exc.value.t, exc.value.ybar, exc.value.y) == (-neg_t, g.ybar_nodes[j], y)
-
-    def test_sweep_equals_solve_h_at_rho0(self):
-        # With rho = 0 the sweep marches the myopic policy once per level,
-        # so it must reproduce solve_h of its own policy bit for bit.
-        g = default_grid(P0, n_t_steps=60, n_y=81, n_ybar=9, n_gh=11)
-        h, pol = _sweep_solve(g, P0)
-        assert np.array_equal(h.values, solve_h(pol.pi, g, P0).values)
 
 
 class TestResidual:
