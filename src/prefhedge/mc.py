@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams, crra_utility, phi, phi_prime
+from .model import EPS_GAMMA, ModelParams, crra_utility, eval_policy, phi, phi_prime
 from .pide import HSurface
 
 # Fraction of steps, and of horizon, used by the geometric terminal
@@ -54,6 +54,8 @@ class SimConfig:
             raise DomainError("n_paths must be >= 2")
         if self.n_steps < 1:
             raise DomainError("n_steps must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if self.antithetic and self.n_paths % 2:
             raise DomainError("antithetic sampling needs an even n_paths")
 
@@ -83,15 +85,6 @@ class PathBatch:
 
 def _rng(seed, stream=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(stream)))))
-
-
-def eval_policy(policy, t, y):
-    """Policy evaluation used by the simulators: surface, callable, or constant."""
-    if hasattr(policy, "value"):
-        return np.asarray(policy.value(t, y, clip=True), dtype=float)
-    if callable(policy):
-        return np.broadcast_to(np.asarray(policy(t, y), dtype=float), np.shape(y)).copy()
-    return np.full(np.shape(y), float(policy))
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,7 @@ def gh_terminal_quadrature(t0, y0, params: ModelParams, n_nodes=21):
     mean = y0 + params.mu_Y * (params.T - t0)
     sd = params.sigma_Y * np.sqrt(params.T - t0)
     nodes = mean + np.sqrt(2.0) * sd * xi
-    nodes[np.abs(nodes) <= 1e-8] = 2e-8
+    nodes[np.abs(nodes) <= EPS_GAMMA] = 2.0 * EPS_GAMMA
     return nodes, w / np.sqrt(np.pi)
 
 

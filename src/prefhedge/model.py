@@ -148,6 +148,20 @@ def phi_prime(u, gamma):
     return out if out.ndim else float(out)
 
 
+def eval_policy(policy, t, y):
+    """Fraction at (t, y) under a policy specification: shape broadcast(t, y).
+
+    Accepts a surface (anything with ``.value(t, y, clip=...)``, read
+    clamped to its grid), a callable ``pi(t, y)``, or a scalar.
+    """
+    if hasattr(policy, "value"):
+        return np.asarray(policy.value(t, y, clip=True), dtype=float)
+    shape = np.broadcast_shapes(np.shape(t), np.shape(y))
+    if callable(policy):
+        return np.broadcast_to(np.asarray(policy(t, y), dtype=float), shape).copy()
+    return np.full(shape, float(policy))
+
+
 def expected_terminal_gamma(t, y, params: ModelParams):
     """E[exp(Y_T) | Y_t = y] for the arithmetic Brownian preference factor.
 

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import DegenerateTimeError, DomainError, OutOfGridError, PositivityError
-from .model import ModelParams
+from .model import EPS_GAMMA, ModelParams, eval_policy
 
 # Abort threshold for the continuation factor inside a slice's bridge tube
 # (values beyond it there mean the solve left the representable regime: at
@@ -57,8 +57,6 @@ H_MIN = float(np.exp(-690.0))
 # the band around each slice's bridge line where the solution is resolved
 # and checked; quadrature never reads the factor outside ~4.5 sd.
 BAND_SD = 4.5
-
-_YBAR_EXCLUSION = 1e-8  # nodes this close to 0 would put gamma at 1
 
 # Fewest rows of a marched window: the tube extension reads slopes from
 # interior node pairs two rows inside each window edge.
@@ -76,7 +74,7 @@ class GridSpec:
         y_nodes: strictly increasing, uniformly spaced preference states.
         ybar_nodes: fixed terminal-state slices where the factor equations
             are solved; also the knots for cross-slice interpolation.  None
-            may sit within 1e-8 of 0 (gamma = 1 is excluded).
+            may sit within EPS_GAMMA of 0 (gamma = 1 is excluded).
         gh_nodes / ybar_weights: standardized Gauss-Hermite abscissae and
             probability weights (weights sum to 1).  Expectations over the
             terminal state at (t, y) map these nodes through
@@ -121,9 +119,9 @@ class GridSpec:
             raise DomainError("y_nodes must be uniformly spaced")
         if yb.ndim != 1 or yb.size < 2 or np.any(np.diff(yb) <= 0):
             raise DomainError("ybar_nodes must be strictly increasing")
-        if np.any(np.abs(yb) <= _YBAR_EXCLUSION):
+        if np.any(np.abs(yb) <= EPS_GAMMA):
             raise DomainError(
-                "ybar_nodes may not sit within 1e-8 of 0 (gamma = 1 excluded)"
+                f"ybar_nodes may not sit within {EPS_GAMMA} of 0 (gamma = 1 excluded)"
             )
         if gh.shape != w.shape or gh.ndim != 1:
             raise DomainError("gh_nodes and ybar_weights must be 1-d and paired")
@@ -216,8 +214,8 @@ def default_grid(
     yb_hi = max(probes) + drift + pad * sT
     ybar_nodes = np.linspace(yb_lo, yb_hi, n_ybar)
     # gamma = 1 is excluded: nudge any slice that lands on ybar = 0.
-    hit = np.abs(ybar_nodes) <= _YBAR_EXCLUSION
-    ybar_nodes[hit] = 2.0 * _YBAR_EXCLUSION
+    hit = np.abs(ybar_nodes) <= EPS_GAMMA
+    ybar_nodes[hit] = 2.0 * EPS_GAMMA
 
     tube_pad = (BAND_SD + 0.5) * sT
     y_lo = min(yb_lo - max(0.0, drift) - tube_pad, min(probes) - sT)
@@ -368,28 +366,20 @@ class HSurface:
         return np.gradient(np.log(self.values), self.grid.y_nodes, axis=1)
 
 
-def policy_values(policy, t_nodes, y_nodes, params: ModelParams | None = None):
+def policy_values(policy, t_nodes, y_nodes):
     """Evaluate a policy specification on the tensor grid -> (n_t, n_y).
 
-    Accepts a PolicySurface-like object (anything with ``.value(t, y)``), a
-    callable ``pi(t, y)``, or a scalar.
+    A 2-d array is taken as the grid values themselves (not copied); any
+    other specification goes through model.eval_policy.
     """
-    tt = np.asarray(t_nodes, dtype=float)[:, None]
-    yy = np.asarray(y_nodes, dtype=float)[None, :]
-    if hasattr(policy, "value"):
-        return np.asarray(policy.value(tt, yy, clip=True), dtype=float)
-    if callable(policy):
-        return np.broadcast_to(
-            np.asarray(policy(tt, yy), dtype=float), (tt.size, yy.size)
-        ).copy()
-    arr = np.asarray(policy, dtype=float)
-    if arr.ndim == 2:
-        if arr.shape != (tt.size, yy.size):
+    shape = (len(t_nodes), len(y_nodes))
+    if np.ndim(policy) == 2:
+        if np.shape(policy) != shape:
             raise DomainError(
-                f"policy array must have shape {(tt.size, yy.size)}, got {arr.shape}"
+                f"policy array must have shape {shape}, got {np.shape(policy)}"
             )
-        return arr
-    return np.full((tt.size, yy.size), float(arr))
+        return np.asarray(policy, dtype=float)
+    return eval_policy(policy, t_nodes[:, None], y_nodes[None, :])
 
 
 def _step_matrix(Q, dt, dy, R, first, last):
@@ -581,7 +571,7 @@ def solve_h(policy, grid: GridSpec, params: ModelParams) -> HSurface:
     such level in march order (latest t first), the lowest failing slice
     there, and the node of largest |ln h| in its band.
     """
-    PI = policy_values(policy, grid.t_nodes, grid.y_nodes, params)
+    PI = policy_values(policy, grid.t_nodes, grid.y_nodes)
     return _march(grid, lambda level, k: _march_level(level, k, PI[k], grid, params))
 
 
@@ -640,7 +630,7 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
         hyy[:, 0] = hyy[:, 1]
         hyy[:, -1] = hyy[:, -2]
 
-        PI = policy_values(policy, t, y, params)
+        PI = policy_values(policy, t, y)
         fn = coefficients if coeff_fn is None else coeff_fn
         P, Q, R = fn(t[:, None, None], y[None, :, None], yb[None, None, :], PI[:, :, None], params)
 

@@ -67,6 +67,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="damping"):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("extra,key", [
+        ({"grid": {"n_gh": 0}}, "grid.n_gh"),
+        ({"grid": {"n_y": "abc"}}, "grid.n_y"),
+        ({"grid": {"n_ybar": True}}, "grid.n_ybar"),
+        ({"fixed_point": {"max_iters": "x"}}, "fixed_point.max_iters"),
+        ({"sim": {"n_paths": "x"}}, "sim.n_paths"),
+        ({"sim": {"seed": -1}}, "seed"),
+        ({"probes": [{"t": "0", "exp_y": 2.0}]}, "probes[0].t"),
+    ])
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys, extra, key):
+        path = write_config(tmp_path, extra)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_all_table_blocks_known(self):
         assert len(TABLE_BLOCKS) == 12
 

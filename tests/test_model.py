@@ -14,6 +14,7 @@ from prefhedge import (
     phi,
     phi_prime,
 )
+from prefhedge.model import eval_policy
 
 PARAMS = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.0,
                      mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
@@ -137,3 +138,34 @@ class TestExpectedTerminalGamma:
     def test_non_martingale_varies(self):
         vals = expected_terminal_gamma(np.array([0.0, 20.0]), 0.0, PARAMS)
         assert vals[0] != vals[1]
+
+
+
+def _linear(t, y):
+    return 0.1 * np.asarray(t) + np.asarray(y)
+
+
+class _Surface:
+    """Stand-in for a policy surface: evaluated through .value(t, y)."""
+
+    def value(self, t, y, clip=True):
+        assert clip
+        return _linear(t, y)
+
+
+class TestEvalPolicy:
+    @pytest.mark.parametrize("policy,expect", [
+        (0.3, lambda t, y: 0.3),
+        (lambda t, y: 0.3, lambda t, y: 0.3),
+        (_linear, _linear),
+        (_Surface(), _linear),
+    ])
+    @pytest.mark.parametrize("t,y,shape", [
+        (2.0, np.zeros(3), (3,)),
+        (np.arange(4.0)[:, None], np.zeros(3), (4, 3)),
+        (np.arange(4.0)[:, None], 0.5, (4, 1)),
+    ])
+    def test_shape_is_broadcast_of_t_and_y(self, policy, expect, t, y, shape):
+        out = eval_policy(policy, t, y)
+        assert out.shape == shape
+        assert np.array_equal(out, np.broadcast_to(expect(t, y), shape))

@@ -27,7 +27,7 @@ def reference_march(policy, grid, params, slices=None):
     t, y, yb = grid.t_nodes, grid.y_nodes, grid.ybar_nodes
     n_t, n_y, n_s = grid.shape
     dy, R, W = grid.dy, 0.5 * params.sigma_Y**2, pide._W_MAX
-    PI = pide.policy_values(policy, t, y, params)
+    PI = pide.policy_values(policy, t, y)
     values = np.ones(grid.shape)
     for j in range(n_s) if slices is None else slices:
         full = np.zeros(n_y)
@@ -168,6 +168,12 @@ class TestSolveH:
         g = default_grid(P0, n_t_steps=30, n_y=61, n_ybar=7)
         h = solve_h(0.0, g, P0)
         assert np.all(h.values[-1] == 1.0)
+
+    def test_rejects_wrong_shaped_policy_array(self):
+        g = default_grid(P0, n_t_steps=30, n_y=61, n_ybar=7)
+        n_t, n_y, _ = g.shape
+        with pytest.raises(DomainError, match="policy array"):
+            solve_h(np.full((n_t, n_y - 1), 0.3), g, P0)
 
     def test_zero_policy_reaction_is_exact(self):
         # pi = 0 makes each slice's reaction spatially constant, so the
