@@ -77,6 +77,8 @@ _TOP_KEYS = {"params", "grid", "fixed_point", "sim", "probes",
 _VERIFY_KEYS = {"residual_tol", "z_gate", "spike_deltas", "spike_offsets",
                 "reward_probes"}
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+# Terminal-state quadrature nodes of verify's reward estimates.
+_VERIFY_NODES = 11
 
 
 def _config_section(section, mapping, allowed):
@@ -106,6 +108,43 @@ def _config_section(section, mapping, allowed):
                     f"{section}.{key} must be {_KIND_NAMES[kind]}{bound}, got {value!r}"
                 )
     return dict(mapping)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _probe_list(section, probes, T):
+    """A list of {"t", "exp_y"} objects with t in [0, T] and exp_y > 0."""
+    if not isinstance(probes, list):
+        raise ConfigError(f"{section} must be a list, got {probes!r}")
+    for i, probe in enumerate(probes):
+        name = f"{section}[{i}]"
+        _config_section(name, probe, _PROBE_KEYS)
+        if "t" not in probe or "exp_y" not in probe:
+            raise ConfigError(f"{name} needs 't' and 'exp_y'")
+        if not 0 <= probe["t"] <= T:
+            raise ConfigError(f"{name}: t must lie in [0, T]")
+        if not probe["exp_y"] > 0:
+            raise ConfigError(f"{name}: exp_y must be > 0")
+    return probes
+
+
+def _verify_section(mapping, T):
+    """The verify section, each value checked as cmd_verify will use it."""
+    verify = _config_section("verify", mapping, _VERIFY_KEYS)
+    for key in ("residual_tol", "z_gate"):
+        if key in verify and not _is_number(verify[key]):
+            raise ConfigError(f"verify.{key} must be a number, got {verify[key]!r}")
+    for key in ("spike_deltas", "spike_offsets"):
+        value = verify.get(key)
+        if key in verify and not (isinstance(value, list) and value
+                                  and all(_is_number(v) and v > 0 for v in value)):
+            raise ConfigError(
+                f"verify.{key} must be a non-empty list of positive numbers, got {value!r}"
+            )
+    _probe_list("verify.reward_probes", verify.get("reward_probes", []), T)
+    return verify
 
 
 @dataclass
@@ -154,16 +193,8 @@ class RunConfig:
         except DomainError as exc:
             raise ConfigError(f"invalid sim: {exc}") from exc
 
-        probes = []
-        for i, probe in enumerate(raw.get("probes", [])):
-            _config_section(f"probes[{i}]", probe, _PROBE_KEYS)
-            if "t" not in probe or "exp_y" not in probe:
-                raise ConfigError(f"probes[{i}] needs 't' and 'exp_y'")
-            if not 0 <= probe["t"] <= params.T:
-                raise ConfigError(f"probes[{i}]: t must lie in [0, T]")
-            if not probe["exp_y"] > 0:
-                raise ConfigError(f"probes[{i}]: exp_y must be > 0")
-            probes.append((float(probe["t"]), float(np.log(probe["exp_y"]))))
+        probes = [(float(p["t"]), float(np.log(p["exp_y"])))
+                  for p in _probe_list("probes", raw.get("probes", []), params.T)]
 
         block = raw.get("table_block")
         if block is not None and block not in TABLE_BLOCKS:
@@ -171,7 +202,7 @@ class RunConfig:
                 f"unknown table_block {block!r}; known: {sorted(TABLE_BLOCKS)}"
             )
 
-        verify = _config_section("verify", raw.get("verify", {}), _VERIFY_KEYS)
+        verify = _verify_section(raw.get("verify", {}), params.T)
 
         out_dir = Path(out_override or raw.get("out_dir", "."))
         return cls(params=params, grid_kwargs=grid_kwargs, fixed_point=fixed_point,
@@ -338,27 +369,35 @@ def cmd_verify(cfg: RunConfig) -> int:
         hard_fail |= not ok
     bundle["g_representation"] = g_rows
 
+    t0, y0 = probes[0]
+    spike = equilibrium_spike_test(
+        pol, min(t0, cfg.params.T - 1.0), 1.0, y0, cfg.sim, cfg.params,
+        deltas=tuple(vcfg.get("spike_deltas", (0.5, 0.25, 0.125))),
+        perturbations=tuple(vcfg.get("spike_offsets", (0.05, 0.1, 0.2))),
+        ybar_quadrature=_VERIFY_NODES,
+    )
+
     reward_rows = []
     for probe in vcfg.get("reward_probes", [{"t": 0.0, "exp_y": float(np.exp(cfg.params.y0))}]):
         t0 = float(probe["t"])
         y0 = float(np.log(probe["exp_y"]))
-        est = reward_mc(pol, t0, 1.0, y0, cfg.sim, cfg.params, ybar_quadrature=11)
-        j_qd = reward_quadrature(h, t0, 1.0, y0, cfg.params, n_nodes=11)
-        z = (est.value - j_qd) / est.se if est.se > 0 else 0.0
+        if (t0, y0) == (spike.t0, spike.y0):
+            # Same point, nodes, seed and streams: the spike test's base run
+            # is this estimate.
+            j_mc, se = spike.j_base, spike.j_base_se
+        else:
+            est = reward_mc(pol, t0, 1.0, y0, cfg.sim, cfg.params,
+                            ybar_quadrature=_VERIFY_NODES)
+            j_mc, se = est.value, est.se
+        j_qd = reward_quadrature(h, t0, 1.0, y0, cfg.params, n_nodes=_VERIFY_NODES)
+        z = (j_mc - j_qd) / se if se > 0 else 0.0
         ok = abs(z) < z_gate
-        reward_rows.append({"t": t0, "exp_y": probe["exp_y"], "j_mc": est.value,
-                            "se": est.se, "j_quadrature": j_qd, "z": z,
+        reward_rows.append({"t": t0, "exp_y": probe["exp_y"], "j_mc": j_mc,
+                            "se": se, "j_quadrature": j_qd, "z": z,
                             "pass": bool(ok)})
         hard_fail |= not ok
     bundle["reward_crosscheck"] = reward_rows
 
-    t0, y0 = probes[0]
-    spike_t0 = min(t0, cfg.params.T - 1.0)
-    spike = equilibrium_spike_test(
-        pol, spike_t0, 1.0, y0, cfg.sim, cfg.params,
-        deltas=tuple(vcfg.get("spike_deltas", (0.5, 0.25, 0.125))),
-        perturbations=tuple(vcfg.get("spike_offsets", (0.05, 0.1, 0.2))),
-    )
     bundle["spike_test"] = {
         "note": spike.note,
         "j_base": spike.j_base, "j_base_se": spike.j_base_se,

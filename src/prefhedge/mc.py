@@ -15,8 +15,12 @@ would corrupt reward estimates.
 Random numbers come from counter-based Philox streams keyed by the
 configured seed (and a stream index for per-node independence), so runs are
 bit-reproducible and two simulations with the same configuration consume
-identical noise regardless of the policy — the common-random-number
-coupling the spike test relies on.
+identical noise regardless of the policy.  The spike test goes one step
+further and shares the noise itself: the factor path does not depend on the
+policy, so each quadrature node runs one simulation in which the base policy
+and every spiked policy step their own wealth lanes on one draw and one
+factor path (common random numbers, bit for bit what separate runs with the
+same stream would give).
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ def conditioned_time_grid(t0, T, n_steps):
 
 
 def _simulate(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
-              ybar=None, store="full", stream=0):
+              ybar=None, store="full", stream=0, spikes=()):
     if not x0 > 0:
         raise DomainError("x0 must be > 0")
     if not t0 < params.T:
@@ -134,16 +138,17 @@ def _simulate(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
         else np.linspace(t0, params.T, cfg.n_steps + 1)
     )
     n = cfg.n_paths
+    n_lanes = 1 + len(spikes)
     rng = _rng(cfg.seed, stream)
     rho = params.rho
     rho_c = np.sqrt(1.0 - rho * rho)
 
-    lnX = np.full(n, np.log(x0))
+    lnX = np.full((n_lanes, n), np.log(x0))
     Y = np.full(n, float(y0))
     if store == "full":
-        Xs = np.empty((n, times.size))
+        Xs = np.empty((n_lanes, n, times.size))
         Ys = np.empty((n, times.size))
-        Xs[:, 0] = x0
+        Xs[..., 0] = x0
         Ys[:, 0] = y0
 
     for k in range(times.size - 1):
@@ -158,6 +163,12 @@ def _simulate(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
         dW1 = sdt * Z[0]
         dW2 = sdt * Z[1]
         pi = eval_policy(policy, t, Y)
+        held = [(lane, value) for lane, (value, start, end) in enumerate(spikes, 1)
+                if start <= t < end]
+        if held:
+            pi = np.repeat(pi[None], n_lanes, axis=0)
+            for lane, value in held:
+                pi[lane] = value
         if conditioned:
             tau = params.T - t
             drift_y = (ybar - Y) / tau
@@ -167,24 +178,25 @@ def _simulate(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
         else:
             drift_y = params.mu_Y
             adj = 0.0
+        # Lanes outside their windows share the base row's increment.
         lnX += (
             params.r + pi * (params.mu_S - params.r) + adj
             - 0.5 * pi**2 * params.sigma_S**2
         ) * dt + pi * params.sigma_S * (rho * dW1 + rho_c * dW2)
         Y = Y + drift_y * dt + params.sigma_Y * dW1
         if store == "full":
-            Xs[:, k + 1] = np.exp(lnX)
+            Xs[..., k + 1] = np.exp(lnX)
             Ys[:, k + 1] = Y
 
     if store == "full":
         X_arr, Y_arr, t_arr = Xs, Ys, times
     else:
-        X_arr = np.column_stack([np.full(n, x0), np.exp(lnX)])
+        X_arr = np.stack([np.full((n_lanes, n), x0), np.exp(lnX)], axis=-1)
         Y_arr = np.column_stack([np.full(n, y0), Y])
         t_arr = np.array([t0, params.T])
     return PathBatch(
         times=t_arr,
-        X=X_arr,
+        X=X_arr if spikes else X_arr[0],
         Y=Y_arr,
         measure="conditioned" if conditioned else "unconditional",
         seed=cfg.seed,
@@ -205,16 +217,21 @@ def simulate_unconditional(policy, t0, x0, y0, cfg: SimConfig, params: ModelPara
 
 
 def simulate_conditioned(policy, t0, x0, y0, ybar, cfg: SimConfig, params: ModelParams,
-                         store="full", stream=0) -> PathBatch:
+                         store="full", stream=0, spikes=()) -> PathBatch:
     """Paths pinned to Y_T = ybar.
 
     The factor steps with the bridge drift (ybar - Y)/(T - s); the wealth
     drift carries the score tilt pi rho (sigma_S/sigma_Y)(ybar - Y -
     mu_Y (T-s))/(T-s).  The final factor value lands within the last step's
     diffusion scale of the pin.
+
+    ``spikes`` adds wealth lanes on the same noise and factor paths: a
+    (value, start, end) lane follows ``policy`` except on [start, end),
+    where it holds the fraction ``value``, as SpikePolicy does.  With
+    spikes, ``X`` has a leading lane axis, the base policy's lane first.
     """
     return _simulate(policy, t0, x0, y0, cfg, params, ybar=ybar,
-                     store=store, stream=stream)
+                     store=store, stream=stream, spikes=spikes)
 
 
 def gh_terminal_quadrature(t0, y0, params: ModelParams, n_nodes=21):
@@ -260,7 +277,7 @@ class RewardEstimate:
 
 
 def reward_mc(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
-              ybar_quadrature=None, _pathwise=False):
+              ybar_quadrature=None):
     """Monte Carlo estimate of the certainty-equivalent reward at (t0, x0, y0).
 
     For each terminal-state quadrature node: estimate the inner conditional
@@ -271,6 +288,19 @@ def reward_mc(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
     expectation is within 5 standard errors of the sign boundary are
     flagged; an outright sign violation raises.
     """
+    estimates, _terms = _lane_rewards(policy, t0, x0, y0, cfg, params, ybar_quadrature)
+    return estimates[0]
+
+
+def _lane_rewards(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
+                  ybar_quadrature, spikes=()):
+    """reward_mc of the base policy and of each spike lane, with per-path terms.
+
+    One conditioned simulation per quadrature node serves every lane (see
+    simulate_conditioned).  Returns the estimates, base first, and for each
+    lane the per-path sum over nodes of w phi'(E u) u, whose lane-to-lane
+    differences carry the common-random-number standard error.
+    """
     if ybar_quadrature is None:
         nodes, weights = gh_terminal_quadrature(t0, y0, params)
     elif isinstance(ybar_quadrature, int):
@@ -278,40 +308,40 @@ def reward_mc(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
     else:
         nodes, weights = (np.asarray(v, dtype=float) for v in ybar_quadrature)
 
-    total = 0.0
-    var = 0.0
-    reports = []
-    path_terms = [] if _pathwise else None
+    n_lanes = 1 + len(spikes)
+    total = [0.0] * n_lanes
+    var = [0.0] * n_lanes
+    reports = [[] for _ in range(n_lanes)]
+    path_terms = np.zeros((n_lanes, cfg.n_paths))
     for idx, (yb, wt) in enumerate(zip(nodes, weights)):
         gamma = float(np.exp(yb))
         batch = simulate_conditioned(policy, t0, x0, y0, yb, cfg, params,
-                                     store="terminal", stream=idx)
-        u = crra_utility(batch.X[:, -1], gamma)
-        inner = float(np.mean(u))
-        se = float(np.std(u, ddof=1) / np.sqrt(u.size))
-        if (1.0 - gamma) * inner <= 0.0:
-            raise DomainError(
-                f"inner expectation at node ybar={yb:.4f} violates the sign "
-                f"condition (1-gamma) E[u] > 0"
-            )
-        flagged = abs((1.0 - gamma) * inner) <= 5.0 * abs(1.0 - gamma) * se
-        ce = float(phi(inner, gamma))
-        dphi = float(phi_prime(inner, gamma))
-        total += wt * ce
-        var += (wt * dphi * se) ** 2
-        reports.append(RewardNode(
-            ybar=float(yb), gamma=gamma, weight=float(wt),
-            inner_mean=inner, inner_se=se, ce_log=ce, flagged=flagged,
-        ))
-        if path_terms is not None:
-            path_terms.append(wt * dphi * u)
-    est = RewardEstimate(
-        value=total, se=float(np.sqrt(var)), nodes=tuple(reports),
-        n_paths=cfg.n_paths,
-    )
-    if path_terms is not None:
-        return est, np.sum(path_terms, axis=0)
-    return est
+                                     store="terminal", stream=idx, spikes=spikes)
+        for lane, x_T in enumerate(np.reshape(batch.X[..., -1], (n_lanes, -1))):
+            u = crra_utility(x_T, gamma)
+            inner = float(np.mean(u))
+            se = float(np.std(u, ddof=1) / np.sqrt(u.size))
+            if (1.0 - gamma) * inner <= 0.0:
+                raise DomainError(
+                    f"inner expectation at node ybar={yb:.4f} violates the sign "
+                    f"condition (1-gamma) E[u] > 0"
+                )
+            flagged = abs((1.0 - gamma) * inner) <= 5.0 * abs(1.0 - gamma) * se
+            ce = float(phi(inner, gamma))
+            dphi = float(phi_prime(inner, gamma))
+            total[lane] += wt * ce
+            var[lane] += (wt * dphi * se) ** 2
+            reports[lane].append(RewardNode(
+                ybar=float(yb), gamma=gamma, weight=float(wt),
+                inner_mean=inner, inner_se=se, ce_log=ce, flagged=flagged,
+            ))
+            path_terms[lane] += wt * dphi * u
+    estimates = [
+        RewardEstimate(value=total[lane], se=float(np.sqrt(var[lane])),
+                       nodes=tuple(reports[lane]), n_paths=cfg.n_paths)
+        for lane in range(n_lanes)
+    ]
+    return estimates, path_terms
 
 
 @dataclass(frozen=True)
@@ -408,34 +438,34 @@ def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelPara
 
     ``perturbations`` are absolute offsets applied both ways around the
     candidate's value at (t0, y0) (spiked policies are constant on the
-    window [t0, t0+delta) and follow the candidate afterwards).  Estimates
-    share random numbers with the base policy, so the difference J_base -
-    J_spiked is estimated far more precisely than either level.
+    window [t0, t0+delta) and follow the candidate afterwards).  Every
+    spiked policy is a lane of the base policy's simulation at each
+    quadrature node, on the same noise and factor paths, so the difference
+    J_base - J_spiked is estimated far more precisely than either level.
     """
     if ybar_quadrature is None:
         ybar_quadrature = 11
-    base_at = float(np.mean(eval_policy(pi_hat, t0, np.atleast_1d(float(y0)))))
-    j_base, base_terms = reward_mc(pi_hat, t0, x0, y0, cfg, params,
-                                   ybar_quadrature=ybar_quadrature, _pathwise=True)
-    rows = []
     for delta in deltas:
         if t0 + delta >= params.T:
             raise DomainError("spike window must end before T")
-        for off in perturbations:
-            for spike in (base_at - off, base_at + off):
-                pol = SpikePolicy(pi_hat, spike, float(t0), float(delta))
-                j_sp, sp_terms = reward_mc(pol, t0, x0, y0, cfg, params,
-                                           ybar_quadrature=ybar_quadrature,
-                                           _pathwise=True)
-                diff = base_terms - sp_terms
-                se_diff = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
-                quotient = (j_base.value - j_sp.value) / delta
-                se_q = se_diff / delta
-                rows.append(SpikeRow(
-                    delta=float(delta), spike=float(spike),
-                    j_spiked=j_sp.value, quotient=float(quotient),
-                    se=se_q, passed=bool(quotient >= -z_gate * se_q),
-                ))
+    base_at = float(np.mean(eval_policy(pi_hat, t0, np.atleast_1d(float(y0)))))
+    menu = [(delta, spike) for delta in deltas for off in perturbations
+            for spike in (base_at - off, base_at + off)]
+    spikes = [(spike, float(t0), float(t0) + float(delta)) for delta, spike in menu]
+    estimates, terms = _lane_rewards(pi_hat, t0, x0, y0, cfg, params,
+                                     ybar_quadrature, spikes)
+    j_base = estimates[0]
+    rows = []
+    for (delta, spike), j_sp, sp_terms in zip(menu, estimates[1:], terms[1:]):
+        diff = terms[0] - sp_terms
+        se_diff = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
+        quotient = (j_base.value - j_sp.value) / delta
+        se_q = se_diff / delta
+        rows.append(SpikeRow(
+            delta=float(delta), spike=float(spike),
+            j_spiked=j_sp.value, quotient=float(quotient),
+            se=se_q, passed=bool(quotient >= -z_gate * se_q),
+        ))
     return SpikeReport(
         note=("finite spike menu: a failing row falsifies the equilibrium "
               "property; passing rows cannot certify it"),

@@ -273,7 +273,15 @@ def coefficients(t, y, ybar, pi_value, params: ModelParams):
 
 
 def _locate(nodes: np.ndarray, x, clip: bool):
-    """Bracketing index and linear weight of x in sorted nodes."""
+    """Bracketing index and linear weight of x in sorted nodes.
+
+    The index is the last node at or below x, kept in [0, n - 2], exactly
+    as searchsorted(side="right") gives it.  It is guessed from the mean
+    node spacing and checked with the two gathers the weight needs anyway;
+    the points the guess misses (those within rounding of a node on a
+    uniform grid, most points on a non-uniform one) are bracketed by
+    searchsorted.
+    """
     x = np.asarray(x, dtype=float)
     span = nodes[-1] - nodes[0]
     slack = 1e-12 * max(abs(span), 1.0)
@@ -282,10 +290,17 @@ def _locate(nodes: np.ndarray, x, clip: bool):
             f"point(s) outside grid hull [{nodes[0]!r}, {nodes[-1]!r}]"
         )
     xc = np.clip(x, nodes[0], nodes[-1])
-    hi = np.clip(np.searchsorted(nodes, xc, side="right"), 1, nodes.size - 1)
-    lo = hi - 1
-    w = (xc - nodes[lo]) / (nodes[hi] - nodes[lo])
-    return lo, np.clip(w, 0.0, 1.0)
+    top = nodes.size - 2
+    # fmin sends a NaN guess to the last interval, where searchsorted puts NaN.
+    lo = np.asarray(np.fmin(np.floor((xc - nodes[0]) * ((top + 1) / span)), top),
+                    dtype=np.intp)
+    left, right = nodes[lo], nodes[lo + 1]
+    miss = (xc < left) | ((xc >= right) & (lo < top))
+    if np.any(miss):
+        lo[miss] = np.clip(np.searchsorted(nodes, xc[miss], side="right"), 1, top + 1) - 1
+        left, right = nodes[lo], nodes[lo + 1]
+    w = np.clip((xc - left) / (right - left), 0.0, 1.0)
+    return lo[()], w
 
 
 def bilinear_interp(t_nodes, y_nodes, values, t, y, clip=False):
@@ -297,14 +312,22 @@ def bilinear_interp(t_nodes, y_nodes, values, t, y, clip=False):
     """
     ti, tw = _locate(t_nodes, t, clip)
     yi, yw = _locate(y_nodes, y, clip)
-    ti, yi, tw, yw = np.broadcast_arrays(ti, yi, tw, yw)
-    if values.ndim > 2:
-        tw = tw[..., None]
-        yw = yw[..., None]
-    v00 = values[ti, yi]
-    v01 = values[ti, yi + 1]
-    v10 = values[ti + 1, yi]
-    v11 = values[ti + 1, yi + 1]
+    if np.ndim(tw) == 0:
+        # One time: gather from the two bracketing rows.
+        below, above = values[ti], values[ti + 1]
+        if values.ndim > 2:
+            yw = np.asarray(yw)[..., None]
+        v00, v01 = below[yi], below[yi + 1]
+        v10, v11 = above[yi], above[yi + 1]
+    else:
+        ti, yi, tw, yw = np.broadcast_arrays(ti, yi, tw, yw)
+        if values.ndim > 2:
+            tw = tw[..., None]
+            yw = yw[..., None]
+        v00 = values[ti, yi]
+        v01 = values[ti, yi + 1]
+        v10 = values[ti + 1, yi]
+        v11 = values[ti + 1, yi + 1]
     lo = v00 * (1.0 - yw) + v01 * yw
     hi = v10 * (1.0 - yw) + v11 * yw
     return lo * (1.0 - tw) + hi * tw

@@ -81,6 +81,34 @@ class TestConfigParsing:
         assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verify,key", [
+        ({"z_gate": "x"}, "verify.z_gate"),
+        ({"residual_tol": None}, "verify.residual_tol"),
+        ({"z_gate": True}, "verify.z_gate"),
+        ({"spike_deltas": ["a"]}, "verify.spike_deltas"),
+        ({"spike_deltas": []}, "verify.spike_deltas"),
+        ({"spike_deltas": 0.5}, "verify.spike_deltas"),
+        ({"spike_offsets": [0.1, -0.1]}, "verify.spike_offsets"),
+        ({"spike_offsets": [0]}, "verify.spike_offsets"),
+        ({"reward_probes": {"t": 0.0, "exp_y": 2.0}}, "verify.reward_probes"),
+        ({"reward_probes": [3]}, "verify.reward_probes[0]"),
+        ({"reward_probes": [{"t": 41.0, "exp_y": 2.0}]}, "verify.reward_probes[0]"),
+        ({"reward_probes": [{"t": 0.0, "exp_y": 0}]}, "verify.reward_probes[0]"),
+        ({"reward_probes": [{"t": 0.0}]}, "verify.reward_probes[0]"),
+        ({"reward_probes": [{"t": "0", "exp_y": 2.0}]}, "verify.reward_probes[0].t"),
+    ])
+    def test_mistyped_verify_value_is_config_error(self, tmp_path, capsys, verify, key):
+        path = write_config(tmp_path, {"verify": verify})
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "h_surface.bin").exists()
+
+    def test_verify_section_accepts_numbers_and_lists(self, tmp_path):
+        verify = {"z_gate": 3, "residual_tol": 1e-3, "spike_deltas": [1, 0.5],
+                  "spike_offsets": [0.1], "reward_probes": [{"t": 40, "exp_y": 1}]}
+        cfg = RunConfig.from_file(write_config(tmp_path, {"verify": verify}))
+        assert cfg.verify == verify
+
     def test_all_table_blocks_known(self):
         assert len(TABLE_BLOCKS) == 12
 
@@ -147,6 +175,43 @@ class TestCommands:
         assert report["pass"] is True
         assert report["residual"]["pass"] is True
         assert all(r["pass"] for r in report["g_representation"])
+
+    @pytest.mark.parametrize("reward_probes", [None, [{"t": 0.0, "exp_y": 2.0},
+                                                      {"t": 30.0, "exp_y": 2.0}]])
+    def test_verify_reuses_spike_base_run(self, tmp_path, monkeypatch, reward_probes):
+        # The reward row at the spike point takes the spike test's base
+        # estimate; simulating it on its own writes the same report.
+        import dataclasses
+
+        import prefhedge.cli as cli
+
+        extra = {"grid": {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9},
+                 "probes": [{"t": 0.0, "exp_y": 2.0}],
+                 "sim": {"n_paths": 2000, "n_steps": 40, "seed": 7},
+                 "verify": {"spike_deltas": [0.5], "spike_offsets": [0.1]}}
+        if reward_probes is not None:
+            extra["verify"]["reward_probes"] = reward_probes
+        path = write_config(tmp_path, extra)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+
+        calls = []
+        reward_mc = cli.reward_mc
+        monkeypatch.setattr(cli, "reward_mc",
+                            lambda *a, **k: calls.append(a[1]) or reward_mc(*a, **k))
+        main(["verify", "--config", str(path), "--out", str(out)])
+        reused = (out / "verify_report.json").read_bytes()
+        simulated = [0.0] if reward_probes is None else [0.0, 30.0]
+        assert calls == simulated[1:]
+        calls.clear()
+
+        spike_test = cli.equilibrium_spike_test
+        monkeypatch.setattr(
+            cli, "equilibrium_spike_test",
+            lambda *a, **k: dataclasses.replace(spike_test(*a, **k), t0=float("nan")))
+        main(["verify", "--config", str(path), "--out", str(out)])
+        assert calls == simulated
+        assert (out / "verify_report.json").read_bytes() == reused
 
     def test_verify_detects_tampered_surface(self, tmp_path):
         out = tmp_path / "out"

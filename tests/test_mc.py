@@ -19,6 +19,7 @@ from prefhedge import (
     verify_g_representation,
 )
 from prefhedge.mc import eval_policy
+from prefhedge.model import crra_utility, phi_prime
 
 P0 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.0,
                  mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
@@ -229,3 +230,85 @@ class TestSpike:
         for impr, se, sp in improvements:
             if impr > 3 * se:
                 assert abs(sp - target) < abs(frozen - target)
+
+
+def reference_spike_test(pi_hat, t0, y0, cfg, p, deltas, offsets, n_nodes):
+    """The spike test with one reward_mc run per policy (no shared lanes).
+
+    Returns (j_base, [(j_spiked, quotient, se)]), the per-path terms of the
+    standard error rebuilt node by node from each run's own streams.
+    """
+    nodes, weights = gh_terminal_quadrature(t0, y0, p, n_nodes)
+
+    def run(policy):
+        est = reward_mc(policy, t0, 1.0, y0, cfg, p, ybar_quadrature=n_nodes)
+        terms = []
+        for idx, (yb, wt, node) in enumerate(zip(nodes, weights, est.nodes)):
+            b = simulate_conditioned(policy, t0, 1.0, y0, yb, cfg, p,
+                                     store="terminal", stream=idx)
+            u = crra_utility(b.X[:, -1], node.gamma)
+            terms.append(wt * float(phi_prime(node.inner_mean, node.gamma)) * u)
+        return est, np.sum(terms, axis=0)
+
+    base_at = float(np.mean(eval_policy(pi_hat, t0, np.atleast_1d(float(y0)))))
+    j_base, base_terms = run(pi_hat)
+    rows = []
+    for delta in deltas:
+        for off in offsets:
+            for spike in (base_at - off, base_at + off):
+                j_sp, sp_terms = run(SpikePolicy(pi_hat, spike, float(t0), float(delta)))
+                diff = base_terms - sp_terms
+                se = float(np.std(diff, ddof=1) / np.sqrt(diff.size)) / delta
+                rows.append((j_sp.value, (j_base.value - j_sp.value) / delta, se))
+    return j_base, rows
+
+
+class TestSpikeLanes:
+    P = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.6,
+                    mu_Y=-0.02, sigma_Y=0.04, T=40.0, y0=np.log(0.8))
+
+    def _check(self, policy, cfg, t0=30.0):
+        deltas, offsets = (0.5, 0.25), (0.05, 0.2)
+        rep = equilibrium_spike_test(policy, t0, 1.0, self.P.y0, cfg, self.P,
+                                     deltas=deltas, perturbations=offsets,
+                                     ybar_quadrature=5)
+        j_base, rows = reference_spike_test(policy, t0, self.P.y0, cfg, self.P,
+                                            deltas, offsets, 5)
+        assert rep.j_base == j_base.value
+        assert rep.j_base_se == j_base.se
+        assert len(rep.rows) == len(rows) == 8
+        for got, (j_sp, quotient, se) in zip(rep.rows, rows):
+            assert got.j_spiked == j_sp
+            assert got.quotient == quotient
+            assert got.se == se
+
+    def test_surface_policy(self):
+        grid = default_grid(self.P, probe_y=[self.P.y0], n_t_steps=40, n_y=61,
+                            n_ybar=7, n_gh=9)
+        _h, pol = fixed_point_solve(grid, self.P)
+        self._check(pol, SimConfig(n_paths=2_000, n_steps=40, seed=41))
+
+    def test_callable_policy(self):
+        def policy(t, y):
+            return 0.4 + 0.1 * np.tanh(y) + 0.001 * t
+        self._check(policy, SimConfig(n_paths=2_000, n_steps=40, seed=43), t0=12.0)
+
+    def test_antithetic(self):
+        def policy(t, y):
+            return closed_form_policy_rho0(t, y, self.P)
+        self._check(policy, SimConfig(n_paths=2_000, n_steps=40, seed=47, antithetic=True))
+
+    def test_lanes_match_separate_runs_full_store(self):
+        cfg = SimConfig(n_paths=500, n_steps=30, seed=53)
+        ybar = self.P.y0 + 0.1
+        spikes = [(0.9, 10.0, 10.5), (0.1, 10.0, 14.0)]
+        lanes = simulate_conditioned(0.4, 10.0, 1.0, self.P.y0, ybar, cfg, self.P,
+                                     spikes=spikes, stream=3)
+        assert lanes.X.shape == (3, 500, 31)
+        runs = [0.4] + [SpikePolicy(0.4, v, a, b - a) for v, a, b in spikes]
+        for lane, policy in enumerate(runs):
+            alone = simulate_conditioned(policy, 10.0, 1.0, self.P.y0, ybar, cfg,
+                                         self.P, stream=3)
+            assert np.array_equal(lanes.X[lane], alone.X)
+            assert np.array_equal(lanes.Y, alone.Y)
+        assert not np.array_equal(lanes.X[1], lanes.X[0])

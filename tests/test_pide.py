@@ -8,6 +8,7 @@ from prefhedge import (
     DegenerateTimeError,
     DomainError,
     ModelParams,
+    OutOfGridError,
     PositivityError,
     coefficients,
     default_grid,
@@ -161,6 +162,97 @@ class TestHSurface:
         got = h.interp(g.t_nodes[2] * 1.01, 0.5 * (g.y_nodes[3] + g.y_nodes[4]))
         assert np.allclose(got, 2.5)
         assert h.interp_at(1.0, g.y_nodes[5], g.ybar_nodes[0] + 0.01) == pytest.approx(2.5)
+
+
+def searchsorted_locate(nodes, x, clip):
+    """The bracket by searchsorted(side="right"): the reference _locate must equal."""
+    x = np.asarray(x, dtype=float)
+    span = nodes[-1] - nodes[0]
+    slack = 1e-12 * max(abs(span), 1.0)
+    if not clip and (np.any(x < nodes[0] - slack) or np.any(x > nodes[-1] + slack)):
+        raise OutOfGridError(
+            f"point(s) outside grid hull [{nodes[0]!r}, {nodes[-1]!r}]"
+        )
+    xc = np.clip(x, nodes[0], nodes[-1])
+    hi = np.clip(np.searchsorted(nodes, xc, side="right"), 1, nodes.size - 1)
+    lo = hi - 1
+    w = (xc - nodes[lo]) / (nodes[hi] - nodes[lo])
+    return lo, np.clip(w, 0.0, 1.0)
+
+
+def reference_bilinear(t_nodes, y_nodes, values, t, y, clip=False):
+    """Bilinear interpolation by 2-d gathers over the broadcast brackets."""
+    ti, tw = searchsorted_locate(t_nodes, t, clip)
+    yi, yw = searchsorted_locate(y_nodes, y, clip)
+    ti, yi, tw, yw = np.broadcast_arrays(ti, yi, tw, yw)
+    if values.ndim > 2:
+        tw = tw[..., None]
+        yw = yw[..., None]
+    lo = values[ti, yi] * (1.0 - yw) + values[ti, yi + 1] * yw
+    hi = values[ti + 1, yi] * (1.0 - yw) + values[ti + 1, yi + 1] * yw
+    return lo * (1.0 - tw) + hi * tw
+
+
+def bracket_points(nodes):
+    """Nodes, one ulp either side of each node, and the midpoints."""
+    return np.concatenate([nodes, np.nextafter(nodes, np.inf),
+                           np.nextafter(nodes, -np.inf),
+                           0.5 * (nodes[1:] + nodes[:-1])])
+
+
+class TestLocate:
+    GRID = default_grid(P06, n_t_steps=40, n_y=61, n_ybar=7)
+    NONUNIFORM = np.cumsum(np.random.default_rng(3).uniform(0.01, 1.0, 40)) - 7.0
+
+    @pytest.mark.parametrize("nodes", [GRID.y_nodes, GRID.t_nodes, GRID.ybar_nodes,
+                                       np.linspace(-1.3, 2.7, 465), NONUNIFORM],
+                             ids=["y", "t", "ybar", "linspace", "nonuniform"])
+    def test_equals_searchsorted_bit_for_bit(self, nodes):
+        span = nodes[-1] - nodes[0]
+        outside = np.array([nodes[0] - 0.3 * span, nodes[-1] + 1e-9, nodes[-1] + span,
+                            -np.inf, np.inf])
+        points = np.concatenate([bracket_points(nodes), outside])
+        for x in (points, points[:12].reshape(3, 4), points[5], float(points[-3])):
+            lo, w = pide._locate(nodes, x, clip=True)
+            ref_lo, ref_w = searchsorted_locate(nodes, x, clip=True)
+            assert np.shape(lo) == np.shape(ref_lo) and lo.dtype == ref_lo.dtype
+            assert np.array_equal(lo, ref_lo)
+            assert np.array_equal(w, ref_w)
+        inside = bracket_points(nodes)[nodes.size:]
+        lo, w = pide._locate(nodes, inside, clip=False)
+        assert np.array_equal(lo, searchsorted_locate(nodes, inside, clip=False)[0])
+
+    @pytest.mark.parametrize("nodes", [GRID.y_nodes, NONUNIFORM], ids=["uniform", "nonuniform"])
+    def test_same_out_of_grid_error_without_clip(self, nodes):
+        for x in (nodes[-1] + 1e-3, np.array([nodes[0], nodes[0] - 1e-3])):
+            with pytest.raises(OutOfGridError) as ref:
+                searchsorted_locate(nodes, x, clip=False)
+            with pytest.raises(OutOfGridError) as got:
+                pide._locate(nodes, x, clip=False)
+            assert str(got.value) == str(ref.value)
+            with pytest.raises(OutOfGridError) as got:
+                pide.bilinear_interp(nodes, nodes, np.zeros((nodes.size,) * 2),
+                                     nodes[1], x)
+            assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("kind", ["2d", "3d"])
+    def test_bilinear_equals_reference(self, kind):
+        g = self.GRID
+        rng = np.random.default_rng(5)
+        shape = g.shape if kind == "3d" else g.shape[:2]
+        values = rng.normal(size=shape)
+        ys = np.concatenate([bracket_points(g.y_nodes), [g.y_nodes[0] - 1.0, g.y_nodes[-1] + 1.0]])
+        times = np.concatenate([bracket_points(g.t_nodes), [g.t_nodes[-1] + 0.5, g.T]])
+        for t in times[::7]:
+            got = pide.bilinear_interp(g.t_nodes, g.y_nodes, values, t, ys, clip=True)
+            ref = reference_bilinear(g.t_nodes, g.y_nodes, values, t, ys, clip=True)
+            assert np.array_equal(got, ref)
+        tt = times[: ys.size] if times.size >= ys.size else np.resize(times, ys.size)
+        for t, y in ((tt, ys), (tt[:, None], ys[None, :40]), (float(tt[3]), float(ys[4]))):
+            got = pide.bilinear_interp(g.t_nodes, g.y_nodes, values, t, y, clip=True)
+            ref = reference_bilinear(g.t_nodes, g.y_nodes, values, t, y, clip=True)
+            assert np.shape(got) == np.shape(ref)
+            assert np.array_equal(got, ref)
 
 
 class TestSolveH:
