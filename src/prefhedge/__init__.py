@@ -19,18 +19,14 @@ from .errors import (
 from .model import (
     EPS_GAMMA,
     ModelParams,
-    RiskAversion,
     crra_utility,
     expected_terminal_gamma,
-    inverse_crra,
     phi,
     phi_prime,
 )
 from .conditional import (
-    ConditionalLaw,
     bridge_drift_y,
     conditional_density,
-    conditioned_wealth_drift,
     score,
 )
 from .pide import (
@@ -60,7 +56,6 @@ from .mc import (
     SimConfig,
     SpikePolicy,
     SpikeReport,
-    conditioned_time_grid,
     equilibrium_spike_test,
     gh_terminal_quadrature,
     reward_mc,
@@ -78,17 +73,13 @@ from .persist import (
 __all__ = [
     "EPS_GAMMA",
     "ModelParams",
-    "RiskAversion",
     "crra_utility",
-    "inverse_crra",
     "phi",
     "phi_prime",
     "expected_terminal_gamma",
-    "ConditionalLaw",
     "conditional_density",
     "score",
     "bridge_drift_y",
-    "conditioned_wealth_drift",
     "GridSpec",
     "HSurface",
     "ResidualNorms",
@@ -111,7 +102,6 @@ __all__ = [
     "SpikeReport",
     "GRepReport",
     "RewardEstimate",
-    "conditioned_time_grid",
     "simulate_unconditional",
     "simulate_conditioned",
     "reward_mc",

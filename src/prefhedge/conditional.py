@@ -1,10 +1,11 @@
-"""Conditional law of the preference factor and drift changes under pinning.
+"""Conditional law of the preference factor given its terminal state.
 
 Conditioning the arithmetic Brownian preference factor Y on its terminal
 value Y_T = ybar turns it into a Brownian bridge with drift
-(ybar - Y_s)/(T - s), and tilts the wealth drift through the correlated
-driver.  Both adjustments are score-driven: the common ingredient is the
-y-gradient of the log transition density of Y_T given Y_s = y.
+(ybar - Y_s)/(T - s) = mu_Y + sigma_Y**2 score, where the score is the
+y-gradient of the log transition density of Y_T given Y_s = y.  The
+equilibrium supremand reads the score and the bridge drift; the Monte Carlo
+oracle steps the bridge by its exact transition instead (see prefhedge.mc).
 
 Everything here rejects s = T: the conditional law degenerates there, and
 callers that need terminal behaviour handle the limit themselves.
@@ -12,11 +13,9 @@ callers that need terminal behaviour handle the limit themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateTimeError, DomainError
+from .errors import DegenerateTimeError
 from .model import ModelParams
 
 
@@ -66,65 +65,3 @@ def bridge_drift_y(s, y, ybar, params: ModelParams):
     ybar = np.asarray(ybar, dtype=float)
     out = (ybar - y) / tau
     return out if out.ndim else float(out)
-
-
-def conditioned_wealth_drift(s, x, y, ybar, pi_value, params: ModelParams):
-    """Wealth drift (in wealth units per year) under conditioning on Y_T = ybar.
-
-    x * [r + pi (mu_S - r) + pi rho (sigma_S / sigma_Y) (ybar - y - mu_Y (T-s)) / (T-s)].
-
-    The last term is pi * sigma_S * rho * sigma_Y * score(s, y, ybar): the
-    correlated driver inherits the score tilt of the pinned factor.  It
-    vanishes when rho = 0 or at the conditional mean of Y_T.
-    """
-    _, tau = _remaining(s, params)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("wealth must be > 0")
-    pi_value = np.asarray(pi_value, dtype=float)
-    sc = score(s, y, ybar, params)
-    rate = (
-        params.r
-        + pi_value * (params.mu_S - params.r)
-        + pi_value * params.rho * params.sigma_S * params.sigma_Y * sc
-    )
-    out = x * rate
-    return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class ConditionalLaw:
-    """The law of (X, Y) pinned to Y_T = ybar, anchored at time t, state y.
-
-    Bundles the density/score/drift operations for a fixed anchor; mainly a
-    convenience for simulation and verification code.
-    """
-
-    t: float
-    y: float
-    ybar: float
-    params: ModelParams
-
-    def __post_init__(self):
-        if not self.t < self.params.T:
-            raise DegenerateTimeError("conditional law requires t < T")
-
-    def density(self, ybar=None):
-        target = self.ybar if ybar is None else ybar
-        return conditional_density(target, self.t, self.y, self.params)
-
-    def score(self, s=None, y=None):
-        return score(
-            self.t if s is None else s,
-            self.y if y is None else y,
-            self.ybar,
-            self.params,
-        )
-
-    def drift_y(self, s=None, y=None):
-        return bridge_drift_y(
-            self.t if s is None else s,
-            self.y if y is None else y,
-            self.ybar,
-            self.params,
-        )

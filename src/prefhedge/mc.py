@@ -2,15 +2,23 @@
 
 Everything here is deliberately independent of the PDE solver: paths follow
 the model dynamics directly (under the unconditional measure, or pinned to a
-terminal preference state, where the factor becomes a Brownian bridge and
-the wealth drift picks up the score tilt), and the reward functional is
-assembled exactly as defined — inner conditional expectations of terminal
-utility, certainty-equivalent transform per terminal state, density-weighted
-aggregation.  These estimates are the referees for the solver's output.
+terminal preference state, where the factor becomes a Brownian bridge), and
+the reward functional is assembled exactly as defined — inner conditional
+expectations of terminal utility, certainty-equivalent transform per
+terminal state, density-weighted aggregation.  These estimates are the
+referees for the solver's output.
 
-Wealth is stepped in logs (Euler-Maruyama on ln X), which keeps it strictly
-positive; CRRA utilities reject nonpositive wealth, and silent clamping
-would corrupt reward estimates.
+Both measures step one uniform time grid by one rule.  The factor takes its
+exact transition: an arithmetic Brownian step unconditionally, the exact
+Brownian-bridge step (Glasserman, Monte Carlo Methods in Financial
+Engineering, 2003, section 3.1) when pinned, so a pinned path ends on its
+pin at any step count.  Wealth is stepped in logs, which keeps it strictly
+positive (CRRA utilities reject nonpositive wealth, and silent clamping
+would corrupt reward estimates), with its correlated noise read off the
+realized factor step, (dY - mu_Y dt)/sigma_Y; that is the factor's own
+Brownian increment under either measure, so conditioning needs no drift
+correction.  The one discretization left is the policy, held at its
+left-point value over each step.
 
 Random numbers come from counter-based Philox streams keyed by the
 configured seed (and a stream index for per-node independence), so runs are
@@ -33,19 +41,14 @@ from .errors import DomainError
 from .model import EPS_GAMMA, ModelParams, crra_utility, eval_policy, phi, phi_prime
 from .pide import HSurface
 
-# Fraction of steps, and of horizon, used by the geometric terminal
-# refinement of conditioned simulations: the bridge drift stiffens like
-# 1/(T-s), so the last 1% of the horizon gets 25% of the steps.
-_TAIL_TIME_FRACTION = 0.01
-_TAIL_STEP_FRACTION = 0.25
-_TAIL_RATIO = 0.85
-
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path-simulation controls (log-wealth Euler-Maruyama stepping).
+    """Path-simulation controls: ``n_steps`` uniform steps from t0 to T.
 
-    ``antithetic`` mirrors the second half of the paths against the first.
+    The factor steps are exact; ``n_steps`` sets how often the policy is
+    re-read along the path.  ``antithetic`` mirrors the second half of the
+    paths against the first.
     """
 
     n_paths: int = 100_000
@@ -83,7 +86,7 @@ class PathBatch:
     store: str = "full"
 
     def __post_init__(self):
-        if np.any(self.X <= 0):
+        if not np.all(self.X > 0):
             raise DomainError("wealth paths must stay strictly positive")
 
 
@@ -93,7 +96,12 @@ def _rng(seed, stream=0):
 
 @dataclass(frozen=True)
 class SpikePolicy:
-    """A policy overridden by a constant fraction on [t0, t0 + delta)."""
+    """A policy overridden by a constant fraction on [t0, t0 + delta).
+
+    The simulator runs spikes as wealth lanes (see simulate_conditioned);
+    this wrapper is kept as the separate-run reference those lanes are
+    tested against.
+    """
 
     base: object
     spike: float
@@ -106,25 +114,6 @@ class SpikePolicy:
         return np.where(inside, self.spike, base)
 
 
-def conditioned_time_grid(t0, T, n_steps):
-    """Time points for bridge simulation: uniform bulk, geometric tail.
-
-    The last _TAIL_TIME_FRACTION of the horizon receives
-    _TAIL_STEP_FRACTION of the steps with geometrically shrinking
-    increments, because the pinned drift stiffens like 1/(T-s).
-    """
-    horizon = T - t0
-    n_tail = max(1, int(round(_TAIL_STEP_FRACTION * n_steps)))
-    n_bulk = max(1, n_steps - n_tail)
-    split = t0 + (1.0 - _TAIL_TIME_FRACTION) * horizon
-    bulk = np.linspace(t0, split, n_bulk + 1)
-    ratios = _TAIL_RATIO ** np.arange(n_tail)
-    incr = (_TAIL_TIME_FRACTION * horizon) * ratios / ratios.sum()
-    times = np.concatenate([bulk, split + np.cumsum(incr)])
-    times[-1] = T
-    return times
-
-
 def _simulate(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
               ybar=None, store="full", stream=0, spikes=()):
     if not x0 > 0:
@@ -132,11 +121,7 @@ def _simulate(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
     if not t0 < params.T:
         raise DomainError("t0 must be < T")
     conditioned = ybar is not None
-    times = (
-        conditioned_time_grid(t0, params.T, cfg.n_steps)
-        if conditioned
-        else np.linspace(t0, params.T, cfg.n_steps + 1)
-    )
+    times = np.linspace(t0, params.T, cfg.n_steps + 1)
     n = cfg.n_paths
     n_lanes = 1 + len(spikes)
     rng = _rng(cfg.seed, stream)
@@ -160,8 +145,6 @@ def _simulate(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
             Z = np.concatenate([Zh, -Zh], axis=1)
         else:
             Z = rng.standard_normal((2, n))
-        dW1 = sdt * Z[0]
-        dW2 = sdt * Z[1]
         pi = eval_policy(policy, t, Y)
         held = [(lane, value) for lane, (value, start, end) in enumerate(spikes, 1)
                 if start <= t < end]
@@ -171,19 +154,16 @@ def _simulate(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
                 pi[lane] = value
         if conditioned:
             tau = params.T - t
-            drift_y = (ybar - Y) / tau
-            adj = pi * rho * (params.sigma_S / params.sigma_Y) * (
-                (ybar - Y - params.mu_Y * tau) / tau
-            )
+            dY = (dt / tau) * (ybar - Y) + (
+                params.sigma_Y * np.sqrt(max(dt * (tau - dt) / tau, 0.0))) * Z[0]
         else:
-            drift_y = params.mu_Y
-            adj = 0.0
+            dY = params.mu_Y * dt + (params.sigma_Y * sdt) * Z[0]
+        dW1 = (dY - params.mu_Y * dt) / params.sigma_Y
         # Lanes outside their windows share the base row's increment.
         lnX += (
-            params.r + pi * (params.mu_S - params.r) + adj
-            - 0.5 * pi**2 * params.sigma_S**2
-        ) * dt + pi * params.sigma_S * (rho * dW1 + rho_c * dW2)
-        Y = Y + drift_y * dt + params.sigma_Y * dW1
+            params.r + pi * (params.mu_S - params.r) - 0.5 * pi**2 * params.sigma_S**2
+        ) * dt + pi * params.sigma_S * (rho * dW1 + rho_c * sdt * Z[1])
+        Y = Y + dY
         if store == "full":
             Xs[..., k + 1] = np.exp(lnX)
             Ys[:, k + 1] = Y
@@ -207,10 +187,11 @@ def _simulate(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
 
 def simulate_unconditional(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
                            store="full", stream=0) -> PathBatch:
-    """Euler-Maruyama on (ln X, Y) under the unconditional measure.
+    """Paths of (X, Y) under the unconditional measure.
 
-    Correlated increments rho dW1 + sqrt(1-rho^2) dW2 drive the wealth and
-    dW1 drives the preference factor; deterministic given the seed.
+    The factor takes exact arithmetic-Brownian steps mu_Y dt + sigma_Y dW1;
+    correlated increments rho dW1 + sqrt(1-rho^2) dW2 drive ln X.
+    Deterministic given the seed.
     """
     return _simulate(policy, t0, x0, y0, cfg, params, ybar=None,
                      store=store, stream=stream)
@@ -220,10 +201,10 @@ def simulate_conditioned(policy, t0, x0, y0, ybar, cfg: SimConfig, params: Model
                          store="full", stream=0, spikes=()) -> PathBatch:
     """Paths pinned to Y_T = ybar.
 
-    The factor steps with the bridge drift (ybar - Y)/(T - s); the wealth
-    drift carries the score tilt pi rho (sigma_S/sigma_Y)(ybar - Y -
-    mu_Y (T-s))/(T-s).  The final factor value lands within the last step's
-    diffusion scale of the pin.
+    The factor takes exact Brownian-bridge steps, N(Y + (dt/tau)(ybar - Y),
+    sigma_Y^2 dt (tau - dt)/tau) with tau = T - s, so every path ends on
+    ybar.  The wealth's correlated noise is the realized factor increment
+    (dY - mu_Y dt)/sigma_Y, which carries the conditioning into ln X.
 
     ``spikes`` adds wealth lanes on the same noise and factor paths: a
     (value, start, end) lane follows ``policy`` except on [start, end),
@@ -344,6 +325,20 @@ def _lane_rewards(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
     return estimates, path_terms
 
 
+def z_score(diff, se):
+    """diff / se as a verdict statistic that fails closed.
+
+    A zero se scores 0 on an exact match and +-inf otherwise; a non-finite
+    diff or se scores NaN, so a check of |z| < gate fails on both.
+    """
+    diff, se = float(diff), float(se)
+    if not (np.isfinite(diff) and np.isfinite(se)):
+        return float("nan")
+    if se == 0.0:
+        return 0.0 if diff == 0.0 else float(np.copysign(np.inf, diff))
+    return diff / se
+
+
 @dataclass(frozen=True)
 class GRepSide:
     mean: float
@@ -384,8 +379,7 @@ def verify_g_representation(h: HSurface, policy, t0, x0, y0, ybar,
         u = crra_utility(batch.X[:, -1], gamma)
         m = float(np.mean(u))
         se = float(np.std(u, ddof=1) / np.sqrt(u.size))
-        z = (m - g_pde) / se if se > 0 else 0.0
-        return GRepSide(mean=m, se=se, z=float(z))
+        return GRepSide(mean=m, se=se, z=z_score(m - g_pde, se))
 
     cond = _side(simulate_conditioned(policy, t0, x0, y0, ybar, cfg, params,
                                       store="terminal", stream=1))

@@ -3,8 +3,8 @@
 The investor's relative risk aversion at the horizon is gamma = exp(Y_T),
 where the preference factor Y follows an arithmetic Brownian motion.  This
 module holds the parameter container, the CRRA utility family u(x) =
-x**(1-gamma)/(1-gamma), its inverse, the log-aggregated certainty-equivalent
-transform, and the conditional expectation of terminal risk aversion.
+x**(1-gamma)/(1-gamma), the log certainty-equivalent transform phi (the log
+of its inverse), and the conditional expectation of terminal risk aversion.
 
 All operations are pure functions of their arguments and accept scalars or
 numpy arrays (broadcasting elementwise); they are safe to call concurrently.
@@ -63,30 +63,6 @@ class ModelParams:
                 raise DomainError(f"{name} must be finite, got {v}")
 
 
-@dataclass(frozen=True)
-class RiskAversion:
-    """A terminal preference state and the risk aversion it induces.
-
-    gamma is always exp(ybar); the constructor rejects states within
-    EPS_GAMMA of the log-utility point gamma = 1.
-    """
-
-    ybar: float
-    gamma: float = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        g = float(np.exp(self.ybar))
-        if self.gamma is not None and self.gamma != g:
-            raise DomainError(
-                f"gamma must equal exp(ybar) = {g!r}, got {self.gamma!r}"
-            )
-        object.__setattr__(self, "gamma", g)
-        if abs(g - 1.0) <= EPS_GAMMA:
-            raise SingularGammaError(
-                f"gamma = {g!r} is within {EPS_GAMMA} of the excluded point 1"
-            )
-
-
 def _check_gamma(gamma):
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma <= 0):
@@ -111,15 +87,6 @@ def crra_utility(x, gamma):
         raise DomainError("wealth must be > 0")
     out = x ** (1.0 - gamma) / (1.0 - gamma)
     return out if out.ndim else float(out)
-
-
-def inverse_crra(u, gamma):
-    """Wealth level whose CRRA utility equals u, i.e. ((1-gamma) u)**(1/(1-gamma)).
-
-    Defined only where (1-gamma) * u > 0.  Computed through logs so that
-    extreme exponents stay in floating-point range.
-    """
-    return np.exp(phi(u, gamma))
 
 
 def phi(u, gamma):

@@ -3,12 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from prefhedge import (
-    ConditionalLaw,
     DegenerateTimeError,
     ModelParams,
     bridge_drift_y,
     conditional_density,
-    conditioned_wealth_drift,
     score,
 )
 
@@ -94,38 +92,3 @@ class TestBridgeDrift:
             lhs = bridge_drift_y(s, y, ybar, P)
             rhs = P.mu_Y + P.sigma_Y**2 * score(s, y, ybar, P)
             assert lhs == pytest.approx(rhs, abs=1e-14 * max(1.0, abs(lhs)))
-
-
-class TestConditionedWealthDrift:
-    def test_rho_zero_reduces_to_unconditional(self):
-        p0 = ModelParams(r=P.r, mu_S=P.mu_S, sigma_S=P.sigma_S, rho=0.0,
-                         mu_Y=P.mu_Y, sigma_Y=P.sigma_Y, T=P.T, y0=P.y0)
-        got = conditioned_wealth_drift(5.0, 2.0, 0.1, 1.5, 0.3, p0)
-        assert got == pytest.approx(2.0 * (p0.r + 0.3 * (p0.mu_S - p0.r)))
-
-    def test_zero_score_point(self):
-        s, y = 5.0, 0.1
-        ybar = y + P.mu_Y * (P.T - s)
-        got = conditioned_wealth_drift(s, 2.0, y, ybar, 0.3, P)
-        assert got == pytest.approx(2.0 * (P.r + 0.3 * (P.mu_S - P.r)), rel=1e-12)
-
-    def test_score_decomposition(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            s = rng.uniform(0.0, 0.95 * P.T)
-            x = rng.uniform(0.5, 3.0)
-            y = rng.normal(0.0, 0.6)
-            ybar = rng.normal(0.8, 0.6)
-            pi = rng.uniform(-0.5, 2.0)
-            got = conditioned_wealth_drift(s, x, y, ybar, pi, P)
-            base = x * (P.r + pi * (P.mu_S - P.r))
-            tilt = x * pi * P.sigma_S * P.rho * P.sigma_Y * score(s, y, ybar, P)
-            assert got == pytest.approx(base + tilt, rel=1e-12)
-
-
-def test_conditional_law_wrapper():
-    law = ConditionalLaw(t=1.0, y=0.2, ybar=1.0, params=P)
-    assert law.drift_y() == pytest.approx((1.0 - 0.2) / (P.T - 1.0))
-    assert law.density() > 0
-    with pytest.raises(DegenerateTimeError):
-        ConditionalLaw(t=P.T, y=0.0, ybar=0.0, params=P)

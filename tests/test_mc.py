@@ -8,7 +8,6 @@ from prefhedge import (
     SimConfig,
     SpikePolicy,
     closed_form_policy_rho0,
-    conditioned_time_grid,
     default_grid,
     equilibrium_spike_test,
     fixed_point_solve,
@@ -16,9 +15,10 @@ from prefhedge import (
     reward_mc,
     simulate_conditioned,
     simulate_unconditional,
+    solve_h,
     verify_g_representation,
 )
-from prefhedge.mc import eval_policy
+from prefhedge.mc import PathBatch, eval_policy, z_score
 from prefhedge.model import crra_utility, phi_prime
 
 P0 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.0,
@@ -70,26 +70,48 @@ class TestSimulateUnconditional:
 class TestSimulateConditioned:
     def test_terminal_pinning(self):
         ybar = P6.y0 + 0.5
-        batch = simulate_conditioned(0.3, 0.0, 1.0, P6.y0, ybar, FAST, P6)
-        dt_last = batch.times[-1] - batch.times[-2]
-        frac = np.mean(np.abs(batch.Y[:, -1] - ybar)
-                       <= 4 * P6.sigma_Y * np.sqrt(dt_last))
-        assert frac >= 0.999
+        for n_steps in (5, 100, 1600):
+            cfg = SimConfig(n_paths=2_000, n_steps=n_steps, seed=123)
+            batch = simulate_conditioned(0.3, 0.0, 1.0, P6.y0, ybar, cfg, P6)
+            assert np.max(np.abs(batch.Y[:, -1] - ybar)) <= 1e-12
 
     def test_bridge_midpoint_moments(self):
         ybar = P6.y0 + P6.mu_Y * P6.T
-        cfg = SimConfig(n_paths=20_000, n_steps=400, seed=123)
-        batch = simulate_conditioned(0.3, 0.0, 1.0, P6.y0, ybar, cfg, P6)
-        mid = int(np.argmin(np.abs(batch.times - 0.5 * P6.T)))
-        s = batch.times[mid]
-        ym = batch.Y[:, mid]
-        mean_th = P6.y0 + (s / P6.T) * (ybar - P6.y0)
-        var_th = P6.sigma_Y**2 * s * (P6.T - s) / P6.T
-        z_mean = (ym.mean() - mean_th) / (ym.std(ddof=1) / np.sqrt(ym.size))
-        var_se = ym.var(ddof=1) * np.sqrt(2.0 / (ym.size - 1))
-        z_var = (ym.var(ddof=1) - var_th) / var_se
-        assert abs(z_mean) < 3
-        assert abs(z_var) < 3
+        for n_steps in (5, 400):
+            cfg = SimConfig(n_paths=20_000, n_steps=n_steps, seed=123)
+            batch = simulate_conditioned(0.3, 0.0, 1.0, P6.y0, ybar, cfg, P6)
+            mid = int(np.argmin(np.abs(batch.times - 0.5 * P6.T)))
+            s = batch.times[mid]
+            ym = batch.Y[:, mid]
+            mean_th = P6.y0 + (s / P6.T) * (ybar - P6.y0)
+            var_th = P6.sigma_Y**2 * s * (P6.T - s) / P6.T
+            z_mean = (ym.mean() - mean_th) / (ym.std(ddof=1) / np.sqrt(ym.size))
+            var_se = ym.var(ddof=1) * np.sqrt(2.0 / (ym.size - 1))
+            z_var = (ym.var(ddof=1) - var_th) / var_se
+            assert abs(z_mean) < 3
+            assert abs(z_var) < 3
+
+    def test_constant_policy_wealth_law_given_pin(self):
+        # Given Y_T = ybar the factor's Brownian increment over [0, T] is
+        # pinned to w, so under a constant fraction ln X_T is Gaussian with
+        # mean a T + pi sigma_S rho w and variance pi^2 sigma_S^2 (1-rho^2) T,
+        # at any step count.
+        pi0 = 1.0
+        ybar = P6.y0 + 0.5
+        w = (ybar - P6.y0 - P6.mu_Y * P6.T) / P6.sigma_Y
+        mean_th = ((P6.r + pi0 * (P6.mu_S - P6.r) - 0.5 * pi0**2 * P6.sigma_S**2) * P6.T
+                   + pi0 * P6.sigma_S * P6.rho * w)
+        var_th = pi0**2 * P6.sigma_S**2 * (1.0 - P6.rho**2) * P6.T
+        for n_steps in (5, 1600):
+            cfg = SimConfig(n_paths=20_000, n_steps=n_steps, seed=7)
+            batch = simulate_conditioned(pi0, 0.0, 1.0, P6.y0, ybar, cfg, P6,
+                                         store="terminal")
+            lnx = np.log(batch.X[:, -1])
+            z_mean = (lnx.mean() - mean_th) / np.sqrt(var_th / lnx.size)
+            var_se = var_th * np.sqrt(2.0 / (lnx.size - 1))
+            z_var = (lnx.var(ddof=1) - var_th) / var_se
+            assert abs(z_mean) < 3
+            assert abs(z_var) < 3
 
     def test_rho0_wealth_law_unchanged_for_constant_policy(self):
         ybar = P0.y0 + P0.mu_Y * P0.T + 0.3
@@ -99,12 +121,11 @@ class TestSimulateConditioned:
         ks = stats.ks_2samp(np.log(bu.X[:, -1]), np.log(bc.X[:, -1]))
         assert ks.pvalue > 0.01
 
-    def test_tail_refinement_layout(self):
-        times = conditioned_time_grid(0.0, 40.0, 400)
-        assert times[0] == 0.0 and times[-1] == 40.0
-        assert np.all(np.diff(times) > 0)
-        n_tail = np.sum(times > 40.0 * 0.99) - 1
-        assert n_tail >= 0.2 * 400
+    def test_nan_wealth_is_rejected(self):
+        X = np.array([[1.0, 1.1], [1.0, np.nan]])
+        with pytest.raises(DomainError):
+            PathBatch(times=np.array([0.0, 1.0]), X=X, Y=np.zeros((2, 2)),
+                      measure="unconditional", seed=0)
 
 
 class TestRewardMC:
@@ -155,22 +176,32 @@ class TestRewardMC:
         assert abs(left - right) < 3 * se
 
     def test_node_diagnostics_benign_case(self):
-        # pointwise (1-gamma) u = x^(1-gamma) > 0, so with positive wealth
-        # paths the sign condition holds and no node should be flagged in a
-        # comfortably-sampled run
+        # rho = 0, constant policy: ln X_T ~ N(m, v) under every pin, so
+        # each inner mean has the closed form E u = exp((1-g) m + (1-g)^2 v/2)
+        # / (1-g) and |E u| / se the closed form sqrt(n / (exp((1-g)^2 v) - 1));
+        # nodes where that ratio is comfortably above the flag threshold of 5
+        # must not be flagged
+        pi0 = 0.2
         cfg = SimConfig(n_paths=4_000, n_steps=50, seed=1)
-        est = reward_mc(0.2, 0.0, 1.0, P0.y0, cfg, P0, ybar_quadrature=7)
+        est = reward_mc(pi0, 0.0, 1.0, P0.y0, cfg, P0, ybar_quadrature=7)
+        m = (P0.r + pi0 * (P0.mu_S - P0.r) - 0.5 * pi0**2 * P0.sigma_S**2) * P0.T
+        v = pi0**2 * P0.sigma_S**2 * P0.T
         assert np.isfinite(est.value)
-        assert est.flagged_nodes == ()
         assert len(est.nodes) == 7
         assert sum(n.weight for n in est.nodes) == pytest.approx(1.0)
+        for node in est.nodes:
+            k = 1.0 - node.gamma
+            exact = np.exp(k * m + 0.5 * k**2 * v) / k
+            assert abs(node.inner_mean - exact) < 4 * node.inner_se
+            ratio = np.sqrt(cfg.n_paths / np.expm1(k**2 * v))
+            if ratio >= 10:
+                assert not node.flagged
 
 
 class TestGRepresentation:
     def test_zero_policy_limit(self):
         p = P6
         grid = default_grid(p, n_t_steps=80, n_y=121, n_ybar=11)
-        from prefhedge import solve_h
         h = solve_h(0.0, grid, p)
         ybar = float(grid.ybar_nodes[5])
         cfg = SimConfig(n_paths=4_000, n_steps=60, seed=11)
@@ -192,6 +223,39 @@ class TestGRepresentation:
         ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
         rep = verify_g_representation(h, pol, 0.0, 1.0, p.y0, ybar, cfg, p)
         assert abs(rep.conditioned.z) < 4
+
+
+    def test_fine_steps_stay_finite(self):
+        p = P6
+        grid = default_grid(p, n_t_steps=80, n_y=121, n_ybar=11)
+        h = solve_h(0.3, grid, p)
+        ybar = float(grid.ybar_nodes[5])
+        cfg = SimConfig(n_paths=2_000, n_steps=800, seed=13)
+        rep = verify_g_representation(h, 0.3, 0.0, 1.0, p.y0, ybar, cfg, p)
+        for side in (rep.conditioned, rep.unconditional):
+            assert np.isfinite([side.mean, side.se, side.z]).all()
+
+    def test_nan_policy_fails_closed(self):
+        p = P6
+        grid = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7)
+        h = solve_h(0.3, grid, p)
+        cfg = SimConfig(n_paths=500, n_steps=20, seed=17)
+
+        def nan_policy(t, y):
+            return np.full(np.shape(y), np.nan)
+
+        with pytest.raises(DomainError):
+            verify_g_representation(h, nan_policy, 0.0, 1.0, p.y0,
+                                    float(grid.ybar_nodes[3]), cfg, p)
+        with pytest.raises(DomainError):
+            reward_mc(nan_policy, 0.0, 1.0, p.y0, cfg, p, ybar_quadrature=3)
+
+    def test_z_score_fails_closed(self):
+        assert z_score(0.3, 0.1) == pytest.approx(3.0)
+        assert z_score(0.0, 0.0) == 0.0
+        assert z_score(-1e-3, 0.0) == -np.inf
+        for diff, se in ((0.1, np.nan), (np.nan, 0.1), (0.1, np.inf), (np.inf, np.inf)):
+            assert np.isnan(z_score(diff, se))
 
 
 class TestSpike:

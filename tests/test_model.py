@@ -6,11 +6,9 @@ from prefhedge import (
     EPS_GAMMA,
     DomainError,
     ModelParams,
-    RiskAversion,
     SingularGammaError,
     crra_utility,
     expected_terminal_gamma,
-    inverse_crra,
     phi,
     phi_prime,
 )
@@ -37,15 +35,13 @@ class TestValidation:
             ModelParams(r=0.0, mu_S=0.0, sigma_S=0.1, rho=0.0,
                         mu_Y=0.0, sigma_Y=0.1, T=0.0)
 
-    def test_risk_aversion_is_exp_of_state(self):
-        ra = RiskAversion(ybar=np.log(2.0))
-        assert ra.gamma == pytest.approx(2.0, rel=0, abs=0)
-
     def test_risk_aversion_rejects_log_utility_point(self):
         with pytest.raises(SingularGammaError):
-            RiskAversion(ybar=0.0)
+            crra_utility(1.5, np.exp(0.0))
         with pytest.raises(SingularGammaError):
             crra_utility(1.5, 1.0 + 0.5 * EPS_GAMMA)
+        with pytest.raises(SingularGammaError):
+            phi(-1.0, 1.0 - 0.5 * EPS_GAMMA)
 
 
 class TestCrraExamples:
@@ -60,16 +56,11 @@ class TestCrraExamples:
         with pytest.raises(DomainError):
             crra_utility(-1.0, 2.0)
         with pytest.raises(DomainError):
-            inverse_crra(1.0, 2.0)   # (1-gamma) u <= 0
+            phi(1.0, 2.0)   # (1-gamma) u <= 0
 
     def test_sign_by_gamma(self):
         assert crra_utility(3.0, 0.5) > 0
         assert crra_utility(3.0, 4.0) < 0
-
-    def test_inverse_examples(self):
-        assert inverse_crra(-1.0, 2.0) == pytest.approx(1.0)
-        assert inverse_crra(4.0, 0.5) == pytest.approx(4.0)
-        assert inverse_crra(-0.125, 3.0) == pytest.approx(2.0)
 
     def test_phi_examples(self):
         assert phi(-1.0, 2.0) == pytest.approx(0.0, abs=1e-15)
@@ -89,7 +80,7 @@ class TestCrraExamples:
 @settings(max_examples=200, deadline=None)
 def test_round_trip(gamma, logx):
     x = float(np.exp(logx))
-    assert inverse_crra(crra_utility(x, gamma), gamma) == pytest.approx(x, rel=1e-12)
+    assert phi(crra_utility(x, gamma), gamma) == pytest.approx(logx, rel=1e-12, abs=1e-12)
 
 
 def test_monotonicity():
