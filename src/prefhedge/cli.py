@@ -1,10 +1,11 @@
 """Command-line orchestration: solve, table, verify, bridge-test.
 
 A single JSON config file fully determines a run, seeds included, so every
-number the tool emits is reproducible.  Parsing is fail-closed: unknown keys
-and invalid parameter values are rejected with the violated invariant named.
-Machine-readable outputs carry full float precision (shortest round-trip
-representation); console summaries are rounded for reading.
+number the tool emits is reproducible, except the wall-clock phase times
+(``phase_s``) in ``solve_summary.json``.  Parsing is fail-closed: unknown
+keys and invalid parameter values are rejected with the violated invariant
+named.  Machine-readable outputs carry full float precision (shortest
+round-trip representation); console summaries are rounded for reading.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import conditional
 from .equilibrium import (
@@ -232,12 +233,17 @@ def cmd_solve(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     probe_ys = sorted({y for _t, y in cfg.probes}) or [cfg.params.y0]
     grid = default_grid(cfg.params, probe_y=probe_ys, **cfg.grid_kwargs)
+    clock = [time.perf_counter()]
     h, pol = fixed_point_solve(grid, cfg.params, cfg.fixed_point)
+    clock.append(time.perf_counter())
     res = residual(h, pol, grid, cfg.params)
-
+    clock.append(time.perf_counter())
     save_h_surface(cfg.out_dir / "h_surface.bin", h, cfg.params)
     save_policy_surface(cfg.out_dir / "policy_surface.bin", pol, cfg.params)
+    clock.append(time.perf_counter())
     policy_to_csv(cfg.out_dir / "policy_grid.csv", pol)
+    clock.append(time.perf_counter())
+    phase_s = dict(zip(("solve", "residual", "save", "csv"), np.diff(clock).tolist()))
 
     probe_rows = []
     closed_ok = True
@@ -269,6 +275,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                  "n_ybar": int(grid.ybar_nodes.size),
                  "ybar_range": [float(grid.ybar_nodes[0]), float(grid.ybar_nodes[-1])],
                  "band_sd": grid.band_sd, "quad_sd": grid.quad_sd},
+        "phase_s": phase_s,
     }
     if cfg.params.rho == 0.0 and cfg.probes:
         summary["closed_form_verified"] = bool(closed_ok)
@@ -425,6 +432,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_bridge_test(cfg: RunConfig) -> int:
     """Conditional-dynamics property checks (no factor solve involved)."""
+    # Imported here, not at module level, where it would slow every
+    # command's start-up by most of a second.
+    from scipy import stats
+
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     params = cfg.params
     rng = np.random.default_rng(cfg.sim.seed)

@@ -15,6 +15,11 @@ Layout (little-endian):
 
 Every float is written raw (full precision); loading verifies the magic,
 version, checksum, and — when the caller passes the parameters — the hash.
+
+The policy CSV (:func:`policy_to_csv`) is text for plotting: a header line
+``t,y,pi,myopic,hedging`` and one line per (t, y) node, t-major, each cell
+the shortest round-trip decimal of the float (``0.3791...``, ``-0.0``,
+``nan``), which parses back to the same float.
 """
 
 from __future__ import annotations
@@ -137,11 +142,18 @@ def load_policy_surface(path, params: ModelParams | None = None) -> PolicySurfac
 
 
 def policy_to_csv(path, pol: PolicySurface):
-    """Plot-ready CSV: one row per (t, y) node with all three components."""
+    """Plot-ready CSV: one row per (t, y) node with all three components.
+
+    Header ``t,y,pi,myopic,hedging``, then the rows t-major (y varies
+    fastest); every cell is the shortest round-trip ``repr`` of a plain
+    float, so ``np.loadtxt(path, delimiter=",", skiprows=1)`` gives back
+    the grid and the surfaces bit for bit.
+    """
     grid = pol.grid
+    y_txt = [repr(v) for v in grid.y_nodes.tolist()]
     with open(path, "w") as fh:
         fh.write("t,y,pi,myopic,hedging\n")
-        for k, tk in enumerate(grid.t_nodes):
-            for i, yi in enumerate(grid.y_nodes):
-                fh.write(f"{tk!r},{yi!r},{pol.pi[k, i]!r},"
-                         f"{pol.myopic[k, i]!r},{pol.hedging[k, i]!r}\n")
+        for tk, pi, my, hd in zip(map(repr, grid.t_nodes.tolist()), pol.pi.tolist(),
+                                  pol.myopic.tolist(), pol.hedging.tolist()):
+            fh.write("".join(f"{tk},{yi},{a!r},{b!r},{c!r}\n"
+                             for yi, a, b, c in zip(y_txt, pi, my, hd)))

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prefhedge
 from prefhedge.cli import RunConfig, TABLE_BLOCKS, main
 from prefhedge.errors import ConfigError
+from prefhedge.persist import load_policy_surface
 
 BASE = {
     "params": {"r": 0.02, "mu_S": 0.07, "sigma_S": 0.2, "rho": 0.0,
@@ -128,6 +134,27 @@ class TestCommands:
         assert (tmp_path / "out" / "h_surface.bin").exists()
         assert (tmp_path / "out" / "policy_grid.csv").exists()
 
+    def test_policy_csv_parses_to_saved_surface(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {
+            "params": {**BASE["params"], "rho": 0.6},
+            "grid": {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9},
+        })
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        pol = load_policy_surface(out / "policy_surface.bin")
+        n_t, n_y = pol.pi.shape
+        csv = out / "policy_grid.csv"
+        assert csv.read_text().split("\n", 1)[0] == "t,y,pi,myopic,hedging"
+        cols = np.loadtxt(csv, delimiter=",", skiprows=1)
+        want = (np.repeat(pol.grid.t_nodes, n_y), np.tile(pol.grid.y_nodes, n_t),
+                pol.pi.ravel(), pol.myopic.ravel(), pol.hedging.ravel())
+        assert cols.shape == (n_t * n_y, 5)
+        for got, expected in zip(cols.T, want):
+            assert np.array_equal(got, expected)
+        phase_s = json.loads((out / "solve_summary.json").read_text())["phase_s"]
+        assert list(phase_s) == ["solve", "residual", "save", "csv"]
+        assert all(v >= 0 for v in phase_s.values())
+
     def test_table_rho0_block(self, tmp_path):
         path = write_config(tmp_path, {"table_block": "0.02,0"})
         rc = main(["table", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -240,3 +267,12 @@ class TestCommands:
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"surprise": True})
         assert main(["solve", "--config", str(path)]) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported only by bridge-test; loading it costs every
+    # command's start-up most of a second.
+    src = Path(prefhedge.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import prefhedge.cli, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

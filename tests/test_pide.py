@@ -54,6 +54,46 @@ def reference_march(policy, grid, params, slices=None):
     return values
 
 
+def reference_residual(h, policy, grid, params, coeff_fn=None):
+    """Whole-array residual: every slice differenced in one (n_t, n_y, n_ybar) pass.
+
+    The formulas of pide.residual on the full surface at once, with numpy's
+    own norms and argmax; the streamed version must agree with it.
+    """
+    t, y, yb, v = grid.t_nodes, grid.y_nodes, grid.ybar_nodes, h.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        ht = np.gradient(v, t, axis=0)
+        hy = np.gradient(v, y, axis=1)
+        hyy = np.empty_like(v)
+        hyy[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / grid.dy**2
+        hyy[:, 0] = hyy[:, 1]
+        hyy[:, -1] = hyy[:, -2]
+        PI = pide.policy_values(policy, t, y)
+        fn = coefficients if coeff_fn is None else coeff_fn
+        P, Q, R = fn(t[:, None, None], y[None, :, None], yb[None, None, :],
+                     PI[:, :, None], params)
+        res = ht + Q * hy + R * hyy + P * v
+        core = res[1:-1, 1:-1, :]
+        rel = np.nan_to_num(core / v[1:-1, 1:-1, :], nan=0.0,
+                            posinf=np.inf, neginf=-np.inf)
+    tau = (params.T - t[1:-1])[:, None, None]
+    dev = yb[None, None, :] - y[None, 1:-1, None] - params.mu_Y * tau
+    band = np.abs(dev) <= grid.quad_sd * params.sigma_Y * np.sqrt(tau)
+    band &= (np.arange(1, t.size - 1) < pide._terminal_layer_cut(grid, params.rho))[:, None, None]
+    rel_band = rel[band] if np.any(band) else rel
+    k, i, j = np.unravel_index(np.argmax(np.abs(rel)), core.shape)
+    with np.errstate(over="ignore"):
+        return pide.ResidualNorms(
+            max_abs=float(np.max(np.abs(core))),
+            rms=float(np.sqrt(np.mean(core**2))),
+            max_rel=float(np.max(np.abs(rel))),
+            rms_rel=float(np.sqrt(np.mean(rel**2))),
+            max_rel_band=float(np.max(np.abs(rel_band))),
+            rms_rel_band=float(np.sqrt(np.mean(rel_band**2))),
+            worst=(float(t[k + 1]), float(y[i + 1]), float(yb[j])),
+        )
+
+
 P06 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.6,
                   mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
 P0 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.0,
@@ -440,3 +480,39 @@ class TestResidual:
         # both band norms (first-order march)
         assert r.max_rel_band < 1e-4
         assert r.rms_rel_band < 2e-5
+
+    @pytest.fixture(scope="class")
+    def solved(self, tmp_path_factory):
+        from prefhedge import fixed_point_solve, load_h_surface, save_h_surface
+        g = default_grid(P06, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
+        h, pol = fixed_point_solve(g, P06)
+        path = tmp_path_factory.mktemp("residual") / "h.bin"
+        save_h_surface(path, h, P06)
+        return g, pol, {"fresh": h, "loaded": load_h_surface(path, P06)}
+
+    @pytest.mark.parametrize("source", ["fresh", "loaded"])
+    @pytest.mark.parametrize("case", ["model", "overflowing_coeffs", "empty_band"])
+    def test_streamed_matches_whole_array_reference(self, solved, source, case):
+        g, pol, surfaces = solved
+        h = surfaces[source]
+        assert h.values.flags.c_contiguous == (source == "loaded")
+        coeff_fn = None
+        if case == "overflowing_coeffs":
+            # P * h overflows on the larger factors: rel holds inf at nodes
+            # of several slices, which exercises the first-in-(k, i, j) rule.
+            def coeff_fn(t, y, yb, pi, params):
+                P, Q, R = coefficients(t, y, yb, pi, params)
+                return P * 1e306, Q, R
+        elif case == "empty_band":
+            g = dataclasses.replace(g, quad_sd=1e-300)
+        want = reference_residual(h, pol.pi, g, P06, coeff_fn=coeff_fn)
+        got = residual(h, pol.pi, g, P06, coeff_fn=coeff_fn)
+        if case == "overflowing_coeffs":
+            assert np.isinf(want.max_rel)
+        if case == "empty_band":
+            assert (want.max_rel_band, want.rms_rel_band) == (want.max_rel, want.rms_rel)
+        for name in ("max_abs", "max_rel", "max_rel_band"):
+            np.testing.assert_equal(getattr(got, name), getattr(want, name))
+        assert got.worst == want.worst
+        for name in ("rms", "rms_rel", "rms_rel_band"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
