@@ -265,6 +265,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         "probes": probe_rows,
         "iterations": meta.iterations,
         "sup_changes": list(meta.sup_changes),
+        "map_evals": {"histogram": {str(n): count for n, count in meta.evals_histogram},
+                      "total": meta.map_evals, "t_worst": meta.t_worst},
         "converged": True,
         "residual": {
             "max_abs": res.max_abs, "rms": res.rms,
@@ -330,20 +332,44 @@ def cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_in_hull(grid, points):
+    """Reject (name, t, y) points outside the solved (t, y) hull of ``grid``.
+
+    Raises DomainError naming the first such point and the hull.
+    """
+    t, y = grid.t_nodes, grid.y_nodes
+    for name, t0, y0 in points:
+        if not (t[0] <= t0 <= t[-1] and y[0] <= y0 <= y[-1]):
+            raise DomainError(
+                f"{name} (t = {t0!r}, exp_y = {float(np.exp(y0))!r}) lies outside "
+                f"the solved grid: t in [{float(t[0])!r}, {float(t[-1])!r}], "
+                f"exp_y in [{float(np.exp(y[0]))!r}, {float(np.exp(y[-1]))!r}]"
+            )
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    vcfg = cfg.verify
+    probes = cfg.probes or ((0.0, cfg.params.y0),)
+    reward_probes = vcfg.get("reward_probes",
+                             [{"t": 0.0, "exp_y": float(np.exp(cfg.params.y0))}])
+    points = [(f"probes[{i}]", t0, y0) for i, (t0, y0) in enumerate(probes)]
+    points += [(f"verify.reward_probes[{i}]", float(p["t"]), float(np.log(p["exp_y"])))
+               for i, p in enumerate(reward_probes)]
+
     h_path = cfg.out_dir / "h_surface.bin"
     p_path = cfg.out_dir / "policy_surface.bin"
     if h_path.exists() and p_path.exists():
         h = load_h_surface(h_path, cfg.params)
         pol = load_policy_surface(p_path, cfg.params)
         grid = h.grid
+        _check_in_hull(grid, points)
     else:
         probe_ys = sorted({y for _t, y in cfg.probes}) or [cfg.params.y0]
         grid = default_grid(cfg.params, probe_y=probe_ys, **cfg.grid_kwargs)
+        _check_in_hull(grid, points)
         h, pol = fixed_point_solve(grid, cfg.params, cfg.fixed_point)
 
-    vcfg = cfg.verify
     z_gate = float(vcfg.get("z_gate", 3.0))
     res_tol = float(vcfg.get("residual_tol", 1e-4))
     bundle = {}
@@ -358,7 +384,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     hard_fail |= not res_pass
 
     g_rows = []
-    probes = cfg.probes or ((0.0, cfg.params.y0),)
     for t0, y0 in probes:
         mean = y0 + cfg.params.mu_Y * (cfg.params.T - t0)
         ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
@@ -386,7 +411,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     )
 
     reward_rows = []
-    for probe in vcfg.get("reward_probes", [{"t": 0.0, "exp_y": float(np.exp(cfg.params.y0))}]):
+    for probe in reward_probes:
         t0 = float(probe["t"])
         y0 = float(np.log(probe["exp_y"]))
         if (t0, y0) == (spike.t0, spike.y0):

@@ -17,6 +17,7 @@ iteration.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .pide import (
     _locate,
     _march,
     _march_level,
+    _prepare_level,
     _terminal_layer_cut,
     bilinear_interp,
 )
@@ -63,13 +65,19 @@ class IterationMeta:
 
     ``iterations`` is the largest number of map evaluations any level
     needed and ``sup_changes`` that level's update history (the first such
-    level in march order).  A solve with no iterated level (rho = 0)
-    reports one evaluation with change 0.  Only settled solves carry one: a
+    level in march order, at time ``t_worst``).  ``evals_histogram`` holds
+    (map evaluations, number of levels) pairs over the iterated levels, in
+    ascending order, and ``map_evals`` their total.  A solve with no
+    iterated level (rho = 0) reports one evaluation with change 0, an
+    empty histogram and no ``t_worst``.  Only settled solves carry one: a
     level that does not settle raises ConvergenceError instead.
     """
 
     iterations: int
     sup_changes: tuple
+    evals_histogram: tuple
+    map_evals: int
+    t_worst: float | None
 
 
 @dataclass
@@ -126,14 +134,15 @@ def closed_form_policy_rho0(t, y, params: ModelParams):
     return out if np.ndim(out) else float(out)
 
 
-def _terminal_average(f, grid: GridSpec, params: ModelParams, t, y):
-    """Gauss-Hermite average over the terminal state of per-slice values.
+def _terminal_bracket(grid: GridSpec, params: ModelParams, t, y):
+    """Where the terminal-state quadrature nodes at (t, y) fall among the slices.
 
-    ``f`` holds one value per solved slice at each point (t, y): shape
-    broadcast(t, y) + (n_ybar,); returns shape broadcast(t, y).  The nodes
-    are mapped through mean + sqrt(2) sd xi of the terminal law at (t, y)
-    and ``f`` is interpolated linearly across the slices (clamped at the
-    slice range; the clipped tail mass is negligible by construction).
+    The policy-free half of _terminal_average.  The nodes are mapped through
+    mean + sqrt(2) sd xi of the terminal law at (t, y) and bracketed in the
+    slice range (clamped at its ends; the clipped tail mass is negligible by
+    construction).  Returns flat indices of the lower and upper bracketing
+    slice into an array of shape broadcast(t, y) + (n_ybar,), and their
+    linear weights, each of shape broadcast(t, y) + (n_gh,).
     """
     mean, sd = grid.terminal_mean_sd(t, y, params)
     # The mapping is capped at grid.quad_sd conditional deviations (the
@@ -142,9 +151,27 @@ def _terminal_average(f, grid: GridSpec, params: ModelParams, t, y):
     offset = np.clip(np.sqrt(2.0) * grid.gh_nodes, -grid.quad_sd, grid.quad_sd)
     target = np.asarray(mean)[..., None] + offset * np.asarray(sd)[..., None]
     lo, frac = _locate(grid.ybar_nodes, target, clip=True)
-    f_lo = np.take_along_axis(f, lo, axis=-1)
-    f_hi = np.take_along_axis(f, lo + 1, axis=-1)
-    return ((1.0 - frac) * f_lo + frac * f_hi) @ grid.ybar_weights
+    points = np.arange(lo.size // lo.shape[-1]).reshape(lo.shape[:-1] + (1,))
+    at = lo + points * grid.ybar_nodes.size
+    return at, at + 1, 1.0 - frac, frac
+
+
+def _bracket_average(f, bracket, grid: GridSpec):
+    """Gauss-Hermite average of per-slice values ``f`` through a bracket."""
+    at_lo, at_hi, w_lo, w_hi = bracket
+    flat = np.ravel(f)
+    return (w_lo * flat[at_lo] + w_hi * flat[at_hi]) @ grid.ybar_weights
+
+
+def _terminal_average(f, grid: GridSpec, params: ModelParams, t, y):
+    """Gauss-Hermite average over the terminal state of per-slice values.
+
+    ``f`` holds one value per solved slice at each point (t, y): shape
+    broadcast(t, y) + (n_ybar,); returns shape broadcast(t, y).  ``f`` is
+    interpolated linearly across the slices at the mapped nodes of
+    _terminal_bracket.
+    """
+    return _bracket_average(f, _terminal_bracket(grid, params, t, y), grid)
 
 
 def hedging_integral(t, y, h: HSurface, grid: GridSpec, params: ModelParams):
@@ -164,8 +191,8 @@ def hedging_integral(t, y, h: HSurface, grid: GridSpec, params: ModelParams):
     return out if np.ndim(out) else float(out)
 
 
-def _flatten_degenerate_row(hed_row, t_k, grid: GridSpec, params: ModelParams):
-    """Hold the hedging flat where the terminal-state quadrature degenerates.
+def _degenerate_cut(t_k, grid: GridSpec, params: ModelParams):
+    """Row range (lo, hi) at t_k where the terminal-state quadrature is informative.
 
     Beyond the y-range whose conditional terminal mean at t_k falls inside
     the solved slice interval, every mapped quadrature node clips to the
@@ -173,7 +200,7 @@ def _flatten_degenerate_row(hed_row, t_k, grid: GridSpec, params: ModelParams):
     with no information content, and letting it feed back into the factor
     equations leaves a slowly relaxing mode pinned at the grid edge.
     Constant continuation from the range, which always keeps one node, is
-    the neutral closure.
+    the neutral closure (applied in _hedging_row).
     """
     y = grid.y_nodes
     drift = params.mu_Y * (params.T - t_k)
@@ -181,9 +208,7 @@ def _flatten_degenerate_row(hed_row, t_k, grid: GridSpec, params: ModelParams):
     hi = int(np.searchsorted(y, grid.ybar_nodes[-1] - drift, side="right"))
     lo = min(lo, y.size - 1)
     hi = max(min(hi, y.size), lo + 1)
-    hed_row[:lo] = hed_row[lo]
-    hed_row[hi:] = hed_row[hi - 1]
-    return hed_row
+    return lo, hi
 
 
 def _layer_hedging(t, y, params: ModelParams):
@@ -212,26 +237,41 @@ def _apply_terminal_layer(hedging: np.ndarray, grid: GridSpec, params: ModelPara
     return hedging
 
 
-def _hedging_row(w_level, k, grid: GridSpec, params: ModelParams):
-    """Hedging demand at t[k] from that level's log factors w = ln h.
+def _row_map(k, grid: GridSpec, params: ModelParams):
+    """Policy-free part of the hedging row at t[k], computed once per level.
+
+    The quadrature bracket of every y-row, the denominator
+    sigma_S**2 E[gamma_T] and the _degenerate_cut range.
+    """
+    t_k, y = grid.t_nodes[k], grid.y_nodes
+    return (_terminal_bracket(grid, params, t_k, y),
+            params.sigma_S**2 * expected_terminal_gamma(t_k, y, params),
+            _degenerate_cut(t_k, grid, params))
+
+
+def _hedging_row(w_level, row_map, grid: GridSpec, params: ModelParams):
+    """Hedging demand at a level from its log factors w = ln h.
 
     rho sigma_S sigma_Y I / (sigma_S**2 E[gamma_T]), I the terminal-state
     average of the elasticity d w / d y (the log-factor slope), held flat
     through the edge rows and the degenerate band.  ``w_level`` has shape
-    (n_ybar, n_y); returns the row, shape (n_y,).
+    (n_ybar, n_y) and ``row_map`` is the level's _row_map; returns the row,
+    shape (n_y,).
     """
-    t_k, y = grid.t_nodes[k], grid.y_nodes
-    el = np.gradient(w_level, y, axis=1)
+    bracket, denom, (lo, hi) = row_map
+    el = np.gradient(w_level, grid.y_nodes, axis=1)
     hedging = (
         params.rho * params.sigma_S * params.sigma_Y
-        * _terminal_average(el.T, grid, params, t_k, y)
-        / (params.sigma_S**2 * expected_terminal_gamma(t_k, y, params))
+        * _bracket_average(el.T, bracket, grid)
+        / denom
     )
     # The two outermost y-rows use one-sided elasticity stencils; continue
     # the hedging demand flat through them (they sit ~6 sd from any probe).
     hedging[:2] = hedging[2]
     hedging[-2:] = hedging[-3]
-    return _flatten_degenerate_row(hedging, t_k, grid, params)
+    hedging[:lo] = hedging[lo]
+    hedging[hi:] = hedging[hi - 1]
+    return hedging
 
 
 def policy_from_h(h: HSurface, grid: GridSpec, params: ModelParams) -> PolicySurface:
@@ -239,15 +279,16 @@ def policy_from_h(h: HSurface, grid: GridSpec, params: ModelParams) -> PolicySur
 
     pi = (mu_S - r + rho sigma_S sigma_Y I(t, y)) / (sigma_S**2 E[gamma_T]),
     stored together with its myopic part and the hedging correction.  Each
-    level's hedging row is the one the coupled solve settles (_hedging_row),
-    and the analytic terminal window overrides the rows inside it; the
-    hedging component is identically zero when rho = 0.
+    level's hedging row is the one the coupled solve settles (_row_map and
+    _hedging_row), and the analytic terminal window overrides the rows
+    inside it; the hedging component is identically zero when rho = 0.
     """
     myopic = closed_form_policy_rho0(grid.t_nodes[:, None], grid.y_nodes[None, :], params)
     hedging = np.zeros_like(myopic)
     if params.rho != 0.0:
         for k in range(grid.t_nodes.size):
-            hedging[k] = _hedging_row(np.log(h.values[k]).T, k, grid, params)
+            hedging[k] = _hedging_row(np.log(h.values[k]).T, _row_map(k, grid, params),
+                                      grid, params)
         _apply_terminal_layer(hedging, grid, params)
     return PolicySurface(grid=grid, pi=myopic + hedging, myopic=myopic, hedging=hedging)
 
@@ -270,8 +311,12 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
                       cfg: FixedPointConfig | None = None):
     """Coupled solve: one backward march settling the policy level by level.
 
-    All terminal-state slices step jointly from t = T - eps_T, each level
-    one block-diagonal solve (pide._march_level).  For rho = 0 and inside
+    All terminal-state slices step jointly from t = T - eps_T.  Each level
+    is prepared once (pide._prepare_level: windows, gathers and the bridge
+    part of the coefficients); every map evaluation at that level then
+    runs only the policy-dependent work, one block-diagonal solve
+    (pide._march_level) and the hedging quadrature through the level's
+    precomputed bracket (_row_map, _hedging_row).  For rho = 0 and inside
     the analytic terminal window the hedging row is known before the step,
     and the level is marched once.  Below the window the level's hedging
     row u solves u = H(march(myopic + u)), H the hedging quadrature of the
@@ -282,7 +327,8 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     the returned factors are exactly the march of the returned policy
     (solve_h(pol.pi) reproduces them bit for bit).
 
-    Returns the (factor surface, policy surface) pair.  Raises
+    Returns the (factor surface, policy surface) pair; the policy's
+    iteration_meta counts the map evaluations per iterated level.  Raises
     ConvergenceError naming t, with that level's update history, when a
     level is not settled within cfg.max_iters map evaluations; a
     PositivityError from the march propagates.
@@ -295,20 +341,25 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     if params.rho != 0.0:
         _apply_terminal_layer(hedging, grid, params)
     worst: list[float] = []
+    t_worst = None
+    evals = Counter()
 
     def advance(level, k):
-        nonlocal worst
+        nonlocal worst, t_worst
+        prep = _prepare_level(level, k, grid, params)
         if params.rho == 0.0 or k >= layer_cut:
-            return _march_level(level, k, myopic[k] + hedging[k], grid, params)
+            return _march_level(prep, myopic[k] + hedging[k], grid, params)
+        row_map = _row_map(k, grid, params)
         us, gs, history = [hedging[k + 1]], [], []
         while len(history) < cfg.max_iters:
-            new_level = _march_level(level, k, myopic[k] + us[-1], grid, params)
-            gs.append(_hedging_row(new_level, k, grid, params))
+            new_level = _march_level(prep, myopic[k] + us[-1], grid, params)
+            gs.append(_hedging_row(new_level, row_map, grid, params))
             history.append(float(np.max(np.abs(gs[-1] - us[-1]))))
             if history[-1] < cfg.tol_sup:
                 hedging[k] = us[-1]
+                evals[len(history)] += 1
                 if len(history) > len(worst):
-                    worst = history
+                    worst, t_worst = history, float(t[k])
                 return new_level
             us.append(_anderson_step(us[-_ANDERSON_DEPTH - 1:],
                                      gs[-_ANDERSON_DEPTH - 1:]))
@@ -319,7 +370,12 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
         )
 
     h = _march(grid, advance)
-    meta = IterationMeta(iterations=max(len(worst), 1), sup_changes=tuple(worst) or (0.0,))
+    meta = IterationMeta(
+        iterations=max(len(worst), 1), sup_changes=tuple(worst) or (0.0,),
+        evals_histogram=tuple(sorted(evals.items())),
+        map_evals=sum(n * count for n, count in evals.items()),
+        t_worst=t_worst,
+    )
     return h, PolicySurface(grid=grid, pi=myopic + hedging, myopic=myopic,
                             hedging=hedging, iteration_meta=meta)
 

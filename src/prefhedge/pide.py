@@ -10,11 +10,15 @@ candidate investment policy.  Slices are independent given the policy; the
 policy feedback happens one level up, in the equilibrium sweep, which
 settles each level's policy before the next step.
 
-One kernel, _march_level, advances every slice by one time level: each
-slice is marched only in a window around its bridge line, the windows are
-laid end to end, and one block-diagonal tridiagonal solve steps them all.
-solve_h runs it with a fixed policy; the equilibrium sweep runs it with the
-policy settled level by level.
+One kernel advances every slice by one time level, in two phases.
+_prepare_level does the policy-free work once per level: each slice is
+marched only in a window around its bridge line, the windows are laid end
+to end, and the gather of the previous level, its slope term and the
+bridge part of the coefficients are taken there.  _march_level then applies
+one policy row: the policy part of the coefficients and one block-diagonal
+tridiagonal solve that steps every window.  solve_h runs one map step per
+level with a fixed policy; the equilibrium sweep prepares each level once
+and runs as many map steps as its policy fixed point needs.
 
 Numerical scheme: implicit (backward Euler) time stepping of the
 convection-diffusion part with central differences in y, switching to
@@ -249,27 +253,49 @@ def coefficients(t, y, ybar, pi_value, params: ModelParams):
     with gamma = exp(ybar).  Broadcasts over array arguments; rejects t = T,
     where the bridge pull is singular.
     """
-    t = np.asarray(t, dtype=float)
-    tau = params.T - t
-    if np.any(tau <= 0):
-        raise DegenerateTimeError("coefficients are singular at t = T")
-    y = np.asarray(y, dtype=float)
-    ybar = np.asarray(ybar, dtype=float)
-    pi_value = np.asarray(pi_value, dtype=float)
-
-    gamma = np.exp(ybar)
-    one_minus = 1.0 - gamma
-    pull = (ybar - y) / tau
-    P = (
-        params.r
-        + pi_value * (params.mu_S - params.r + params.rho * (params.sigma_S / params.sigma_Y) * (pull - params.mu_Y))
-        - 0.5 * pi_value**2 * params.sigma_S**2 * gamma
-    ) * one_minus
-    Q = pull + params.rho * pi_value * params.sigma_S * params.sigma_Y * one_minus
+    P, Q = _policy_terms(
+        np.asarray(pi_value, dtype=float),
+        _bridge_terms(np.asarray(t, dtype=float), np.asarray(y, dtype=float),
+                      np.asarray(ybar, dtype=float), params),
+        params,
+    )
     R = 0.5 * params.sigma_Y**2
     if P.ndim == 0:
         return float(P), float(Q), R
     return P, Q, np.full_like(P, R)
+
+
+def _bridge_terms(t, y, ybar, params: ModelParams):
+    """Policy-free part of the coefficients: (gamma, 1 - gamma, pull, bracket).
+
+    pull = (ybar - y)/(T - t) is the bridge drift and bracket =
+    mu_S - r + rho (sigma_S/sigma_Y)(pull - mu_Y) the factor the fraction
+    multiplies in P.
+    """
+    tau = params.T - t
+    if np.any(tau <= 0):
+        raise DegenerateTimeError("coefficients are singular at t = T")
+    gamma = np.exp(ybar)
+    pull = (ybar - y) / tau
+    bracket = (params.mu_S - params.r
+               + params.rho * (params.sigma_S / params.sigma_Y) * (pull - params.mu_Y))
+    return gamma, 1.0 - gamma, pull, bracket
+
+
+def _policy_terms(pi_value, bridge, params: ModelParams):
+    """(P, Q) of coefficients from its bridge terms and the fraction."""
+    gamma, one_minus, pull, bracket = bridge
+    del bridge
+    P = (
+        params.r
+        + pi_value * bracket
+        - 0.5 * pi_value**2 * params.sigma_S**2 * gamma
+    ) * one_minus
+    # Release the bracket before Q is formed: on the residual's whole
+    # (n_t, n_y) slices it would be one more array at the peak.
+    del bracket
+    Q = pull + params.rho * pi_value * params.sigma_S * params.sigma_Y * one_minus
+    return P, Q
 
 
 def _locate(nodes: np.ndarray, x, clip: bool):
@@ -490,12 +516,69 @@ def _slice_windows(grid: GridSpec, params: ModelParams, t):
     return lo, hi, band_lo, band_hi
 
 
-def _march_level(level, k, pi_row, grid: GridSpec, params: ModelParams):
+@dataclass(frozen=True)
+class _Level:
+    """Policy-free data of one backward step, shared by its map steps.
+
+    ``seg``/``rows`` map each entry of the laid-out windows to its slice
+    and y-row, ``first``/``last`` index each window's boundary rows; ``w``
+    is the previous level gathered there and ``w_slope`` its linearized
+    squared-gradient term.  ``in_band`` marks the entries inside each
+    slice's band, where the range is checked; ``below``, ``off_lo`` and
+    ``off_hi`` (n_ybar, n_y) drive the linear extension outside the windows.
+    """
+
+    k: int
+    dt: float
+    R: float
+    seg: np.ndarray
+    rows: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    w: np.ndarray
+    w_slope: np.ndarray
+    bridge: tuple
+    in_band: np.ndarray
+    below: np.ndarray
+    off_lo: np.ndarray
+    off_hi: np.ndarray
+
+
+def _prepare_level(level, k, grid: GridSpec, params: ModelParams) -> _Level:
+    """Everything of the step from t[k+1] to t[k] that does not read the policy.
+
+    ``level`` holds every slice's tube-extended w = ln h at t[k+1], shape
+    (n_ybar, n_y).  Run once per time level; _march_level then takes one
+    policy row at a time.
+    """
+    t, y, yb = grid.t_nodes, grid.y_nodes, grid.ybar_nodes
+    R = 0.5 * params.sigma_Y**2
+    lo, hi, band_lo, band_hi = _slice_windows(grid, params, t[k])
+    width = hi - lo
+    last = np.cumsum(width) - 1
+    first = last - width + 1
+    seg = np.repeat(np.arange(yb.size), width)
+    rows = np.arange(last[-1] + 1) - np.repeat(first - lo, width)
+    with np.errstate(over="ignore", under="ignore"):
+        w = level[seg, rows]
+        w_slope = R * ((w[2:] - w[:-2]) / (2.0 * grid.dy))
+        bridge = _bridge_terms(t[k], y[rows], yb[seg], params)
+    return _Level(
+        k=k, dt=t[k + 1] - t[k], R=R, seg=seg, rows=rows, first=first, last=last,
+        w=w, w_slope=w_slope, bridge=bridge,
+        in_band=(rows >= band_lo[seg]) & (rows < band_hi[seg]),
+        below=np.arange(y.size) < lo[:, None],
+        off_lo=y - y[lo, None],
+        off_hi=y - y[hi - 1, None],
+    )
+
+
+def _march_level(prep: _Level, pi_row, grid: GridSpec, params: ModelParams):
     """One backward step of the log factor w = ln h, all slices at once.
 
-    ``level`` holds every slice's tube-extended w at t[k+1], shape
-    (n_ybar, n_y); ``pi_row`` is the policy at t[k].  Returns the level at
-    t[k].  In log variables the equation reads
+    ``prep`` is the level's policy-free data (_prepare_level) and
+    ``pi_row`` the policy at t[k].  Returns the tube-extended level at t[k],
+    shape (n_ybar, n_y).  In log variables the equation reads
         w_t + Q w_y + R w_yy + R (w_y)^2 + P = 0,
     and the factor's near-exponential y-profiles become near-linear, where
     finite differences are exact: the scheme has no cosh inflation and the
@@ -512,41 +595,32 @@ def _march_level(level, k, pi_row, grid: GridSpec, params: ModelParams):
     multiplier and no row swap at every block edge and returns each block
     exactly as a separate solve would.
     """
-    t, y, yb = grid.t_nodes, grid.y_nodes, grid.ybar_nodes
-    dt = t[k + 1] - t[k]
-    dy = grid.dy
-    R = 0.5 * params.sigma_Y**2
-    lo, hi, band_lo, band_hi = _slice_windows(grid, params, t[k])
-    width = hi - lo
-    last = np.cumsum(width) - 1
-    first = last - width + 1
-    seg = np.repeat(np.arange(yb.size), width)
-    rows = np.arange(last[-1] + 1) - np.repeat(first - lo, width)
+    y, yb, dy = grid.y_nodes, grid.ybar_nodes, grid.dy
+    seg, rows, first, last = prep.seg, prep.rows, prep.first, prep.last
 
     with np.errstate(over="ignore", under="ignore"):
-        w = level[seg, rows]
-        P, Q, _ = coefficients(t[k], y[rows], yb[seg], pi_row[rows], params)
+        P, Q = _policy_terms(pi_row[rows], prep.bridge, params)
         q_eff = Q.copy()
-        q_eff[1:-1] += R * ((w[2:] - w[:-2]) / (2.0 * dy))
+        q_eff[1:-1] += prep.w_slope
         q_eff[first] = Q[first]
         q_eff[last] = Q[last]
-        lower, diag, upper = _step_matrix(q_eff, dt, dy, R, first, last)
-        ab = np.zeros((3, w.size))
+        lower, diag, upper = _step_matrix(q_eff, prep.dt, dy, prep.R, first, last)
+        ab = np.zeros((3, rows.size))
         ab[0, 1:] = upper[:-1]
         ab[1] = diag
         ab[2, :-1] = lower[1:]
-        w = solve_banded((1, 1), ab, w + dt * P,
+        w = solve_banded((1, 1), ab, prep.w + prep.dt * P,
                          overwrite_ab=True, overwrite_b=True)
 
-    bad = ~(np.abs(w) < _W_MAX) & (rows >= band_lo[seg]) & (rows < band_hi[seg])
+    bad = ~(np.abs(w) < _W_MAX) & prep.in_band
     if bad.any():
         j = seg[np.argmax(bad)]
-        band = w[first[j] + band_lo[j] - lo[j]:first[j] + band_hi[j] - lo[j]]
+        band = np.flatnonzero(prep.in_band & (seg == j))
         raise PositivityError(
             "continuation factor left (H_MIN, H_MAX) inside "
             "its bridge tube during the march",
-            t=t[k],
-            y=y[band_lo[j] + int(np.argmax(np.abs(band)))],
+            t=grid.t_nodes[prep.k],
+            y=y[rows[band[np.argmax(np.abs(w[band]))]]],
             ybar=yb[j],
         )
 
@@ -557,9 +631,9 @@ def _march_level(level, k, pi_row, grid: GridSpec, params: ModelParams):
     slope_lo = (w[first + 2] - w[first + 1]) / dy
     slope_hi = (w[last - 1] - w[last - 2]) / dy
     new = np.where(
-        np.arange(y.size) < lo[:, None],
-        w[first, None] + slope_lo[:, None] * (y - y[lo, None]),
-        w[last, None] + slope_hi[:, None] * (y - y[hi - 1, None]),
+        prep.below,
+        w[first, None] + slope_lo[:, None] * prep.off_lo,
+        w[last, None] + slope_hi[:, None] * prep.off_hi,
     )
     new[seg, rows] = w
     return np.clip(new, -_W_MAX, _W_MAX, out=new)
@@ -586,16 +660,18 @@ def solve_h(policy, grid: GridSpec, params: ModelParams) -> HSurface:
 
     The policy enters only through the coefficients; slices do not couple
     inside this routine, so solving any subset reproduces the same numbers
-    bit for bit.  Each time level is one block-diagonal solve over all
-    slices' windows (see _march_level), in log space; the returned surface
-    holds the factor itself, clamped into floating range outside the
-    bridge-compatible band and verified finite inside it.  A factor that
+    bit for bit.  Each time level is prepared once and stepped by one
+    block-diagonal solve over all slices' windows (see _prepare_level and
+    _march_level), in log space; the returned surface holds the factor
+    itself, clamped into floating range outside the bridge-compatible band
+    and verified finite inside it.  A factor that
     leaves that range inside a band raises PositivityError at the first
     such level in march order (latest t first), the lowest failing slice
     there, and the node of largest |ln h| in its band.
     """
     PI = policy_values(policy, grid.t_nodes, grid.y_nodes)
-    return _march(grid, lambda level, k: _march_level(level, k, PI[k], grid, params))
+    return _march(grid, lambda level, k: _march_level(
+        _prepare_level(level, k, grid, params), PI[k], grid, params))
 
 
 def _terminal_layer_cut(grid: GridSpec, rho: float) -> int:

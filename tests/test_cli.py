@@ -155,6 +155,76 @@ class TestCommands:
         assert list(phase_s) == ["solve", "residual", "save", "csv"]
         assert all(v >= 0 for v in phase_s.values())
 
+    @pytest.mark.parametrize("rho", [0.0, 0.6])
+    def test_solve_summary_reports_map_evals(self, tmp_path, rho):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {
+            "params": {**BASE["params"], "rho": rho},
+            "grid": {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9},
+        })
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "solve_summary.json").read_text())
+        evals = summary["map_evals"]
+        hist = {int(n): count for n, count in evals["histogram"].items()}
+        assert evals["total"] == sum(n * count for n, count in hist.items())
+        if rho == 0.0:
+            assert evals == {"histogram": {}, "total": 0, "t_worst": None}
+        else:
+            assert max(hist) == summary["iterations"] == len(summary["sup_changes"])
+            assert 0.0 <= evals["t_worst"] < 40.0
+
+    GRID = {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9}
+    OUTSIDE = [
+        ("probes", {"t": 39.99, "exp_y": 2.0}, "probes[0]"),
+        ("reward_probes", {"t": 39.99, "exp_y": 2.0}, "verify.reward_probes[0]"),
+        ("reward_probes", {"t": 0.0, "exp_y": 1e4}, "verify.reward_probes[0]"),
+    ]
+
+    def _outside_config(self, tmp_path, where, probe):
+        extra = {"params": {**BASE["params"], "rho": 0.6}, "grid": self.GRID,
+                 "probes": [{"t": 0.0, "exp_y": 2.0}],
+                 "sim": {"n_paths": 200, "n_steps": 20, "seed": 7},
+                 "verify": {"spike_deltas": [0.5], "spike_offsets": [0.1]}}
+        if where == "probes":
+            extra["probes"] = [probe]
+        else:
+            extra["verify"]["reward_probes"] = [probe]
+        return write_config(tmp_path, extra)
+
+    @pytest.mark.parametrize("where,probe,name", OUTSIDE)
+    def test_verify_rejects_probe_outside_grid_before_solving(
+            self, tmp_path, monkeypatch, capsys, where, probe, name):
+        # The last time node is T - eps_T = 39.96: a probe at t = 39.99 passes
+        # the config check (t <= T) but no solved surface covers it.
+        import prefhedge.cli as cli
+
+        solves = []
+        monkeypatch.setattr(cli, "fixed_point_solve", lambda *a, **k: solves.append(a))
+        path = self._outside_config(tmp_path, where, probe)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert solves == []
+        err = capsys.readouterr().err
+        assert name in err and "outside the solved grid" in err and "39.96" in err
+
+    @pytest.mark.parametrize("where,probe,name", OUTSIDE)
+    def test_verify_rejects_probe_outside_loaded_grid_before_simulating(
+            self, tmp_path, monkeypatch, capsys, where, probe, name):
+        import prefhedge.cli as cli
+
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"params": {**BASE["params"], "rho": 0.6},
+                                       "grid": self.GRID})
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        runs = []
+        for fn in ("residual", "verify_g_representation", "equilibrium_spike_test",
+                   "reward_mc", "fixed_point_solve"):
+            monkeypatch.setattr(cli, fn, lambda *a, _fn=fn, **k: runs.append(_fn))
+        path = self._outside_config(tmp_path, where, probe)
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+        assert runs == []
+        assert name in capsys.readouterr().err
+        assert not (out / "verify_report.json").exists()
+
     def test_table_rho0_block(self, tmp_path):
         path = write_config(tmp_path, {"table_block": "0.02,0"})
         rc = main(["table", "--config", str(path), "--out", str(tmp_path / "out")])

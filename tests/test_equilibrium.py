@@ -14,7 +14,9 @@ from prefhedge import (
     reward_quadrature,
     solve_h,
 )
-from prefhedge.equilibrium import _terminal_average
+from prefhedge import equilibrium, pide
+from prefhedge.equilibrium import _hedging_row, _row_map, _terminal_average
+from prefhedge.model import expected_terminal_gamma
 from prefhedge.pide import HSurface, _terminal_layer_cut
 
 
@@ -277,3 +279,105 @@ def test_reward_quadrature_constant_policy_oracle():
     j_exact = p.T * (p.r + pi0 * (p.mu_S - p.r) - 0.5 * pi0**2 * p.sigma_S**2 * geff)
     got = reward_quadrature(h, 0.0, 1.0, p.y0, p)
     assert got == pytest.approx(j_exact, abs=5e-3)
+
+
+def reference_hedging_row(w_level, k, grid, params):
+    """The hedging row in one pass, without the per-level preparation.
+
+    np.gradient, the Gauss-Hermite bracket gathered by two take_along_axis
+    calls, the edge rows and the degenerate-band cut, all computed from
+    scratch.  Returns the row and the cut (lo, hi).
+    """
+    t_k, y = grid.t_nodes[k], grid.y_nodes
+    el = np.gradient(w_level, y, axis=1).T
+    mean, sd = grid.terminal_mean_sd(t_k, y, params)
+    offset = np.clip(np.sqrt(2.0) * grid.gh_nodes, -grid.quad_sd, grid.quad_sd)
+    target = np.asarray(mean)[..., None] + offset * np.asarray(sd)[..., None]
+    lo, frac = pide._locate(grid.ybar_nodes, target, clip=True)
+    f_lo = np.take_along_axis(el, lo, axis=-1)
+    f_hi = np.take_along_axis(el, lo + 1, axis=-1)
+    average = ((1.0 - frac) * f_lo + frac * f_hi) @ grid.ybar_weights
+    hedging = (
+        params.rho * params.sigma_S * params.sigma_Y * average
+        / (params.sigma_S**2 * expected_terminal_gamma(t_k, y, params))
+    )
+    hedging[:2] = hedging[2]
+    hedging[-2:] = hedging[-3]
+    drift = params.mu_Y * (params.T - t_k)
+    cut_lo = int(np.searchsorted(y, grid.ybar_nodes[0] - drift, side="left"))
+    cut_hi = int(np.searchsorted(y, grid.ybar_nodes[-1] - drift, side="right"))
+    cut_lo = min(cut_lo, y.size - 1)
+    cut_hi = max(min(cut_hi, y.size), cut_lo + 1)
+    hedging[:cut_lo] = hedging[cut_lo]
+    hedging[cut_hi:] = hedging[cut_hi - 1]
+    return hedging, (cut_lo, cut_hi)
+
+
+class TestPreparedPolicyMap:
+    @pytest.mark.parametrize("mu_Y,rho", [(0.02, 0.6), (-0.02, -0.6)])
+    def test_matches_one_pass_reference_bit_for_bit(self, mu_Y, rho):
+        p = params_with(mu_Y, rho)
+        g = default_grid(p, n_t_steps=60, n_y=81, n_ybar=9, n_gh=11)
+        h, _pol = fixed_point_solve(g, p)
+        n_y = g.y_nodes.size
+        cut_active = 0
+        for k in range(g.t_nodes.size):
+            w_level = np.log(h.values[k]).T
+            want, (lo, hi) = reference_hedging_row(w_level, k, g, p)
+            got = _hedging_row(w_level, _row_map(k, g, p), g, p)
+            assert np.all(got == want), k
+            cut_active += lo > 2 or hi < n_y - 2
+        assert cut_active > 0
+
+    def test_each_level_prepared_once(self, monkeypatch):
+        # The march's policy-free set-up runs once per time level, however
+        # many map evaluations the level's fixed point takes.
+        p = params_with(-0.02, -0.6)
+        g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9,
+                         probe_y=[np.log(0.8)])
+        calls = []
+        windows = pide._slice_windows
+        monkeypatch.setattr(pide, "_slice_windows",
+                            lambda *a: calls.append(a[2]) or windows(*a))
+        _h, pol = fixed_point_solve(g, p)
+        meta = pol.iteration_meta
+        assert meta.iterations >= 3
+        assert meta.map_evals > g.t_nodes.size
+        assert len(calls) == g.t_nodes.size - 1
+
+
+class TestMapEvals:
+    @pytest.mark.parametrize("mu_Y,rho", [(0.02, 0.6), (-0.02, -0.6)])
+    def test_histogram_counts_every_iterated_level(self, mu_Y, rho, monkeypatch):
+        p = params_with(mu_Y, rho)
+        g = default_grid(p, n_t_steps=60, n_y=81, n_ybar=9, n_gh=11)
+        rows = []
+        hedging_row = equilibrium._hedging_row
+        monkeypatch.setattr(equilibrium, "_hedging_row",
+                            lambda *a: rows.append(1) or hedging_row(*a))
+        _h, pol = fixed_point_solve(g, p)
+        meta = pol.iteration_meta
+        cut = _terminal_layer_cut(g, rho)
+        assert 0 < cut < g.t_nodes.size - 1
+        evals = [n for n, _count in meta.evals_histogram]
+        assert evals == sorted(set(evals))
+        assert sum(count for _n, count in meta.evals_histogram) == cut
+        assert meta.map_evals == sum(n * count for n, count in meta.evals_histogram)
+        assert meta.map_evals == len(rows)
+        assert max(evals) == meta.iterations == len(meta.sup_changes)
+        assert meta.t_worst in g.t_nodes[:cut]
+
+        # The first level in march order that needs the most evaluations is
+        # the one at t_worst.
+        with pytest.raises(ConvergenceError) as exc:
+            fixed_point_solve(g, p, FixedPointConfig(max_iters=meta.iterations - 1))
+        assert f"t = {meta.t_worst!r}" in str(exc.value)
+
+    def test_rho0_has_no_iterated_level(self):
+        p = params_with(0.02, 0.0)
+        g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
+        _h, pol = fixed_point_solve(g, p)
+        meta = pol.iteration_meta
+        assert meta.evals_histogram == ()
+        assert meta.map_evals == 0
+        assert meta.t_worst is None
