@@ -62,6 +62,7 @@ from .mc import (
     simulate_conditioned,
     simulate_unconditional,
     verify_g_representation,
+    verify_g_representation_batch,
 )
 from .persist import (
     load_h_surface,
@@ -106,6 +107,7 @@ __all__ = [
     "simulate_conditioned",
     "reward_mc",
     "verify_g_representation",
+    "verify_g_representation_batch",
     "equilibrium_spike_test",
     "gh_terminal_quadrature",
     "save_h_surface",

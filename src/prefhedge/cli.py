@@ -2,10 +2,11 @@
 
 A single JSON config file fully determines a run, seeds included, so every
 number the tool emits is reproducible, except the wall-clock phase times
-(``phase_s``) in ``solve_summary.json``.  Parsing is fail-closed: unknown
-keys and invalid parameter values are rejected with the violated invariant
-named.  Machine-readable outputs carry full float precision (shortest
-round-trip representation); console summaries are rounded for reading.
+(``phase_s``) in ``solve_summary.json`` and ``verify_report.json``.
+Parsing is fail-closed: unknown keys and invalid parameter values are
+rejected with the violated invariant named.  Machine-readable outputs carry
+full float precision (shortest round-trip representation); console
+summaries are rounded for reading.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .mc import (
     reward_mc,
     simulate_conditioned,
     simulate_unconditional,
-    verify_g_representation,
+    verify_g_representation_batch,
     z_score,
 )
 from .model import ModelParams
@@ -359,7 +360,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     h_path = cfg.out_dir / "h_surface.bin"
     p_path = cfg.out_dir / "policy_surface.bin"
-    if h_path.exists() and p_path.exists():
+    clock = [time.perf_counter()]
+    loaded = h_path.exists() and p_path.exists()
+    if loaded:
         h = load_h_surface(h_path, cfg.params)
         pol = load_policy_surface(p_path, cfg.params)
         grid = h.grid
@@ -375,7 +378,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     bundle = {}
     hard_fail = False
 
+    clock.append(time.perf_counter())
     res = residual(h, pol, grid, cfg.params)
+    clock.append(time.perf_counter())
     res_pass = res.rms_rel_band < res_tol
     bundle["residual"] = {
         "rms_rel_band": res.rms_rel_band, "max_rel_band": res.max_rel_band,
@@ -383,14 +388,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     }
     hard_fail |= not res_pass
 
-    g_rows = []
+    g_points = []
     for t0, y0 in probes:
         mean = y0 + cfg.params.mu_Y * (cfg.params.T - t0)
         ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
-        rep = verify_g_representation(h, pol, t0, 1.0, y0, ybar, cfg.sim, cfg.params)
+        g_points.append((t0, y0, ybar))
+    g_rows = []
+    for rep in verify_g_representation_batch(h, pol, g_points, 1.0, cfg.sim, cfg.params):
         ok = abs(rep.conditioned.z) < z_gate
         g_rows.append({
-            "t": t0, "exp_y": float(np.exp(y0)), "ybar": ybar,
+            "t": rep.t0, "exp_y": float(np.exp(rep.y0)), "ybar": rep.ybar,
             "pde": rep.pde,
             "mc_conditioned": {"mean": rep.conditioned.mean,
                                "se": rep.conditioned.se, "z": rep.conditioned.z},
@@ -401,6 +408,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         })
         hard_fail |= not ok
     bundle["g_representation"] = g_rows
+    clock.append(time.perf_counter())
 
     t0, y0 = probes[0]
     spike = equilibrium_spike_test(
@@ -409,6 +417,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         perturbations=tuple(vcfg.get("spike_offsets", (0.05, 0.1, 0.2))),
         ybar_quadrature=_VERIFY_NODES,
     )
+    clock.append(time.perf_counter())
 
     reward_rows = []
     for probe in reward_probes:
@@ -430,6 +439,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                             "pass": bool(ok)})
         hard_fail |= not ok
     bundle["reward_crosscheck"] = reward_rows
+    clock.append(time.perf_counter())
 
     bundle["spike_test"] = {
         "note": spike.note,
@@ -442,6 +452,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         bundle["spike_test"]["verdict"] = "not an equilibrium"
         hard_fail = True
 
+    phases = ("load" if loaded else "solve", "residual", "g_representation",
+              "spike", "reward")
+    bundle["phase_s"] = dict(zip(phases, np.diff(clock).tolist()))
     bundle["pass"] = not hard_fail
     _json_dump(cfg.out_dir / "verify_report.json", bundle)
     for key in ("residual", "spike_test"):

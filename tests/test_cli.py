@@ -18,6 +18,13 @@ BASE = {
 }
 
 
+def report_without_timings(out):
+    """verify_report.json without its wall-clock phase times."""
+    report = json.loads((out / "verify_report.json").read_text())
+    del report["phase_s"]
+    return report
+
+
 def write_config(tmp_path, extra=None, name="cfg.json"):
     cfg = json.loads(json.dumps(BASE))
     if extra:
@@ -216,9 +223,11 @@ class TestCommands:
                                        "grid": self.GRID})
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
         runs = []
-        for fn in ("residual", "verify_g_representation", "equilibrium_spike_test",
+        for fn in ("residual", "verify_g_representation_batch", "equilibrium_spike_test",
                    "reward_mc", "fixed_point_solve"):
             monkeypatch.setattr(cli, fn, lambda *a, _fn=fn, **k: runs.append(_fn))
+        monkeypatch.setattr(prefhedge.mc, "_simulate",
+                            lambda *a, **k: runs.append("_simulate"))
         path = self._outside_config(tmp_path, where, probe)
         assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
         assert runs == []
@@ -272,6 +281,9 @@ class TestCommands:
         assert report["pass"] is True
         assert report["residual"]["pass"] is True
         assert all(r["pass"] for r in report["g_representation"])
+        assert list(report["phase_s"]) == ["load", "residual", "g_representation",
+                                           "spike", "reward"]
+        assert all(v >= 0 for v in report["phase_s"].values())
 
     @pytest.mark.parametrize("reward_probes", [None, [{"t": 0.0, "exp_y": 2.0},
                                                       {"t": 30.0, "exp_y": 2.0}]])
@@ -297,7 +309,7 @@ class TestCommands:
         monkeypatch.setattr(cli, "reward_mc",
                             lambda *a, **k: calls.append(a[1]) or reward_mc(*a, **k))
         main(["verify", "--config", str(path), "--out", str(out)])
-        reused = (out / "verify_report.json").read_bytes()
+        reused = report_without_timings(out)
         simulated = [0.0] if reward_probes is None else [0.0, 30.0]
         assert calls == simulated[1:]
         calls.clear()
@@ -308,7 +320,35 @@ class TestCommands:
             lambda *a, **k: dataclasses.replace(spike_test(*a, **k), t0=float("nan")))
         main(["verify", "--config", str(path), "--out", str(out)])
         assert calls == simulated
-        assert (out / "verify_report.json").read_bytes() == reused
+        assert report_without_timings(out) == reused
+
+    @pytest.mark.parametrize("n_probes", [3, 6])
+    def test_verify_draws_each_stream_once(self, tmp_path, monkeypatch, n_probes):
+        # The g rows share streams 1 and 2 whatever their number; the spike
+        # test's nodes draw one stream each, and the default reward row
+        # reuses the spike test's base run.  With 3 probes verify solves
+        # the surfaces itself (no draws).
+        import prefhedge.cli as cli
+
+        extra = {"params": {**BASE["params"], "rho": 0.6},
+                 "grid": {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9},
+                 "probes": [{"t": 7.0 * i, "exp_y": 2.0} for i in range(n_probes)],
+                 "sim": {"n_paths": 200, "n_steps": 20, "seed": 7},
+                 "verify": {"spike_deltas": [0.5], "spike_offsets": [0.1]}}
+        path = write_config(tmp_path, extra)
+        out = tmp_path / "out"
+        if n_probes == 6:
+            assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        streams = []
+        rng = prefhedge.mc._rng
+        monkeypatch.setattr(prefhedge.mc, "_rng",
+                            lambda seed, stream=0: streams.append(stream) or rng(seed, stream))
+        main(["verify", "--config", str(path), "--out", str(out)])
+        report = json.loads((out / "verify_report.json").read_text())
+        assert len(report["g_representation"]) == n_probes
+        assert next(iter(report["phase_s"])) == ("load" if n_probes == 6 else "solve")
+        assert len(streams) == 2 + cli._VERIFY_NODES == 13
+        assert sorted(streams) == sorted([1, 2] + list(range(cli._VERIFY_NODES)))
 
     def test_verify_detects_tampered_surface(self, tmp_path):
         out = tmp_path / "out"

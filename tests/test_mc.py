@@ -17,8 +17,9 @@ from prefhedge import (
     simulate_unconditional,
     solve_h,
     verify_g_representation,
+    verify_g_representation_batch,
 )
-from prefhedge.mc import PathBatch, eval_policy, z_score
+from prefhedge.mc import GRepReport, GRepSide, PathBatch, eval_policy, z_score
 from prefhedge.model import crra_utility, phi_prime
 
 P0 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.0,
@@ -256,6 +257,108 @@ class TestGRepresentation:
         assert z_score(-1e-3, 0.0) == -np.inf
         for diff, se in ((0.1, np.nan), (np.nan, 0.1), (0.1, np.inf), (np.inf, np.inf)):
             assert np.isnan(z_score(diff, se))
+
+
+def reference_g_representation(h, policy, points, x0, cfg, p):
+    """verify_g_representation_batch with one conditioned (stream 1) and one
+    unconditional (stream 2) run per point, no shared draw."""
+    reports = []
+    for t0, y0, ybar in points:
+        gamma = float(np.exp(ybar))
+        pde = float(h.interp_at(t0, y0, ybar) * x0 ** (1.0 - gamma) / (1.0 - gamma))
+        sides = []
+        for batch in (simulate_conditioned(policy, t0, x0, y0, ybar, cfg, p,
+                                           store="terminal", stream=1),
+                      simulate_unconditional(policy, t0, x0, y0, cfg, p,
+                                             store="terminal", stream=2)):
+            u = crra_utility(batch.X[:, -1], gamma)
+            m = float(np.mean(u))
+            se = float(np.std(u, ddof=1) / np.sqrt(u.size))
+            sides.append(GRepSide(mean=m, se=se, z=z_score(m - pde, se)))
+        reports.append(GRepReport(t0=float(t0), x0=float(x0), y0=float(y0),
+                                  ybar=float(ybar), gamma=gamma, pde=pde,
+                                  conditioned=sides[0], unconditional=sides[1]))
+    return reports
+
+
+class TestSharedStreamGRepresentation:
+    P = P6
+    GRID = dict(n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
+
+    def _points(self, grid):
+        # Different t0 and y0; t0 = 39.9 lies within one 2-year step (the
+        # t0 = 0 start's at 20 steps) of T, and inside the grid (last node 39.96).
+        yb = grid.ybar_nodes
+        return [(0.0, self.P.y0, float(yb[3])), (14.0, np.log(2.5), float(yb[4])),
+                (28.0, np.log(1.5), float(yb[2])), (39.9, self.P.y0, float(yb[3]))]
+
+    def _check(self, policy, cfg, h=None):
+        if h is None:
+            h = solve_h(0.3, default_grid(self.P, probe_y=[self.P.y0], **self.GRID), self.P)
+        points = self._points(h.grid)
+        got = verify_g_representation_batch(h, policy, points, 1.0, cfg, self.P)
+        want = reference_g_representation(h, policy, points, 1.0, cfg, self.P)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g == w
+        t0, y0, ybar = points[1]
+        assert verify_g_representation(h, policy, t0, 1.0, y0, ybar, cfg, self.P) == want[1]
+        # distinct starts on one draw still give distinct estimates
+        assert len({g.conditioned.mean for g in got}) == 4
+
+    def test_surface_policy(self):
+        grid = default_grid(self.P, probe_y=[self.P.y0], **self.GRID)
+        h, pol = fixed_point_solve(grid, self.P)
+        self._check(pol, SimConfig(n_paths=2_000, n_steps=20, seed=61), h=h)
+
+    def test_callable_policy(self):
+        def policy(t, y):
+            return 0.4 + 0.1 * np.tanh(y) + 0.001 * t
+        self._check(policy, SimConfig(n_paths=2_000, n_steps=20, seed=67))
+
+    def test_constant_policy(self):
+        self._check(0.35, SimConfig(n_paths=2_000, n_steps=20, seed=71))
+
+    def test_antithetic(self):
+        def policy(t, y):
+            return closed_form_policy_rho0(t, y, self.P)
+        self._check(policy, SimConfig(n_paths=2_000, n_steps=20, seed=73,
+                                      antithetic=True))
+
+    def test_nan_in_one_start_fails_closed(self):
+        grid = default_grid(self.P, probe_y=[self.P.y0], **self.GRID)
+        h = solve_h(0.3, grid, self.P)
+        cfg = SimConfig(n_paths=500, n_steps=20, seed=79)
+
+        def policy(t, y):
+            # NaN before t = 5: only the start at t0 = 0 reads it
+            return np.full(np.shape(y), np.nan if t < 5.0 else 0.3)
+
+        points = self._points(h.grid)
+        verify_g_representation_batch(h, policy, points[1:], 1.0, cfg, self.P)
+        with pytest.raises(DomainError):
+            verify_g_representation_batch(h, policy, points, 1.0, cfg, self.P)
+
+    def test_starts_match_separate_runs_full_store(self):
+        cfg = SimConfig(n_paths=300, n_steps=25, seed=83)
+        t0s, y0s, ybars = (0.0, 20.0, 39.5), (self.P.y0, 0.9, 0.5), (0.8, 1.0, 0.6)
+        spikes = [(0.9, 20.0, 21.0)]
+        cond = simulate_conditioned(0.4, t0s, 1.0, y0s, ybars, cfg, self.P,
+                                    stream=4, spikes=spikes)
+        uncond = simulate_unconditional(0.4, t0s, 1.0, y0s, cfg, self.P, stream=4)
+        for i, (t0, y0, ybar) in enumerate(zip(t0s, y0s, ybars)):
+            alone = simulate_conditioned(0.4, t0, 1.0, y0, ybar, cfg, self.P,
+                                         stream=4, spikes=spikes)
+            assert np.array_equal(cond[i].times, alone.times)
+            assert np.array_equal(cond[i].X, alone.X)
+            assert np.array_equal(cond[i].Y, alone.Y)
+            assert cond[i].ybar == alone.ybar
+            alone = simulate_unconditional(0.4, t0, 1.0, y0, cfg, self.P, stream=4)
+            assert np.array_equal(uncond[i].X, alone.X)
+            assert np.array_equal(uncond[i].Y, alone.Y)
+            assert uncond[i].measure == "unconditional"
+        with pytest.raises(DomainError):
+            simulate_conditioned(0.4, t0s, 1.0, y0s, ybars[:2], cfg, self.P)
 
 
 class TestSpike:
