@@ -70,7 +70,7 @@ TABLE_BLOCKS = {
 _PARAM_KEYS = {k: (float, None)
                for k in ("r", "mu_S", "sigma_S", "rho", "mu_Y", "sigma_Y", "T", "y0")}
 _GRID_KEYS = {"n_t_steps": (int, 1), "n_y": (int, 1), "n_ybar": (int, 1),
-              "n_gh": (int, 1), "ybar_pad_sd": (float, None), "eps_T": (float, None)}
+              "n_gh": (int, 1), "ybar_pad_sd": (float, 3.0), "eps_T": (float, None)}
 _FP_KEYS = {"max_iters": (int, None), "tol_sup": (float, None)}
 _SIM_KEYS = {"n_paths": (int, None), "n_steps": (int, None), "seed": (int, None),
              "antithetic": (bool, None)}

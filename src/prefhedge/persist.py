@@ -1,20 +1,12 @@
-"""Binary containers for solved surfaces, plus CSV emission helpers.
+"""numpy ``.npz`` archives for solved surfaces, plus CSV emission helpers.
 
-Layout (little-endian):
-    magic (4 bytes: b"HSRF" factors / b"PSRF" policies)
-    version (uint32)
-    params hash (16 bytes: leading half of the SHA-256 of the packed
-        parameter tuple)
-    n_t, n_y, n_ybar, n_gh (uint32 each; policies store n_ybar/n_gh too,
-        the grid rides along)
-    eps_T, T, band_sd, quad_sd (float64 each)
-    grid arrays (t_nodes, y_nodes, ybar_nodes, gh_nodes, ybar_weights)
-    payload arrays (factor values in ybar-major (ybar, t, y) order, or
-        pi/myopic/hedging stacked)
-    crc32 of everything above (uint32)
-
-Every float is written raw (full precision); loading verifies the magic,
-version, checksum, and — when the caller passes the parameters — the hash.
+An archive holds one member per :class:`GridSpec` field (scalars 0-d, read
+back as Python floats), ``params_hash`` (uint8[16]: the leading half of the
+SHA-256 of the packed parameter tuple) and the payload: ``h``, the factor
+in slice-major (ybar, t, y) order, or ``pi``, ``myopic`` and ``hedging``.
+Floats are stored raw.  Loading checks every member's zip CRC-32, the
+member set and, when the caller passes the parameters, the hash; each
+failure raises :class:`ConfigError`.
 
 The policy CSV (:func:`policy_to_csv`) is text for plotting: a header line
 ``t,y,pi,myopic,hedging`` and one line per (t, y) node, t-major, each cell
@@ -24,9 +16,10 @@ the shortest round-trip decimal of the float (``0.3791...``, ``-0.0``,
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import struct
-import zlib
+import zipfile
 
 import numpy as np
 
@@ -35,9 +28,7 @@ from .model import ModelParams
 from .pide import GridSpec, HSurface
 from .equilibrium import PolicySurface
 
-_H_MAGIC = b"HSRF"
-_P_MAGIC = b"PSRF"
-_VERSION = 1
+_GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridSpec))
 
 
 def params_hash(params: ModelParams) -> bytes:
@@ -48,97 +39,56 @@ def params_hash(params: ModelParams) -> bytes:
     return hashlib.sha256(packed).digest()[:16]
 
 
-def _pack_grid(grid: GridSpec) -> bytes:
-    head = struct.pack(
-        "<4I4d",
-        grid.t_nodes.size, grid.y_nodes.size,
-        grid.ybar_nodes.size, grid.gh_nodes.size,
-        grid.eps_T, grid.T, grid.band_sd, grid.quad_sd,
-    )
-    arrays = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes()
-        for a in (grid.t_nodes, grid.y_nodes, grid.ybar_nodes,
-                  grid.gh_nodes, grid.ybar_weights)
-    )
-    return head + arrays
-
-
-def _unpack_grid(buf, off):
-    n_t, n_y, n_s, n_gh, eps_T, T, band_sd, quad_sd = struct.unpack_from("<4I4d", buf, off)
-    off += struct.calcsize("<4I4d")
-
-    def take(n):
-        nonlocal off
-        arr = np.frombuffer(buf, dtype="<f8", count=n, offset=off).copy()
-        off += 8 * n
-        return arr
-
-    grid = GridSpec(
-        T=T, eps_T=eps_T,
-        t_nodes=take(n_t), y_nodes=take(n_y), ybar_nodes=take(n_s),
-        gh_nodes=take(n_gh), ybar_weights=take(n_gh),
-        band_sd=band_sd, quad_sd=quad_sd,
-    )
-    return grid, off
-
-
-def _write(path, magic, params, grid, payload_arrays):
-    body = magic + struct.pack("<I", _VERSION) + params_hash(params) + _pack_grid(grid)
-    body += b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                     for a in payload_arrays)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
+def _write(path, params, grid, **payload):
+    # Through a handle: given a path, np.savez would append ".npz".
     with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<I", crc))
+        np.savez(fh, params_hash=np.frombuffer(params_hash(params), dtype=np.uint8),
+                 **{name: getattr(grid, name) for name in _GRID_FIELDS}, **payload)
 
 
-def _read(path, magic, params):
+def _read(path, payload, params):
+    """The grid and the payload arrays (in ``payload`` order) of a checked archive."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 4 + 4 + 16 + 4 or buf[:4] != magic:
-        raise ConfigError(f"{path}: not a {magic.decode()} container")
-    crc_stored = struct.unpack_from("<I", buf, len(buf) - 4)[0]
-    if zlib.crc32(buf[:-4]) & 0xFFFFFFFF != crc_stored:
-        raise ConfigError(f"{path}: checksum mismatch (corrupted file)")
-    off = 4
-    (version,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if version != _VERSION:
-        raise ConfigError(f"{path}: unsupported container version {version}")
-    stored_hash = buf[off:off + 16]
-    off += 16
-    if params is not None and stored_hash != params_hash(params):
+        try:
+            with np.load(fh, allow_pickle=False) as z:
+                # numpy stops where a member's .npy header says the array ends,
+                # short of zipfile's CRC check if that header is damaged.
+                bad = z.zip.testzip()
+                if bad is not None:
+                    raise zipfile.BadZipFile(f"bad CRC-32 for member {bad}")
+                arrays = {name: z[name] for name in z.files}
+        # Damaged zip structure (RuntimeError: zipfile's encryption/method flags).
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError) as exc:
+            raise ConfigError(f"{path}: checksum or structure check failed ({exc})") from exc
+        except ValueError as exc:
+            # A file that is no archive at all reaches numpy's pickle branch.
+            raise ConfigError(f"{path}: not a {'/'.join(payload)} container ({exc})") from exc
+    if sorted(arrays) != sorted((*_GRID_FIELDS, "params_hash", *payload)):
+        raise ConfigError(f"{path}: not a {'/'.join(payload)} container: {sorted(arrays)}")
+    if params is not None and arrays["params_hash"].tobytes() != params_hash(params):
         raise ConfigError(f"{path}: parameter hash mismatch")
-    grid, off = _unpack_grid(buf, off)
-    return buf, off, grid
+    grid = GridSpec(**{name: arrays[name].item() if arrays[name].ndim == 0 else arrays[name]
+                       for name in _GRID_FIELDS})
+    return grid, [arrays[name] for name in payload]
 
 
 def save_h_surface(path, h: HSurface, params: ModelParams):
-    # values stored ybar-major: (ybar, t, y)
-    _write(path, _H_MAGIC, params, h.grid, [np.moveaxis(h.values, 2, 0)])
+    _write(path, params, h.grid, h=np.moveaxis(h.values, 2, 0))
 
 
 def load_h_surface(path, params: ModelParams | None = None) -> HSurface:
-    buf, off, grid = _read(path, _H_MAGIC, params)
-    n_t, n_y, n_s = grid.shape
-    vals = np.frombuffer(buf, dtype="<f8", count=n_s * n_t * n_y, offset=off)
-    values = np.moveaxis(vals.reshape(n_s, n_t, n_y), 0, 2).copy()
-    return HSurface(grid=grid, values=values)
+    grid, (h,) = _read(path, ("h",), params)
+    # Keep the march's slice-major layout: values is a (t, y, ybar) view.
+    return HSurface(grid=grid, values=np.moveaxis(h, 0, 2))
 
 
 def save_policy_surface(path, pol: PolicySurface, params: ModelParams):
-    _write(path, _P_MAGIC, params, pol.grid, [pol.pi, pol.myopic, pol.hedging])
+    _write(path, params, pol.grid, pi=pol.pi, myopic=pol.myopic, hedging=pol.hedging)
 
 
 def load_policy_surface(path, params: ModelParams | None = None) -> PolicySurface:
-    buf, off, grid = _read(path, _P_MAGIC, params)
-    n_t, n_y, _ = grid.shape
-    count = n_t * n_y
-    arrs = []
-    for _i in range(3):
-        arrs.append(np.frombuffer(buf, dtype="<f8", count=count, offset=off)
-                    .reshape(n_t, n_y).copy())
-        off += 8 * count
-    return PolicySurface(grid=grid, pi=arrs[0], myopic=arrs[1], hedging=arrs[2])
+    grid, (pi, myopic, hedging) = _read(path, ("pi", "myopic", "hedging"), params)
+    return PolicySurface(grid=grid, pi=pi, myopic=myopic, hedging=hedging)
 
 
 def policy_to_csv(path, pol: PolicySurface):

@@ -41,6 +41,7 @@ M-matrix, hence positivity-preserving.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,8 @@ from scipy.linalg import solve_banded
 
 from .errors import DegenerateTimeError, DomainError, OutOfGridError, PositivityError
 from .model import EPS_GAMMA, ModelParams, eval_policy
+
+_log = logging.getLogger(__name__)
 
 # Abort threshold for the continuation factor inside a slice's bridge tube
 # (values beyond it there mean the solve left the representable regime: at
@@ -174,7 +177,13 @@ def default_grid(
     pin zone.  ``n_y`` sets the resolution as nodes per 12 terminal
     standard deviations; the node count scales up with the domain so the
     spacing never coarsens below that reference.
+
+    ``ybar_pad_sd`` must be at least 3 (DomainError otherwise).  When the
+    factor budget forces a narrower pad or band than requested, a warning
+    names the requested and the chosen (pad, band_sd, quad_sd).
     """
+    if not ybar_pad_sd >= 3.0:
+        raise DomainError(f"ybar_pad_sd must be >= 3.0, got {ybar_pad_sd!r}")
     if eps_T is None:
         eps_T = 1e-3 * params.T
     sT = params.sigma_Y * np.sqrt(params.T)
@@ -213,6 +222,11 @@ def default_grid(
         if _budget(cand[0], cand[1]) <= 500.0:
             pad, band_sd, quad_sd = cand
             break
+    if (pad, band_sd, quad_sd) != candidates[0]:
+        _log.warning(
+            "default_grid: factor budget fallback from (pad, band_sd, quad_sd) = "
+            "(%r, %r, %r) to (%r, %r, %r)", *map(float, candidates[0]),
+            float(pad), float(band_sd), float(quad_sd))
 
     yb_lo = min(probes) + drift - pad * sT
     yb_hi = max(probes) + drift + pad * sT

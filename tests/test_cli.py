@@ -88,6 +88,7 @@ class TestConfigParsing:
         ({"sim": {"n_paths": "x"}}, "sim.n_paths"),
         ({"sim": {"seed": -1}}, "seed"),
         ({"probes": [{"t": "0", "exp_y": 2.0}]}, "probes[0].t"),
+        ({"grid": {"ybar_pad_sd": 2.9}}, "grid.ybar_pad_sd"),
     ])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, extra, key):
         path = write_config(tmp_path, extra)
@@ -363,7 +364,7 @@ class TestCommands:
         blob[len(blob) // 2] ^= 0x10
         target.write_bytes(bytes(blob))
         rc = main(["verify", "--config", str(path), "--out", str(out)])
-        assert rc != 0
+        assert rc == 2
 
     def test_bridge_test(self, tmp_path):
         path = write_config(tmp_path, {

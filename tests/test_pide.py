@@ -187,6 +187,33 @@ class TestGridSpec:
         h = solve_h(0.3, g5, P06)
         assert np.array_equal(h.values, reference_march(0.3, g5, P06))
 
+    @pytest.mark.parametrize("pad", [-1.0, 0.0, 2.9, float("nan")])
+    def test_rejects_pad_below_three(self, pad):
+        # np.arange(pad, 2.99, -0.25) is empty below 3, which would leave
+        # default_grid only its fallback candidates.
+        with pytest.raises(DomainError, match="ybar_pad_sd"):
+            default_grid(P06, n_t_steps=10, n_y=21, n_ybar=5, ybar_pad_sd=pad)
+        g = default_grid(P06, n_t_steps=10, n_y=21, n_ybar=5, ybar_pad_sd=3.0)
+        assert g.ybar_nodes[-1] - g.ybar_nodes[0] == pytest.approx(
+            6.0 * P06.sigma_Y * np.sqrt(P06.T))
+
+    @pytest.mark.parametrize("exp_y,chosen", [
+        (2.0, None), (7.0, (3.25, 4.5, 4.0)), (10.0, (2.5, 3.5, 3.0)),
+    ])
+    def test_budget_fallback_is_logged(self, caplog, exp_y, chosen):
+        # mu_Y = 0.02, rho = 1: the budget ladder passes its first candidate
+        # at exp_y = 2 only.
+        p = dataclasses.replace(P06, rho=1.0)
+        with caplog.at_level("WARNING", logger="prefhedge.pide"):
+            g = default_grid(p, n_t_steps=10, n_y=21, n_ybar=5, probe_y=[np.log(exp_y)])
+        if chosen is None:
+            assert caplog.records == []
+            assert (g.band_sd, g.quad_sd) == (pide.BAND_SD, 4.0)
+        else:
+            [record] = caplog.records
+            assert record.getMessage().endswith(f"(5.0, 4.5, 4.0) to {chosen}")
+            assert (g.band_sd, g.quad_sd) == chosen[1:]
+
 
 class TestHSurface:
     def test_rejects_nonpositive_values(self):
@@ -488,14 +515,19 @@ class TestResidual:
         h, pol = fixed_point_solve(g, P06)
         path = tmp_path_factory.mktemp("residual") / "h.bin"
         save_h_surface(path, h, P06)
-        return g, pol, {"fresh": h, "loaded": load_h_surface(path, P06)}
+        loaded = load_h_surface(path, P06)
+        contiguous = HSurface(grid=g, values=np.ascontiguousarray(loaded.values))
+        return g, pol, {"fresh": h, "loaded": loaded, "contiguous": contiguous}
 
-    @pytest.mark.parametrize("source", ["fresh", "loaded"])
+    @pytest.mark.parametrize("source", ["fresh", "loaded", "contiguous"])
     @pytest.mark.parametrize("case", ["model", "overflowing_coeffs", "empty_band"])
     def test_streamed_matches_whole_array_reference(self, solved, source, case):
         g, pol, surfaces = solved
         h = surfaces[source]
-        assert h.values.flags.c_contiguous == (source == "loaded")
+        # The march and the loader keep the slice-major (ybar, t, y) layout;
+        # the "contiguous" copy checks the (t, y, ybar) C layout as well.
+        assert h.values.flags.c_contiguous == (source == "contiguous")
+        assert np.moveaxis(h.values, 2, 0).flags.c_contiguous == (source != "contiguous")
         coeff_fn = None
         if case == "overflowing_coeffs":
             # P * h overflows on the larger factors: rel holds inf at nodes
