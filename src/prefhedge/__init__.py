@@ -45,7 +45,6 @@ from .equilibrium import (
     closed_form_policy_rho0,
     ehjb_supremand,
     fixed_point_solve,
-    hedging_integral,
     policy_from_h,
     reward_quadrature,
 )
@@ -54,14 +53,12 @@ from .mc import (
     PathBatch,
     RewardEstimate,
     SimConfig,
-    SpikePolicy,
     SpikeReport,
     equilibrium_spike_test,
     gh_terminal_quadrature,
     reward_mc,
     simulate_conditioned,
     simulate_unconditional,
-    verify_g_representation,
     verify_g_representation_batch,
 )
 from .persist import (
@@ -93,20 +90,17 @@ __all__ = [
     "PolicySurface",
     "closed_form_policy_rho0",
     "policy_from_h",
-    "hedging_integral",
     "fixed_point_solve",
     "ehjb_supremand",
     "reward_quadrature",
     "SimConfig",
     "PathBatch",
-    "SpikePolicy",
     "SpikeReport",
     "GRepReport",
     "RewardEstimate",
     "simulate_unconditional",
     "simulate_conditioned",
     "reward_mc",
-    "verify_g_representation",
     "verify_g_representation_batch",
     "equilibrium_spike_test",
     "gh_terminal_quadrature",

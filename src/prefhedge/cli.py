@@ -401,9 +401,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             "pde": rep.pde,
             "mc_conditioned": {"mean": rep.conditioned.mean,
                                "se": rep.conditioned.se, "z": rep.conditioned.z},
-            "mc_unconditional": {"mean": rep.unconditional.mean,
-                                 "se": rep.unconditional.se,
-                                 "z": rep.unconditional.z},
             "pass": bool(ok),
         })
         hard_fail |= not ok

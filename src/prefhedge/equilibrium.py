@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import bridge_drift_y, score
-from .errors import ConvergenceError, DomainError, PositivityError
+from .errors import ConvergenceError, DomainError
 from .model import EPS_GAMMA, ModelParams, expected_terminal_gamma
 from .pide import (
     GridSpec,
@@ -137,7 +137,8 @@ def closed_form_policy_rho0(t, y, params: ModelParams):
 def _terminal_bracket(grid: GridSpec, params: ModelParams, t, y):
     """Where the terminal-state quadrature nodes at (t, y) fall among the slices.
 
-    The policy-free half of _terminal_average.  The nodes are mapped through
+    The policy-free half of a Gauss-Hermite average over the terminal state
+    (_bracket_average is the other half).  The nodes are mapped through
     mean + sqrt(2) sd xi of the terminal law at (t, y) and bracketed in the
     slice range (clamped at its ends; the clipped tail mass is negligible by
     construction).  Returns flat indices of the lower and upper bracketing
@@ -161,34 +162,6 @@ def _bracket_average(f, bracket, grid: GridSpec):
     at_lo, at_hi, w_lo, w_hi = bracket
     flat = np.ravel(f)
     return (w_lo * flat[at_lo] + w_hi * flat[at_hi]) @ grid.ybar_weights
-
-
-def _terminal_average(f, grid: GridSpec, params: ModelParams, t, y):
-    """Gauss-Hermite average over the terminal state of per-slice values.
-
-    ``f`` holds one value per solved slice at each point (t, y): shape
-    broadcast(t, y) + (n_ybar,); returns shape broadcast(t, y).  ``f`` is
-    interpolated linearly across the slices at the mapped nodes of
-    _terminal_bracket.
-    """
-    return _bracket_average(f, _terminal_bracket(grid, params, t, y), grid)
-
-
-def hedging_integral(t, y, h: HSurface, grid: GridSpec, params: ModelParams):
-    """Density-weighted elasticity of the continuation factors at (t, y).
-
-    Quadrature approximation of the integral of (d h / d y) / h against the
-    conditional terminal-state density, with the y-derivative taken by
-    central differences on the grid and Gauss-Hermite nodes mapped through
-    the conditional mean and standard deviation at (t, y).  Returns 0 when
-    the factors carry no y-dependence.
-    """
-    el = bilinear_interp(grid.t_nodes, grid.y_nodes, h.elasticity(), t, y, clip=False)
-    hcheck = h.interp(t, y, clip=False)
-    if np.any(hcheck <= 0):
-        raise PositivityError("interpolated continuation factor is not positive")
-    out = _terminal_average(el, grid, params, t, y)
-    return out if np.ndim(out) else float(out)
 
 
 def _degenerate_cut(t_k, grid: GridSpec, params: ModelParams):
@@ -259,6 +232,9 @@ def _hedging_row(w_level, row_map, grid: GridSpec, params: ModelParams):
     shape (n_y,).
     """
     bracket, denom, (lo, hi) = row_map
+    # Differenced in log space: on profiles exp(b y) central differences of
+    # h overstate the slope by sinh(b dy)/(b dy), which destabilizes the
+    # coupling at high |rho|; differences of ln h are exact there.
     el = np.gradient(w_level, grid.y_nodes, axis=1)
     hedging = (
         params.rho * params.sigma_S * params.sigma_Y

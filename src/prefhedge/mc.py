@@ -29,8 +29,8 @@ would give): a simulation steps several wealth lanes (the spike test's base
 and spiked policies) and several starts (t0, y0, ybar), each start on its
 own time grid, on one draw per step.  Stream layout: reward quadrature node
 j (the spike test's too) reads stream j; every g-representation point reads
-streams 1 (conditioned) and 2 (unconditional), so the points run as starts
-of one simulation per side and share noise with reward nodes 1 and 2.
+stream 1, so the points run as starts of one conditioned simulation and
+share noise with reward node 1.  verify draws no other stream.
 """
 
 from __future__ import annotations
@@ -94,26 +94,6 @@ class PathBatch:
 
 def _rng(seed, stream=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(stream)))))
-
-
-@dataclass(frozen=True)
-class SpikePolicy:
-    """A policy overridden by a constant fraction on [t0, t0 + delta).
-
-    The simulator runs spikes as wealth lanes (see simulate_conditioned);
-    this wrapper is kept as the separate-run reference those lanes are
-    tested against.
-    """
-
-    base: object
-    spike: float
-    t0: float
-    delta: float
-
-    def value(self, t, y, clip=True):
-        base = eval_policy(self.base, t, y)
-        inside = (np.asarray(t) >= self.t0) & (np.asarray(t) < self.t0 + self.delta)
-        return np.where(inside, self.spike, base)
 
 
 def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
@@ -234,8 +214,8 @@ def simulate_conditioned(policy, t0, x0, y0, ybar, cfg: SimConfig, params: Model
 
     ``spikes`` adds wealth lanes on the same noise and factor paths: a
     (value, start, end) lane follows ``policy`` except on [start, end),
-    where it holds the fraction ``value``, as SpikePolicy does.  With
-    spikes, ``X`` has a leading lane axis, the base policy's lane first.
+    where it holds the fraction ``value``.  With spikes, ``X`` has a
+    leading lane axis, the base policy's lane first.
     Equal-length sequences ``t0``, ``y0`` and ``ybar`` run several starts,
     as in simulate_unconditional.
     """
@@ -378,11 +358,10 @@ class GRepReport:
     """Probabilistic-representation check of the continuation value.
 
     ``pde`` is the factor-based value h(t0, y0, ybar) x0^(1-gamma)/(1-gamma);
-    ``conditioned`` compares it against bridge-pinned paths (the
-    representation the factor equation solves); ``unconditional`` applies
-    the same fixed-exponent utility to unpinned paths — for any policy that
-    reads the preference state the two laws differ, so this side is
-    diagnostic only.
+    ``conditioned`` compares it against bridge-pinned paths, the
+    representation the factor equation solves.  Unpinned paths are no
+    check of it: for any policy that reads the preference state, their law
+    differs from the pinned one.
     """
 
     t0: float
@@ -392,32 +371,20 @@ class GRepReport:
     gamma: float
     pde: float
     conditioned: GRepSide
-    unconditional: GRepSide
-
-
-def verify_g_representation(h: HSurface, policy, t0, x0, y0, ybar,
-                            cfg: SimConfig, params: ModelParams) -> GRepReport:
-    """Compare the solved continuation value against both path estimates.
-
-    The one-point form of verify_g_representation_batch: the conditioned
-    side reads stream 1, the unconditional side stream 2.
-    """
-    return verify_g_representation_batch(h, policy, [(t0, y0, ybar)], x0, cfg, params)[0]
 
 
 def verify_g_representation_batch(h: HSurface, policy, points, x0,
                                   cfg: SimConfig, params: ModelParams) -> list:
-    """verify_g_representation at each (t0, y0, ybar) of ``points``.
+    """A GRepReport at each (t0, y0, ybar) of ``points``, from pinned paths.
 
-    Every point's conditioned side reads stream 1 and its unconditional
-    side stream 2, so one run per side, with a start per point, serves them
-    all, bit for bit as separate runs would.  The points thus share their
-    noise, and so does the reward quadrature's node 1 or 2 at a matching
-    start (node j reads stream j): their z-scores are correlated, and a run
-    of neighbouring failing points is one draw, not independent evidence.
-    At (mu_Y, rho, e^y) = (0.02, 0.6, 2) on the default grid, 20000 paths x
-    200 steps, seed 0 gives z = 1.89, 1.91, 1.98, 2.18, 2.75, 1.40 at
-    t = 0, 7, ..., 35, and seed 1 is negative at every t up to 21.
+    Every point reads stream 1, so one conditioned run, with a start per
+    point, serves them all, bit for bit as separate runs would.  The points
+    thus share their noise, and so does the reward quadrature's node 1 at a
+    matching start (node j reads stream j): their z-scores are correlated,
+    and a run of neighbouring failing points is one draw, not independent
+    evidence.  At (mu_Y, rho, e^y) = (0.02, 0.6, 2) on the default grid,
+    20000 paths x 200 steps, seed 0 gives z = 1.89, 1.91, 1.98, 2.18, 2.75,
+    1.40 at t = 0, 7, ..., 35, and seed 1 is negative at every t up to 21.
     """
     points = [(float(t0), float(y0), float(ybar)) for t0, y0, ybar in points]
     gammas = [float(np.exp(ybar)) for _t0, _y0, ybar in points]
@@ -426,20 +393,15 @@ def verify_g_representation_batch(h: HSurface, policy, points, x0,
     t0s, y0s, ybars = zip(*points)
     cond = simulate_conditioned(policy, t0s, x0, y0s, ybars, cfg, params,
                                 store="terminal", stream=1)
-    uncond = simulate_unconditional(policy, t0s, x0, y0s, cfg, params,
-                                    store="terminal", stream=2)
-
-    def _side(batch, gamma, pde):
+    reports = []
+    for (t0, y0, ybar), gamma, pde, batch in zip(points, gammas, g_pde, cond):
         u = crra_utility(batch.X[:, -1], gamma)
         m = float(np.mean(u))
         se = float(np.std(u, ddof=1) / np.sqrt(u.size))
-        return GRepSide(mean=m, se=se, z=z_score(m - pde, se))
-
-    return [GRepReport(t0=t0, x0=float(x0), y0=y0, ybar=ybar, gamma=gamma, pde=pde,
-                       conditioned=_side(bc, gamma, pde),
-                       unconditional=_side(bu, gamma, pde))
-            for (t0, y0, ybar), gamma, pde, bc, bu
-            in zip(points, gammas, g_pde, cond, uncond)]
+        reports.append(GRepReport(
+            t0=t0, x0=float(x0), y0=y0, ybar=ybar, gamma=gamma, pde=pde,
+            conditioned=GRepSide(mean=m, se=se, z=z_score(m - pde, se))))
+    return reports
 
 
 @dataclass(frozen=True)

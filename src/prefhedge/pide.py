@@ -417,17 +417,6 @@ class HSurface:
         out = np.exp(lo * (1.0 - jw) + hi * jw)
         return out if np.ndim(out) else float(out)
 
-    def elasticity(self):
-        """(d h / d y) / h = d(ln h)/d y on the grid.
-
-        Differenced in log space: the factor is exponential in y across much
-        of the domain, and central differences of h itself overstate the
-        slope by sinh(b dy)/(b dy) on profiles exp(b y), an amplification
-        that destabilizes the policy coupling at high |rho|; differences of
-        ln h are exact there.
-        """
-        return np.gradient(np.log(self.values), self.grid.y_nodes, axis=1)
-
 
 def policy_values(policy, t_nodes, y_nodes):
     """Evaluate a policy specification on the tensor grid -> (n_t, n_y).

@@ -18,6 +18,11 @@ BASE = {
 }
 
 
+def test_public_names_resolve():
+    for name in prefhedge.__all__:
+        assert hasattr(prefhedge, name), name
+
+
 def report_without_timings(out):
     """verify_report.json without its wall-clock phase times."""
     report = json.loads((out / "verify_report.json").read_text())
@@ -325,10 +330,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("n_probes", [3, 6])
     def test_verify_draws_each_stream_once(self, tmp_path, monkeypatch, n_probes):
-        # The g rows share streams 1 and 2 whatever their number; the spike
-        # test's nodes draw one stream each, and the default reward row
-        # reuses the spike test's base run.  With 3 probes verify solves
-        # the surfaces itself (no draws).
+        # The g rows share stream 1 whatever their number; the spike test's
+        # nodes draw one stream each, and the default reward row reuses the
+        # spike test's base run.  With 3 probes verify solves the surfaces
+        # itself (no draws).
         import prefhedge.cli as cli
 
         extra = {"params": {**BASE["params"], "rho": 0.6},
@@ -348,8 +353,33 @@ class TestCommands:
         report = json.loads((out / "verify_report.json").read_text())
         assert len(report["g_representation"]) == n_probes
         assert next(iter(report["phase_s"])) == ("load" if n_probes == 6 else "solve")
-        assert len(streams) == 2 + cli._VERIFY_NODES == 13
-        assert sorted(streams) == sorted([1, 2] + list(range(cli._VERIFY_NODES)))
+        assert len(streams) == 1 + cli._VERIFY_NODES == 12
+        assert sorted(streams) == sorted([1] + list(range(cli._VERIFY_NODES)))
+
+    def test_verify_g_rows_read_pinned_paths_only(self, tmp_path, monkeypatch):
+        # Each g row reports the conditioned side alone, and verify runs no
+        # unpinned simulation.
+        import prefhedge.cli as cli
+
+        extra = {"params": {**BASE["params"], "rho": 0.6},
+                 "grid": {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9},
+                 "probes": [{"t": 0.0, "exp_y": 2.0}, {"t": 14.0, "exp_y": 2.0}],
+                 "sim": {"n_paths": 200, "n_steps": 20, "seed": 7},
+                 "verify": {"spike_deltas": [0.5], "spike_offsets": [0.1]}}
+        path = write_config(tmp_path, extra)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        calls = []
+        simulate = prefhedge.mc.simulate_unconditional
+        for module in (prefhedge.mc, cli):
+            monkeypatch.setattr(module, "simulate_unconditional",
+                                lambda *a, **k: calls.append(a) or simulate(*a, **k))
+        main(["verify", "--config", str(path), "--out", str(out)])
+        rows = json.loads((out / "verify_report.json").read_text())["g_representation"]
+        assert len(rows) == 2
+        for row in rows:
+            assert set(row) == {"t", "exp_y", "ybar", "pde", "mc_conditioned", "pass"}
+        assert calls == []
 
     def test_verify_detects_tampered_surface(self, tmp_path):
         out = tmp_path / "out"

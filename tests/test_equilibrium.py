@@ -9,15 +9,36 @@ from prefhedge import (
     default_grid,
     ehjb_supremand,
     fixed_point_solve,
-    hedging_integral,
     policy_from_h,
     reward_quadrature,
     solve_h,
 )
 from prefhedge import equilibrium, pide
-from prefhedge.equilibrium import _hedging_row, _row_map, _terminal_average
+from prefhedge.equilibrium import (
+    _bracket_average,
+    _hedging_row,
+    _row_map,
+    _terminal_bracket,
+)
 from prefhedge.model import expected_terminal_gamma
-from prefhedge.pide import HSurface, _terminal_layer_cut
+from prefhedge.pide import HSurface, _terminal_layer_cut, bilinear_interp
+
+
+def terminal_average(f, grid, params, t, y):
+    """Gauss-Hermite average over the terminal state of per-slice values ``f``."""
+    return _bracket_average(f, _terminal_bracket(grid, params, t, y), grid)
+
+
+def elasticity(h):
+    """d(ln h)/d y on the grid, differenced in log space."""
+    return np.gradient(np.log(h.values), h.grid.y_nodes, axis=1)
+
+
+def hedging_integral(t, y, h, grid, params):
+    """Density-weighted elasticity of the continuation factors at (t, y)."""
+    el = bilinear_interp(grid.t_nodes, grid.y_nodes, elasticity(h), t, y, clip=False)
+    out = terminal_average(el, grid, params, t, y)
+    return out if np.ndim(out) else float(out)
 
 
 def params_with(mu_Y, rho):
@@ -86,7 +107,7 @@ class TestHedgingIntegral:
         got = hedging_integral(t0, y0, h, g, p)
 
         # brute-force oracle on the same cross-slice elasticity interpolant
-        el = h.elasticity()
+        el = elasticity(h)
         kt = np.searchsorted(g.t_nodes, t0)
         iy = int(np.argmin(np.abs(g.y_nodes - y0)))
         t0n, y0n = g.t_nodes[kt], g.y_nodes[iy]
@@ -123,7 +144,7 @@ class TestTerminalAverage:
     def test_constant_slice_values(self, row):
         y = self._points(row)
         f = np.full(np.shape(y) + (self.G.ybar_nodes.size,), 0.37)
-        got = _terminal_average(f, self.G, self.P, self.T0, y)
+        got = terminal_average(f, self.G, self.P, self.T0, y)
         assert np.shape(got) == np.shape(y)
         assert np.allclose(got, 0.37, rtol=1e-12, atol=0.0)
 
@@ -131,7 +152,7 @@ class TestTerminalAverage:
     def test_slice_coordinate_averages_to_conditional_mean(self, row):
         y = self._points(row)
         f = np.broadcast_to(self.G.ybar_nodes, np.shape(y) + (self.G.ybar_nodes.size,))
-        got = _terminal_average(f, self.G, self.P, self.T0, y)
+        got = terminal_average(f, self.G, self.P, self.T0, y)
         mean, _sd = self.G.terminal_mean_sd(self.T0, y, self.P)
         assert np.shape(got) == np.shape(y)
         assert np.allclose(got, mean, rtol=0.0, atol=1e-12)

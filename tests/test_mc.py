@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,7 +8,6 @@ from prefhedge import (
     DomainError,
     ModelParams,
     SimConfig,
-    SpikePolicy,
     closed_form_policy_rho0,
     default_grid,
     equilibrium_spike_test,
@@ -16,7 +17,6 @@ from prefhedge import (
     simulate_conditioned,
     simulate_unconditional,
     solve_h,
-    verify_g_representation,
     verify_g_representation_batch,
 )
 from prefhedge.mc import GRepReport, GRepSide, PathBatch, eval_policy, z_score
@@ -28,6 +28,30 @@ P6 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.6,
                  mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
 
 FAST = SimConfig(n_paths=20_000, n_steps=100, seed=123)
+
+
+def g_representation(h, policy, t0, x0, y0, ybar, cfg, p):
+    """verify_g_representation_batch at the one point (t0, y0, ybar)."""
+    return verify_g_representation_batch(h, policy, [(t0, y0, ybar)], x0, cfg, p)[0]
+
+
+@dataclass(frozen=True)
+class SpikePolicy:
+    """``base`` overridden by the constant fraction ``spike`` on [t0, t0 + delta).
+
+    The separate-run reference that the simulator's spike lanes are tested
+    against.
+    """
+
+    base: object
+    spike: float
+    t0: float
+    delta: float
+
+    def value(self, t, y, clip=True):
+        base = eval_policy(self.base, t, y)
+        inside = (np.asarray(t) >= self.t0) & (np.asarray(t) < self.t0 + self.delta)
+        return np.where(inside, self.spike, base)
 
 
 class TestSimulateUnconditional:
@@ -206,14 +230,13 @@ class TestGRepresentation:
         h = solve_h(0.0, grid, p)
         ybar = float(grid.ybar_nodes[5])
         cfg = SimConfig(n_paths=4_000, n_steps=60, seed=11)
-        rep = verify_g_representation(h, 0.0, 0.0, 1.0, p.y0, ybar, cfg, p)
+        rep = g_representation(h, 0.0, 0.0, 1.0, p.y0, ybar, cfg, p)
         gamma = np.exp(ybar)
         exact = (1.0 * np.exp(p.r * p.T)) ** (1 - gamma) / (1 - gamma)
-        # both path estimates and the factor value collapse to the
+        # the path estimate and the factor value collapse to the
         # deterministic payoff's utility
         assert rep.pde == pytest.approx(exact, rel=5e-3)
         assert rep.conditioned.mean == pytest.approx(exact, rel=1e-9)
-        assert rep.unconditional.mean == pytest.approx(exact, rel=1e-9)
 
     def test_solved_system_conditioned_representation(self):
         p = P6
@@ -222,7 +245,7 @@ class TestGRepresentation:
         cfg = SimConfig(n_paths=50_000, n_steps=300, seed=29)
         mean = p.y0 + p.mu_Y * p.T
         ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
-        rep = verify_g_representation(h, pol, 0.0, 1.0, p.y0, ybar, cfg, p)
+        rep = g_representation(h, pol, 0.0, 1.0, p.y0, ybar, cfg, p)
         assert abs(rep.conditioned.z) < 4
 
 
@@ -232,9 +255,9 @@ class TestGRepresentation:
         h = solve_h(0.3, grid, p)
         ybar = float(grid.ybar_nodes[5])
         cfg = SimConfig(n_paths=2_000, n_steps=800, seed=13)
-        rep = verify_g_representation(h, 0.3, 0.0, 1.0, p.y0, ybar, cfg, p)
-        for side in (rep.conditioned, rep.unconditional):
-            assert np.isfinite([side.mean, side.se, side.z]).all()
+        rep = g_representation(h, 0.3, 0.0, 1.0, p.y0, ybar, cfg, p)
+        side = rep.conditioned
+        assert np.isfinite([side.mean, side.se, side.z]).all()
 
     def test_nan_policy_fails_closed(self):
         p = P6
@@ -246,8 +269,8 @@ class TestGRepresentation:
             return np.full(np.shape(y), np.nan)
 
         with pytest.raises(DomainError):
-            verify_g_representation(h, nan_policy, 0.0, 1.0, p.y0,
-                                    float(grid.ybar_nodes[3]), cfg, p)
+            g_representation(h, nan_policy, 0.0, 1.0, p.y0,
+                             float(grid.ybar_nodes[3]), cfg, p)
         with pytest.raises(DomainError):
             reward_mc(nan_policy, 0.0, 1.0, p.y0, cfg, p, ybar_quadrature=3)
 
@@ -260,24 +283,21 @@ class TestGRepresentation:
 
 
 def reference_g_representation(h, policy, points, x0, cfg, p):
-    """verify_g_representation_batch with one conditioned (stream 1) and one
-    unconditional (stream 2) run per point, no shared draw."""
+    """verify_g_representation_batch with one conditioned (stream 1) run per
+    point, no shared draw."""
     reports = []
     for t0, y0, ybar in points:
         gamma = float(np.exp(ybar))
         pde = float(h.interp_at(t0, y0, ybar) * x0 ** (1.0 - gamma) / (1.0 - gamma))
-        sides = []
-        for batch in (simulate_conditioned(policy, t0, x0, y0, ybar, cfg, p,
-                                           store="terminal", stream=1),
-                      simulate_unconditional(policy, t0, x0, y0, cfg, p,
-                                             store="terminal", stream=2)):
-            u = crra_utility(batch.X[:, -1], gamma)
-            m = float(np.mean(u))
-            se = float(np.std(u, ddof=1) / np.sqrt(u.size))
-            sides.append(GRepSide(mean=m, se=se, z=z_score(m - pde, se)))
+        batch = simulate_conditioned(policy, t0, x0, y0, ybar, cfg, p,
+                                     store="terminal", stream=1)
+        u = crra_utility(batch.X[:, -1], gamma)
+        m = float(np.mean(u))
+        se = float(np.std(u, ddof=1) / np.sqrt(u.size))
         reports.append(GRepReport(t0=float(t0), x0=float(x0), y0=float(y0),
                                   ybar=float(ybar), gamma=gamma, pde=pde,
-                                  conditioned=sides[0], unconditional=sides[1]))
+                                  conditioned=GRepSide(mean=m, se=se,
+                                                       z=z_score(m - pde, se))))
     return reports
 
 
@@ -302,7 +322,7 @@ class TestSharedStreamGRepresentation:
         for g, w in zip(got, want):
             assert g == w
         t0, y0, ybar = points[1]
-        assert verify_g_representation(h, policy, t0, 1.0, y0, ybar, cfg, self.P) == want[1]
+        assert g_representation(h, policy, t0, 1.0, y0, ybar, cfg, self.P) == want[1]
         # distinct starts on one draw still give distinct estimates
         assert len({g.conditioned.mean for g in got}) == 4
 
