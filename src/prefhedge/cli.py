@@ -41,7 +41,6 @@ from .model import ModelParams
 from .persist import (
     load_h_surface,
     load_policy_surface,
-    policy_to_csv,
     save_h_surface,
     save_policy_surface,
 )
@@ -169,6 +168,8 @@ class RunConfig:
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read config ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be an object")
         _config_section("top level", raw, _TOP_KEYS)
@@ -231,9 +232,10 @@ def _json_dump(path, obj):
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     probe_ys = sorted({y for _t, y in cfg.probes}) or [cfg.params.y0]
     grid = default_grid(cfg.params, probe_y=probe_ys, **cfg.grid_kwargs)
+    _check_in_hull(grid, [(f"probes[{i}]", t, y) for i, (t, y) in enumerate(cfg.probes)])
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     clock = [time.perf_counter()]
     h, pol = fixed_point_solve(grid, cfg.params, cfg.fixed_point)
     clock.append(time.perf_counter())
@@ -242,9 +244,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     save_h_surface(cfg.out_dir / "h_surface.bin", h, cfg.params)
     save_policy_surface(cfg.out_dir / "policy_surface.bin", pol, cfg.params)
     clock.append(time.perf_counter())
-    policy_to_csv(cfg.out_dir / "policy_grid.csv", pol)
-    clock.append(time.perf_counter())
-    phase_s = dict(zip(("solve", "residual", "save", "csv"), np.diff(clock).tolist()))
+    phase_s = dict(zip(("solve", "residual", "save"), np.diff(clock).tolist()))
 
     probe_rows = []
     closed_ok = True
@@ -412,7 +412,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         pol, min(t0, cfg.params.T - 1.0), 1.0, y0, cfg.sim, cfg.params,
         deltas=tuple(vcfg.get("spike_deltas", (0.5, 0.25, 0.125))),
         perturbations=tuple(vcfg.get("spike_offsets", (0.05, 0.1, 0.2))),
-        ybar_quadrature=_VERIFY_NODES,
+        ybar_quadrature=_VERIFY_NODES, z_gate=z_gate,
     )
     clock.append(time.perf_counter())
 

@@ -259,10 +259,6 @@ class RewardEstimate:
     nodes: tuple
     n_paths: int
 
-    @property
-    def flagged_nodes(self):
-        return tuple(n for n in self.nodes if n.flagged)
-
 
 def reward_mc(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
               ybar_quadrature=None):

@@ -1,4 +1,4 @@
-"""numpy ``.npz`` archives for solved surfaces, plus CSV emission helpers.
+"""numpy ``.npz`` archives for solved surfaces.
 
 An archive holds one member per :class:`GridSpec` field (scalars 0-d, read
 back as Python floats), ``params_hash`` (uint8[16]: the leading half of the
@@ -8,10 +8,9 @@ Floats are stored raw.  Loading checks every member's zip CRC-32, the
 member set and, when the caller passes the parameters, the hash; each
 failure raises :class:`ConfigError`.
 
-The policy CSV (:func:`policy_to_csv`) is text for plotting: a header line
-``t,y,pi,myopic,hedging`` and one line per (t, y) node, t-major, each cell
-the shortest round-trip decimal of the float (``0.3791...``, ``-0.0``,
-``nan``), which parses back to the same float.
+To plot, plain numpy reads an archive: ``np.load("policy_surface.bin")``
+gives members ``t_nodes``, ``y_nodes`` and the (t, y) arrays ``pi``,
+``myopic`` and ``hedging``, with ``pi == myopic + hedging`` exactly.
 """
 
 from __future__ import annotations
@@ -89,21 +88,3 @@ def save_policy_surface(path, pol: PolicySurface, params: ModelParams):
 def load_policy_surface(path, params: ModelParams | None = None) -> PolicySurface:
     grid, (pi, myopic, hedging) = _read(path, ("pi", "myopic", "hedging"), params)
     return PolicySurface(grid=grid, pi=pi, myopic=myopic, hedging=hedging)
-
-
-def policy_to_csv(path, pol: PolicySurface):
-    """Plot-ready CSV: one row per (t, y) node with all three components.
-
-    Header ``t,y,pi,myopic,hedging``, then the rows t-major (y varies
-    fastest); every cell is the shortest round-trip ``repr`` of a plain
-    float, so ``np.loadtxt(path, delimiter=",", skiprows=1)`` gives back
-    the grid and the surfaces bit for bit.
-    """
-    grid = pol.grid
-    y_txt = [repr(v) for v in grid.y_nodes.tolist()]
-    with open(path, "w") as fh:
-        fh.write("t,y,pi,myopic,hedging\n")
-        for tk, pi, my, hd in zip(map(repr, grid.t_nodes.tolist()), pol.pi.tolist(),
-                                  pol.myopic.tolist(), pol.hedging.tolist()):
-            fh.write("".join(f"{tk},{yi},{a!r},{b!r},{c!r}\n"
-                             for yi, a, b, c in zip(y_txt, pi, my, hd)))

@@ -128,6 +128,18 @@ class TestConfigParsing:
         cfg = RunConfig.from_file(write_config(tmp_path, {"verify": verify}))
         assert cfg.verify == verify
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b'{"params": "\xff\xfe"}')
+        with pytest.raises(ConfigError, match="cfg.json"):
+            RunConfig.from_file(path)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "cfg.json" in capsys.readouterr().err
+
     def test_all_table_blocks_known(self):
         assert len(TABLE_BLOCKS) == 12
 
@@ -144,10 +156,10 @@ class TestCommands:
         assert summary["closed_form_verified"] is True
         assert summary["converged"] is True
         assert summary["probes"][0]["pi"] == pytest.approx(0.272, abs=1e-3)
-        assert (tmp_path / "out" / "h_surface.bin").exists()
-        assert (tmp_path / "out" / "policy_grid.csv").exists()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "h_surface.bin", "policy_surface.bin", "solve_summary.json"]
 
-    def test_policy_csv_parses_to_saved_surface(self, tmp_path):
+    def test_policy_archive_reads_with_plain_numpy(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, {
             "params": {**BASE["params"], "rho": 0.6},
@@ -155,17 +167,14 @@ class TestCommands:
         })
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
         pol = load_policy_surface(out / "policy_surface.bin")
-        n_t, n_y = pol.pi.shape
-        csv = out / "policy_grid.csv"
-        assert csv.read_text().split("\n", 1)[0] == "t,y,pi,myopic,hedging"
-        cols = np.loadtxt(csv, delimiter=",", skiprows=1)
-        want = (np.repeat(pol.grid.t_nodes, n_y), np.tile(pol.grid.y_nodes, n_t),
-                pol.pi.ravel(), pol.myopic.ravel(), pol.hedging.ravel())
-        assert cols.shape == (n_t * n_y, 5)
-        for got, expected in zip(cols.T, want):
-            assert np.array_equal(got, expected)
+        with np.load(out / "policy_surface.bin") as z:
+            assert np.array_equal(z["t_nodes"], pol.grid.t_nodes)
+            assert np.array_equal(z["y_nodes"], pol.grid.y_nodes)
+            for name in ("pi", "myopic", "hedging"):
+                assert np.array_equal(z[name], getattr(pol, name))
+            assert np.array_equal(z["pi"], z["myopic"] + z["hedging"])
         phase_s = json.loads((out / "solve_summary.json").read_text())["phase_s"]
-        assert list(phase_s) == ["solve", "residual", "save", "csv"]
+        assert list(phase_s) == ["solve", "residual", "save"]
         assert all(v >= 0 for v in phase_s.values())
 
     @pytest.mark.parametrize("rho", [0.0, 0.6])
@@ -218,6 +227,19 @@ class TestCommands:
         assert solves == []
         err = capsys.readouterr().err
         assert name in err and "outside the solved grid" in err and "39.96" in err
+
+    def test_solve_rejects_probe_outside_grid_before_solving(
+            self, tmp_path, monkeypatch, capsys):
+        import prefhedge.cli as cli
+
+        solves = []
+        monkeypatch.setattr(cli, "fixed_point_solve", lambda *a, **k: solves.append(a))
+        path = self._outside_config(tmp_path, "probes", {"t": 39.99, "exp_y": 2.0})
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert solves == []
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert "probes[0]" in err and "outside the solved grid" in err and "39.96" in err
 
     @pytest.mark.parametrize("where,probe,name", OUTSIDE)
     def test_verify_rejects_probe_outside_loaded_grid_before_simulating(
@@ -327,6 +349,24 @@ class TestCommands:
         main(["verify", "--config", str(path), "--out", str(out)])
         assert calls == simulated
         assert report_without_timings(out) == reused
+
+    @pytest.mark.parametrize("z_gate", [None, 2.5])
+    def test_verify_spike_rows_use_configured_z_gate(self, tmp_path, monkeypatch, z_gate):
+        import prefhedge.cli as cli
+
+        verify = {"spike_deltas": [0.5], "spike_offsets": [0.1]}
+        if z_gate is not None:
+            verify["z_gate"] = z_gate
+        path = write_config(tmp_path, {
+            "params": {**BASE["params"], "rho": 0.6}, "grid": self.GRID,
+            "probes": [{"t": 0.0, "exp_y": 2.0}],
+            "sim": {"n_paths": 200, "n_steps": 20, "seed": 7}, "verify": verify})
+        gates = []
+        spike_test = cli.equilibrium_spike_test
+        monkeypatch.setattr(cli, "equilibrium_spike_test",
+                            lambda *a, **k: gates.append(k["z_gate"]) or spike_test(*a, **k))
+        main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert gates == [3.0 if z_gate is None else z_gate]
 
     @pytest.mark.parametrize("n_probes", [3, 6])
     def test_verify_draws_each_stream_once(self, tmp_path, monkeypatch, n_probes):
