@@ -2,7 +2,9 @@
 
 A single JSON config file fully determines a run, seeds included, so every
 number the tool emits is reproducible, except the wall-clock phase times
-(``phase_s``) in ``solve_summary.json`` and ``verify_report.json``.
+(``phase_s`` in ``solve_summary.json`` and ``verify_report.json``, and
+``sweep_s``, the split of the solve inside the backward sweep, in
+``solve_summary.json``).
 Parsing is fail-closed: unknown keys and invalid parameter values are
 rejected with the violated invariant named.  Machine-readable outputs carry
 full float precision (shortest round-trip representation); console
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -78,7 +81,7 @@ _TOP_KEYS = {"params", "grid", "fixed_point", "sim", "probes",
              "table_block", "out_dir", "verify"}
 _VERIFY_KEYS = {"residual_tol", "z_gate", "spike_deltas", "spike_offsets",
                 "reward_probes"}
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
 # Terminal-state quadrature nodes of verify's reward estimates.
 _VERIFY_NODES = 11
 
@@ -87,7 +90,8 @@ def _config_section(section, mapping, allowed):
     """Copy of a config object, checked against its allowed keys.
 
     Where ``allowed`` maps each key to (type, least value), a value of the
-    wrong JSON type or below its least value is rejected too.
+    wrong JSON type or below its least value is rejected too, and so is a
+    NaN or infinite number (Python's json reads NaN and Infinity).
     """
     if not isinstance(mapping, dict):
         raise ConfigError(f"{section} must be an object, got {mapping!r}")
@@ -103,6 +107,7 @@ def _config_section(section, mapping, allowed):
             # JSON true/false load as bool, a subclass of int.
             ok = (isinstance(value, (int, float) if kind is float else kind)
                   and isinstance(value, bool) == (kind is bool)
+                  and _is_finite(value)
                   and (least is None or value >= least))
             if not ok:
                 bound = "" if least is None else f" >= {least}"
@@ -112,8 +117,16 @@ def _config_section(section, mapping, allowed):
     return dict(mapping)
 
 
+def _is_finite(value):
+    # JSON integers are finite however large; math.isfinite cannot take the
+    # largest of them.
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number (not true or false)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and _is_finite(value))
 
 
 def _probe_list(section, probes, T):
@@ -137,13 +150,15 @@ def _verify_section(mapping, T):
     verify = _config_section("verify", mapping, _VERIFY_KEYS)
     for key in ("residual_tol", "z_gate"):
         if key in verify and not _is_number(verify[key]):
-            raise ConfigError(f"verify.{key} must be a number, got {verify[key]!r}")
+            raise ConfigError(
+                f"verify.{key} must be a finite number, got {verify[key]!r}")
     for key in ("spike_deltas", "spike_offsets"):
         value = verify.get(key)
         if key in verify and not (isinstance(value, list) and value
                                   and all(_is_number(v) and v > 0 for v in value)):
             raise ConfigError(
-                f"verify.{key} must be a non-empty list of positive numbers, got {value!r}"
+                f"verify.{key} must be a non-empty list of positive finite numbers, "
+                f"got {value!r}"
             )
     _probe_list("verify.reward_probes", verify.get("reward_probes", []), T)
     return verify
@@ -279,6 +294,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                  "ybar_range": [float(grid.ybar_nodes[0]), float(grid.ybar_nodes[-1])],
                  "band_sd": grid.band_sd, "quad_sd": grid.quad_sd},
         "phase_s": phase_s,
+        "sweep_s": meta.sweep_s,
     }
     if cfg.params.rho == 0.0 and cfg.probes:
         summary["closed_form_verified"] = bool(closed_ok)

@@ -17,6 +17,7 @@ iteration.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -71,6 +72,11 @@ class IterationMeta:
     iterated level (rho = 0) reports one evaluation with change 0, an
     empty histogram and no ``t_worst``.  Only settled solves carry one: a
     level that does not settle raises ConvergenceError instead.
+
+    ``sweep_s`` holds the whole solve's wall seconds, summed over levels, in
+    ``prepare`` (the policy-free work of each level: _prepare_level and
+    _row_map), ``march`` (_march_level), ``hedging`` (_hedging_row) and
+    ``anderson`` (the mixing step).
     """
 
     iterations: int
@@ -78,6 +84,7 @@ class IterationMeta:
     evals_histogram: tuple
     map_evals: int
     t_worst: float | None
+    sweep_s: dict
 
 
 @dataclass
@@ -234,8 +241,9 @@ def _hedging_row(w_level, row_map, grid: GridSpec, params: ModelParams):
     bracket, denom, (lo, hi) = row_map
     # Differenced in log space: on profiles exp(b y) central differences of
     # h overstate the slope by sinh(b dy)/(b dy), which destabilizes the
-    # coupling at high |rho|; differences of ln h are exact there.
-    el = np.gradient(w_level, grid.y_nodes, axis=1)
+    # coupling at high |rho|; differences of ln h are exact there.  The
+    # stencil is np.gradient's, computed once per grid.
+    el = grid._y_slope.full(w_level)
     hedging = (
         params.rho * params.sigma_S * params.sigma_Y
         * _bracket_average(el.T, bracket, grid)
@@ -304,7 +312,8 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     (solve_h(pol.pi) reproduces them bit for bit).
 
     Returns the (factor surface, policy surface) pair; the policy's
-    iteration_meta counts the map evaluations per iterated level.  Raises
+    iteration_meta counts the map evaluations per iterated level and
+    splits the sweep's wall time by phase (IterationMeta.sweep_s).  Raises
     ConvergenceError naming t, with that level's update history, when a
     level is not settled within cfg.max_iters map evaluations; a
     PositivityError from the march propagates.
@@ -319,17 +328,24 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     worst: list[float] = []
     t_worst = None
     evals = Counter()
+    sweep_s = dict.fromkeys(("prepare", "march", "hedging", "anderson"), 0.0)
+
+    def timed(phase, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        sweep_s[phase] += time.perf_counter() - start
+        return out
 
     def advance(level, k):
         nonlocal worst, t_worst
-        prep = _prepare_level(level, k, grid, params)
+        prep = timed("prepare", _prepare_level, level, k, grid, params)
         if params.rho == 0.0 or k >= layer_cut:
-            return _march_level(prep, myopic[k] + hedging[k], grid, params)
-        row_map = _row_map(k, grid, params)
+            return timed("march", _march_level, prep, myopic[k] + hedging[k], grid, params)
+        row_map = timed("prepare", _row_map, k, grid, params)
         us, gs, history = [hedging[k + 1]], [], []
         while len(history) < cfg.max_iters:
-            new_level = _march_level(prep, myopic[k] + us[-1], grid, params)
-            gs.append(_hedging_row(new_level, row_map, grid, params))
+            new_level = timed("march", _march_level, prep, myopic[k] + us[-1], grid, params)
+            gs.append(timed("hedging", _hedging_row, new_level, row_map, grid, params))
             history.append(float(np.max(np.abs(gs[-1] - us[-1]))))
             if history[-1] < cfg.tol_sup:
                 hedging[k] = us[-1]
@@ -337,8 +353,8 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
                 if len(history) > len(worst):
                     worst, t_worst = history, float(t[k])
                 return new_level
-            us.append(_anderson_step(us[-_ANDERSON_DEPTH - 1:],
-                                     gs[-_ANDERSON_DEPTH - 1:]))
+            us.append(timed("anderson", _anderson_step, us[-_ANDERSON_DEPTH - 1:],
+                            gs[-_ANDERSON_DEPTH - 1:]))
         raise ConvergenceError(
             f"hedging row at t = {float(t[k])!r} still moved by {history[-1]:.3e} "
             f"after {len(history)} map evaluations",
@@ -350,7 +366,7 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
         iterations=max(len(worst), 1), sup_changes=tuple(worst) or (0.0,),
         evals_histogram=tuple(sorted(evals.items())),
         map_evals=sum(n * count for n, count in evals.items()),
-        t_worst=t_worst,
+        t_worst=t_worst, sweep_s=sweep_s,
     )
     return h, PolicySurface(grid=grid, pi=myopic + hedging, myopic=myopic,
                             hedging=hedging, iteration_meta=meta)

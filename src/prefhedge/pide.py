@@ -43,9 +43,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DegenerateTimeError, DomainError, OutOfGridError, PositivityError
 from .model import EPS_GAMMA, ModelParams, eval_policy
@@ -144,6 +145,14 @@ class GridSpec:
     @property
     def shape(self):
         return (self.t_nodes.size, self.y_nodes.size, self.ybar_nodes.size)
+
+    @cached_property
+    def _t_slope(self) -> _Slope:
+        return _Slope.on(self.t_nodes)
+
+    @cached_property
+    def _y_slope(self) -> _Slope:
+        return _Slope.on(self.y_nodes)
 
     def terminal_mean_sd(self, t, y, params: ModelParams):
         """Mean and sd of the terminal preference state seen from (t, y)."""
@@ -434,6 +443,59 @@ def policy_values(policy, t_nodes, y_nodes):
     return eval_policy(policy, t_nodes[:, None], y_nodes[None, :])
 
 
+@dataclass(frozen=True)
+class _Slope:
+    """numpy.gradient's first-order stencil on fixed nodes, computed once.
+
+    On nodes whose spacings are not all equal, the slope at interior node i
+    is a f[i-1] + b f[i] + c f[i+1] (coefficients indexed i - 1); on exactly
+    equal spacings numpy takes (f[i+1] - f[i-1]) / (2 dx) instead, and then
+    ``a`` and ``b`` are None and ``c`` is 2 dx.  ``d0``/``dn`` are the edge
+    spacings of the one-sided end slopes.  Every expression is numpy's own,
+    so the slopes equal np.gradient's bit for bit.
+    """
+
+    a: np.ndarray | None
+    b: np.ndarray | None
+    c: np.ndarray | float
+    d0: float
+    dn: float
+
+    @classmethod
+    def on(cls, nodes):
+        dx = np.diff(nodes)
+        if np.all(dx == dx[0]):
+            return cls(None, None, 2.0 * dx[0], dx[0], dx[0])
+        d1, d2 = dx[:-1], dx[1:]
+        return cls(-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2),
+                   d1 / (d2 * (d1 + d2)), dx[0], dx[-1])
+
+    def interior(self, f, axis, at=slice(None)):
+        """Slopes of 2-d ``f`` along ``axis`` at its inner positions.
+
+        ``at`` selects the coefficients, when ``f`` holds only the nodes
+        from at.start to at.stop + 1 along ``axis``.
+        """
+        if axis == 0:
+            lo, mid, hi = f[:-2], f[1:-1], f[2:]
+        else:
+            lo, mid, hi = f[:, :-2], f[:, 1:-1], f[:, 2:]
+        if self.a is None:
+            return (hi - lo) / self.c
+        a, b, c = self.a[at], self.b[at], self.c[at]
+        if axis == 0:
+            a, b, c = a[:, None], b[:, None], c[:, None]
+        return a * lo + b * mid + c * hi
+
+    def full(self, f):
+        """np.gradient(f, nodes, axis=1) of a 2-d ``f``."""
+        out = np.empty_like(f)
+        out[:, 1:-1] = self.interior(f, axis=1)
+        out[:, 0] = (f[:, 1] - f[:, 0]) / self.d0
+        out[:, -1] = (f[:, -1] - f[:, -2]) / self.dn
+        return out
+
+
 def _step_matrix(Q, dt, dy, R, first, last):
     """Tridiagonal rows of (I - dt L) for L = Q d/dy + R d2/dy2.
 
@@ -446,24 +508,20 @@ def _step_matrix(Q, dt, dy, R, first, last):
     lower[first] = upper[last] = 0, so the windows do not couple.
     """
     a = dt * R / dy**2
-    upwind = np.abs(Q) * dy > 2.0 * R
-    Qp = np.where(Q > 0, Q, 0.0)
-    Qm = np.where(Q < 0, -Q, 0.0)
-    diag = np.where(
-        upwind,
-        1.0 + 2.0 * a + dt * (Qp + Qm) / dy,
-        1.0 + 2.0 * a,
-    )
-    upper = np.where(
-        upwind,
-        -(a + dt * Qp / dy),
-        -(a + dt * Q / (2.0 * dy)),
-    )
-    lower = np.where(
-        upwind,
-        -(a + dt * Qm / dy),
-        -(a - dt * Q / (2.0 * dy)),
-    )
+    # The central stencil everywhere, then the upwind rows over it.
+    diag = np.full_like(Q, 1.0 + 2.0 * a)
+    upper = -(a + dt * Q / (2.0 * dy))
+    lower = -(a - dt * Q / (2.0 * dy))
+    upwind = np.flatnonzero(np.abs(Q) * dy > 2.0 * R)
+    if upwind.size:
+        q = Q[upwind]
+        flux = dt * np.abs(q) / dy
+        diag[upwind] = 1.0 + 2.0 * a + flux
+        # The upwind rows take all of the transport on one side: the other
+        # side keeps the diffusion a alone.
+        up = q > 0
+        upper[upwind] = np.where(up, -(a + flux), -a)
+        lower[upwind] = np.where(up, -a, -(a + flux))
 
     # Bottom rows: transport uses the interior (forward) difference only
     # when the scheme pulls information from above (Q > 0); otherwise the
@@ -478,6 +536,23 @@ def _step_matrix(Q, dt, dy, R, first, last):
     lower[last] = np.where(qn < 0, dt * qn / dy, 0.0)
     upper[last] = 0.0
     return lower, diag, upper
+
+
+def solve_banded(lower, diag, upper, rhs):
+    """Solve a tridiagonal system with LAPACK gtsv, overwriting every input.
+
+    ``lower`` and ``upper`` hold the n - 1 entries below and above the
+    diagonal.  This is the gtsv call scipy.linalg.solve_banded((1, 1), ...)
+    makes, so the solution is the same bit for bit, and its checks are
+    kept: a non-finite input raises ValueError and a zero pivot (a
+    singular matrix) LinAlgError.
+    """
+    if not all(np.isfinite(v).all() for v in (lower, diag, upper, rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)[3:]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular matrix (gtsv info = {info})")
+    return x
 
 
 _W_MAX = np.log(H_MAX)
@@ -593,10 +668,12 @@ def _march_level(prep: _Level, pi_row, grid: GridSpec, params: ModelParams):
     diffusion-born terms cancel, leaving pure transport with the plain Q.
 
     The slices' windows are laid end to end and solved as one
-    block-diagonal tridiagonal system.  Each block's first row has no
-    lower and its last row no upper entry, so LAPACK's gtsv meets a zero
+    block-diagonal tridiagonal system by one direct LAPACK gtsv call
+    (solve_banded), with no band matrix assembled.  Each block's first row
+    has no lower and its last row no upper entry, so gtsv meets a zero
     multiplier and no row swap at every block edge and returns each block
-    exactly as a separate solve would.
+    exactly as a separate solve would.  A non-finite policy or coefficient
+    raises ValueError there, before the solve.
     """
     y, yb, dy = grid.y_nodes, grid.ybar_nodes, grid.dy
     seg, rows, first, last = prep.seg, prep.rows, prep.first, prep.last
@@ -608,12 +685,7 @@ def _march_level(prep: _Level, pi_row, grid: GridSpec, params: ModelParams):
         q_eff[first] = Q[first]
         q_eff[last] = Q[last]
         lower, diag, upper = _step_matrix(q_eff, prep.dt, dy, prep.R, first, last)
-        ab = np.zeros((3, rows.size))
-        ab[0, 1:] = upper[:-1]
-        ab[1] = diag
-        ab[2, :-1] = lower[1:]
-        w = solve_banded((1, 1), ab, prep.w + prep.dt * P,
-                         overwrite_ab=True, overwrite_b=True)
+        w = solve_banded(lower[1:], diag, upper[:-1], prep.w + prep.dt * P)
 
     bad = ~(np.abs(w) < _W_MAX) & prep.in_band
     if bad.any():
@@ -711,20 +783,29 @@ class ResidualNorms:
     worst: tuple = field(default=())
 
 
+# Core time rows per block of the streamed residual: a block's dozen or
+# so temporaries on 465-node rows stay in a core's cache.
+_RESIDUAL_BLOCK = 24
+
+
 def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=None) -> ResidualNorms:
     """Central-difference residual h_t + Q h_y + R h_yy + P h on interior nodes.
 
-    Evaluated one terminal-state slice at a time: each slice's (n_t, n_y)
-    values are copied out contiguous, differenced and weighed against its
-    coefficients, and the norms are accumulated over the slices.  The peak
-    working memory is about 16 (n_t, n_y) arrays of floats, whatever the
-    number of slices (24 MB on the default 401 x 465 grid, where the surface
-    itself holds 31 MB).  ``worst`` is the first node of largest |rel| in
-    (t, y, ybar) order.
+    Streamed one terminal-state slice and one block of _RESIDUAL_BLOCK time
+    levels at a time: the block's interior nodes, read with a one-level
+    halo, are differenced with np.gradient's stencils (precomputed per
+    grid) and weighed against their coefficients, and the norms are
+    accumulated over the blocks.  The peak working memory is a dozen or so
+    block-sized arrays, whatever the grid (a few hundred kB on the default
+    465-node rows), beside the (n_t, n_y) policy values.  Every node's
+    residual is the one a whole-array evaluation gives; only the rms sums
+    are accumulated in another order.  ``worst`` is the first node of
+    largest |rel| in (t, y, ybar) order.
 
     ``coeff_fn`` may override the coefficient functions (signature matching
-    :func:`coefficients`; it is called once per slice, with a scalar ybar);
-    the default uses the model coefficients with the supplied policy.
+    :func:`coefficients`; it is called once per slice and block, with a
+    scalar ybar and the block's interior nodes); the default uses the model
+    coefficients with the supplied policy.
     """
     t = grid.t_nodes
     y = grid.y_nodes
@@ -732,6 +813,7 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
     dy = grid.dy
     PI = policy_values(policy, t, y)
     fn = coefficients if coeff_fn is None else coeff_fn
+    t_slope, y_slope = grid._t_slope, grid._y_slope
 
     # Bridge-compatible band: nodes whose terminal state lies within
     # grid.quad_sd conditional sd of the node's conditional mean, at times
@@ -742,43 +824,42 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
     width = grid.quad_sd * params.sigma_Y * np.sqrt(tau)
     early = (np.arange(1, t.size - 1) < _terminal_layer_cut(grid, params.rho))[:, None]
 
-    n_s = yb.size
-    max_abs, max_rel = np.empty(n_s), np.empty(n_s)
-    worst_at, band_max = [], []
+    max_abs, max_rel, worst_at, band_max = [], [], [], []
     sq_abs = sq_rel = sq_band = 0.0
     n_band = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_s):
-            v = np.ascontiguousarray(h.values[..., j])
-            ht = np.gradient(v, t, axis=0)
-            hy = np.gradient(v, y, axis=1)
-            hyy = np.empty_like(v)
-            hyy[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / dy**2
-            hyy[:, 0] = hyy[:, 1]
-            hyy[:, -1] = hyy[:, -2]
+        for j in range(yb.size):
+            for k0 in range(1, t.size - 1, _RESIDUAL_BLOCK):
+                k1 = min(k0 + _RESIDUAL_BLOCK, t.size - 1)
+                core_t = slice(k0 - 1, k1 - 1)    # the block's rows of the core
+                v = np.ascontiguousarray(h.values[k0 - 1:k1 + 1, :, j])
+                mid = v[1:-1, 1:-1]
+                ht = t_slope.interior(v[:, 1:-1], axis=0, at=core_t)
+                hy = y_slope.interior(v[1:-1], axis=1)
+                hyy = (v[1:-1, 2:] - 2.0 * mid + v[1:-1, :-2]) / dy**2
 
-            P, Q, R = fn(t[:, None], y[None, :], yb[j], PI, params)
-            res = ht + Q * hy + R * hyy + P * v
-            core = res[1:-1, 1:-1]
-            rel = core / v[1:-1, 1:-1]
-            rel = np.nan_to_num(rel, nan=0.0, posinf=np.inf, neginf=-np.inf)
+                P, Q, R = fn(t[k0:k1, None], y[None, 1:-1], yb[j], PI[k0:k1, 1:-1], params)
+                core = ht + Q * hy + R * hyy + P * mid
+                rel = core / mid
+                rel = np.nan_to_num(rel, nan=0.0, posinf=np.inf, neginf=-np.inf)
 
-            dev = yb[j] - y[None, 1:-1] - params.mu_Y * tau
-            band = (np.abs(dev) <= width) & early
-            abs_rel = np.abs(rel)
-            flat = int(np.argmax(abs_rel))
-            worst_at.append(np.unravel_index(flat, rel.shape) + (j,))
-            max_rel[j] = abs_rel.flat[flat]
-            max_abs[j] = np.max(np.abs(core))
-            sq_abs += np.sum(core**2)
-            sq_rel += np.sum(rel**2)
-            if np.any(band):
-                rel_band = rel[band]
-                band_max.append(np.max(np.abs(rel_band)))
-                sq_band += np.sum(rel_band**2)
-                n_band += rel_band.size
+                dev = yb[j] - y[None, 1:-1] - params.mu_Y * tau[core_t]
+                band = (np.abs(dev) <= width[core_t]) & early[core_t]
+                abs_rel = np.abs(rel)
+                flat = int(np.argmax(abs_rel))
+                k, i = np.unravel_index(flat, rel.shape)
+                worst_at.append((k0 + int(k), 1 + int(i), j))
+                max_rel.append(abs_rel.flat[flat])
+                max_abs.append(np.max(np.abs(core)))
+                sq_abs += np.sum(core**2)
+                sq_rel += np.sum(rel**2)
+                if np.any(band):
+                    rel_band = rel[band]
+                    band_max.append(np.max(np.abs(rel_band)))
+                    sq_band += np.sum(rel_band**2)
+                    n_band += rel_band.size
 
-        n = n_s * (t.size - 2) * (y.size - 2)
+        n = yb.size * (t.size - 2) * (y.size - 2)
         if n_band == 0:     # no node in the band: measure everywhere
             band_max, sq_band, n_band = max_rel, sq_rel, n
         top = np.max(max_rel)
@@ -790,5 +871,5 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
             rms_rel=float(np.sqrt(sq_rel / n)),
             max_rel_band=float(np.max(band_max)),
             rms_rel_band=float(np.sqrt(sq_band / n_band)),
-            worst=(float(t[k + 1]), float(y[i + 1]), float(yb[j])),
+            worst=(float(t[k]), float(y[i]), float(yb[j])),
         )

@@ -94,6 +94,11 @@ class TestConfigParsing:
         ({"sim": {"seed": -1}}, "seed"),
         ({"probes": [{"t": "0", "exp_y": 2.0}]}, "probes[0].t"),
         ({"grid": {"ybar_pad_sd": 2.9}}, "grid.ybar_pad_sd"),
+        # json reads the literals NaN and Infinity; they are no valid values.
+        ({"params": {**BASE["params"], "T": float("inf")}}, "params.T"),
+        ({"grid": {"ybar_pad_sd": float("inf")}}, "grid.ybar_pad_sd"),
+        ({"grid": {"eps_T": float("nan")}}, "grid.eps_T"),
+        ({"grid": {"eps_T": float("-inf")}}, "grid.eps_T"),
     ])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, extra, key):
         path = write_config(tmp_path, extra)
@@ -115,6 +120,9 @@ class TestConfigParsing:
         ({"reward_probes": [{"t": 0.0, "exp_y": 0}]}, "verify.reward_probes[0]"),
         ({"reward_probes": [{"t": 0.0}]}, "verify.reward_probes[0]"),
         ({"reward_probes": [{"t": "0", "exp_y": 2.0}]}, "verify.reward_probes[0].t"),
+        ({"z_gate": float("nan")}, "verify.z_gate"),
+        ({"residual_tol": float("inf")}, "verify.residual_tol"),
+        ({"spike_deltas": [0.5, float("inf")]}, "verify.spike_deltas"),
     ])
     def test_mistyped_verify_value_is_config_error(self, tmp_path, capsys, verify, key):
         path = write_config(tmp_path, {"verify": verify})
@@ -194,6 +202,15 @@ class TestCommands:
         else:
             assert max(hist) == summary["iterations"] == len(summary["sup_changes"])
             assert 0.0 <= evals["t_worst"] < 40.0
+        sweep_s = summary["sweep_s"]
+        assert list(sweep_s) == ["prepare", "march", "hedging", "anderson"]
+        assert all(v >= 0 for v in sweep_s.values())
+        assert sum(sweep_s.values()) <= summary["phase_s"]["solve"]
+        assert sweep_s["prepare"] > 0 and sweep_s["march"] > 0
+        # rho = 0 marches each level once, with no hedging row to settle.
+        assert (sweep_s["hedging"] > 0) == (rho != 0.0)
+        if rho == 0.0:
+            assert sweep_s["anderson"] == 0.0
 
     GRID = {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9}
     OUTSIDE = [

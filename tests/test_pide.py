@@ -417,6 +417,140 @@ class TestSolveH:
         assert np.array_equal(h_sub.values, h_full.values[:, :, 2:5])
 
 
+def both_stencil_step_matrix(Q, dt, dy, R, first, last):
+    """The step matrix built with both stencils at every entry, one picked per entry.
+
+    pide._step_matrix must equal it bit for bit; reference_march calls
+    pide._step_matrix itself, so it cannot check the stencil.
+    """
+    a = dt * R / dy**2
+    upwind = np.abs(Q) * dy > 2.0 * R
+    Qp = np.where(Q > 0, Q, 0.0)
+    Qm = np.where(Q < 0, -Q, 0.0)
+    diag = np.where(upwind, 1.0 + 2.0 * a + dt * (Qp + Qm) / dy, 1.0 + 2.0 * a)
+    upper = np.where(upwind, -(a + dt * Qp / dy), -(a + dt * Q / (2.0 * dy)))
+    lower = np.where(upwind, -(a + dt * Qm / dy), -(a - dt * Q / (2.0 * dy)))
+    q0 = Q[first]
+    diag[first] = np.where(q0 > 0, 1.0 + dt * q0 / dy, 1.0)
+    upper[first] = np.where(q0 > 0, -dt * q0 / dy, 0.0)
+    lower[first] = 0.0
+    qn = Q[last]
+    diag[last] = np.where(qn < 0, 1.0 - dt * qn / dy, 1.0)
+    lower[last] = np.where(qn < 0, dt * qn / dy, 0.0)
+    upper[last] = 0.0
+    return lower, diag, upper
+
+
+class TestStepMatrix:
+    # dy = 0.5 and R = 0.25 put the Peclet switch |Q| dy = 2R at |Q| = 1
+    # exactly; there the stencil stays central.
+    EDGE = [-3.0, -1.0, -0.0, 0.0, 1.0, 3.0]
+    SWITCH = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+
+    @pytest.mark.parametrize("dt", [0.1, 0.0997, 7.3])
+    def test_equals_both_stencil_reference(self, dt):
+        inner = self.SWITCH + [-v for v in self.SWITCH] + [0.0, -0.0, 0.3, -0.3, 40.0, -40.0]
+        Q, first, last = [], [], []
+        # One window per boundary value, each holding every interior value,
+        # so every boundary row meets Q of both signs, zero and the switch.
+        for q0, qn in zip(self.EDGE + self.SWITCH, self.SWITCH + self.EDGE[::-1]):
+            first.append(len(Q))
+            Q += [q0] + inner + [qn]
+            last.append(len(Q) - 1)
+        Q = np.array(Q)
+        got = pide._step_matrix(Q, dt, 0.5, 0.25, np.array(first), np.array(last))
+        want = both_stencil_step_matrix(Q, dt, 0.5, 0.25, np.array(first), np.array(last))
+        for g_, w_ in zip(got, want):
+            assert np.array_equal(g_, w_)
+            assert np.array_equal(np.signbit(g_), np.signbit(w_))
+
+    def test_equals_reference_on_marched_levels(self):
+        p = _params(-0.02, -0.6)
+        g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
+        level = np.zeros((g.ybar_nodes.size, g.y_nodes.size))
+        dy = g.dy
+        seen_upwind = seen_central = False
+        for k in range(g.t_nodes.size - 2, -1, -1):
+            prep = pide._prepare_level(level, k, g, p)
+            _P, Q = pide._policy_terms(np.full(prep.rows.size, 1.3), prep.bridge, p)
+            Q[1:-1] += prep.w_slope
+            args = (Q, prep.dt, dy, prep.R, prep.first, prep.last)
+            for g_, w_ in zip(pide._step_matrix(*args), both_stencil_step_matrix(*args)):
+                assert np.array_equal(g_, w_)
+            upwind = np.abs(Q) * dy > 2.0 * prep.R
+            seen_upwind |= upwind.any()
+            seen_central |= (~upwind).any()
+            level = pide._march_level(prep, np.full(g.y_nodes.size, 1.3), g, p)
+        assert seen_upwind and seen_central
+
+
+class TestSolveBanded:
+    def test_equals_scipy_solve_banded(self):
+        rng = np.random.default_rng(3)
+        n = 40
+        lower, upper = rng.normal(size=n - 1), rng.normal(size=n - 1)
+        diag, rhs = rng.normal(size=n) + 3.0, rng.normal(size=n)
+        ab = np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]])
+        want = solve_banded((1, 1), ab, rhs)
+        got = pide.solve_banded(lower.copy(), diag.copy(), upper.copy(), rhs.copy())
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("where", ["lower", "diag", "upper", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_value_error(self, where, bad):
+        arrays = {"lower": np.ones(3), "diag": np.full(4, 4.0), "upper": np.ones(3),
+                  "rhs": np.ones(4)}
+        arrays[where][1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pide.solve_banded(**arrays)
+
+    def test_singular_block_is_linalg_error(self):
+        # Second block [[1, 1], [1, 1]] is singular: gtsv meets a zero pivot.
+        lower = np.array([0.0, 0.0, 1.0])
+        diag = np.array([2.0, 2.0, 1.0, 1.0])
+        upper = np.array([1.0, 0.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            pide.solve_banded(lower, diag, upper, np.ones(4))
+
+    def test_nan_policy_row_is_value_error(self):
+        g = default_grid(P06, n_t_steps=20, n_y=41, n_ybar=5, n_gh=9)
+        PI = np.full((g.t_nodes.size, g.y_nodes.size), 0.4)
+        PI[10] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_h(PI, g, P06)
+
+    def test_march_calls_module_solve_banded(self, monkeypatch):
+        # The march looks the solver up by name at each step, so a wrapper
+        # installed on the module (as a tracer does) sees every solve.
+        calls = []
+        inner = pide.solve_banded
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(pide, "solve_banded", counted)
+        g = default_grid(P06, n_t_steps=20, n_y=41, n_ybar=5, n_gh=9)
+        solve_h(0.4, g, P06)
+        assert len(calls) == g.t_nodes.size - 1
+
+
+class TestSlope:
+    @pytest.mark.parametrize("kind", ["default_y", "default_t", "uniform", "graded"])
+    def test_equals_np_gradient(self, kind):
+        g = default_grid(P06, probe_y=[np.log(0.8)])
+        nodes = {"default_y": g.y_nodes, "default_t": g.t_nodes,
+                 "uniform": np.arange(9) * 0.25, "graded": np.linspace(0, 1, 12)**1.5}[kind]
+        slope = pide._Slope.on(nodes)
+        assert (slope.a is None) == (kind == "uniform")
+        f = np.exp(np.random.default_rng(0).normal(size=(5, nodes.size)))
+        assert np.array_equal(slope.full(f), np.gradient(f, nodes, axis=1))
+        want = np.gradient(f.T, nodes, axis=0)
+        assert np.array_equal(slope.interior(f.T, axis=0), want[1:-1])
+        # A run of rows with its halo, as the residual reads a time block.
+        assert np.array_equal(slope.interior(f.T[2:8], axis=0, at=slice(2, 6)), want[3:7])
+
+
 def _params(mu_Y, rho):
     return ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=rho, mu_Y=mu_Y,
                        sigma_Y=0.04, T=40.0, y0=np.log(2.0))
@@ -520,10 +654,15 @@ class TestResidual:
         return g, pol, {"fresh": h, "loaded": loaded, "contiguous": contiguous}
 
     @pytest.mark.parametrize("source", ["fresh", "loaded", "contiguous"])
-    @pytest.mark.parametrize("case", ["model", "overflowing_coeffs", "empty_band"])
+    @pytest.mark.parametrize("case", ["model", "overflowing_coeffs", "empty_band",
+                                      "nan_late_block", "late_worst"])
     def test_streamed_matches_whole_array_reference(self, solved, source, case):
         g, pol, surfaces = solved
         h = surfaces[source]
+        # 39 core time levels: a full block and a shorter last one.
+        n_core = g.t_nodes.size - 2
+        assert pide._RESIDUAL_BLOCK < n_core and n_core % pide._RESIDUAL_BLOCK != 0
+        late = g.t_nodes[pide._RESIDUAL_BLOCK + 5]
         # The march and the loader keep the slice-major (ybar, t, y) layout;
         # the "contiguous" copy checks the (t, y, ybar) C layout as well.
         assert h.values.flags.c_contiguous == (source == "contiguous")
@@ -537,10 +676,25 @@ class TestResidual:
                 return P * 1e306, Q, R
         elif case == "empty_band":
             g = dataclasses.replace(g, quad_sd=1e-300)
+        elif case == "nan_late_block":
+            # NaN in P at one level of the second block: the raw norms are
+            # NaN, the relative ones read it as 0.
+            def coeff_fn(t, y, yb, pi, params):
+                P, Q, R = coefficients(t, y, yb, pi, params)
+                return np.where(t == late, np.nan, P), Q, R
+        elif case == "late_worst":
+            def coeff_fn(t, y, yb, pi, params):
+                P, Q, R = coefficients(t, y, yb, pi, params)
+                return np.where(t == late, P * 1e60, P), Q, R
         want = reference_residual(h, pol.pi, g, P06, coeff_fn=coeff_fn)
         got = residual(h, pol.pi, g, P06, coeff_fn=coeff_fn)
         if case == "overflowing_coeffs":
             assert np.isinf(want.max_rel)
+        if case == "nan_late_block":
+            assert np.isnan(want.max_abs) and np.isnan(want.rms)
+            assert np.isfinite(want.max_rel)
+        if case == "late_worst":
+            assert want.worst[0] == late
         if case == "empty_band":
             assert (want.max_rel_band, want.rms_rel_band) == (want.max_rel, want.rms_rel)
         for name in ("max_abs", "max_rel", "max_rel_band"):
