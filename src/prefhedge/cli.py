@@ -26,6 +26,8 @@ import numpy as np
 from . import conditional
 from .equilibrium import (
     FixedPointConfig,
+    _closed_everywhere,
+    _layer_hedging,
     closed_form_policy_rho0,
     fixed_point_solve,
     reward_quadrature,
@@ -47,7 +49,7 @@ from .persist import (
     save_h_surface,
     save_policy_surface,
 )
-from .pide import default_grid, residual
+from .pide import QUAD_SD, default_grid, residual
 
 T_COLUMNS = (0.0, 7.0, 14.0, 21.0, 28.0, 35.0)
 
@@ -237,9 +239,9 @@ def _block_params(base: ModelParams, block: str) -> ModelParams:
                        T=base.T, y0=base.y0)
 
 
-def _solve_for_probe(params, probe_y, grid_kwargs, fp_cfg):
-    grid = default_grid(params, probe_y=[probe_y], **grid_kwargs)
-    return grid, *fixed_point_solve(grid, params, fp_cfg)
+def _closed_form(t, y, params):
+    """The equilibrium fraction where it is closed at every level (rho**2 in {0, 1})."""
+    return closed_form_policy_rho0(t, y, params) + _layer_hedging(t, y, params)
 
 
 def _json_dump(path, obj):
@@ -261,6 +263,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     clock.append(time.perf_counter())
     phase_s = dict(zip(("solve", "residual", "save"), np.diff(clock).tolist()))
 
+    closed = _closed_everywhere(cfg.params.rho)
     probe_rows = []
     closed_ok = True
     for t, y in cfg.probes:
@@ -270,8 +273,8 @@ def cmd_solve(cfg: RunConfig) -> int:
             "myopic": pol.value(t, y, component="myopic"),
             "hedging": pol.value(t, y, component="hedging"),
         }
-        if cfg.params.rho == 0.0:
-            cf = closed_form_policy_rho0(t, y, cfg.params)
+        if closed:
+            cf = _closed_form(t, y, cfg.params)
             row["closed_form"] = cf
             closed_ok &= abs(value - cf) < 1e-3
         probe_rows.append(row)
@@ -291,12 +294,11 @@ def cmd_solve(cfg: RunConfig) -> int:
         },
         "grid": {"n_t": int(grid.t_nodes.size), "n_y": int(grid.y_nodes.size),
                  "n_ybar": int(grid.ybar_nodes.size),
-                 "ybar_range": [float(grid.ybar_nodes[0]), float(grid.ybar_nodes[-1])],
-                 "band_sd": grid.band_sd, "quad_sd": grid.quad_sd},
+                 "ybar_range": [float(grid.ybar_nodes[0]), float(grid.ybar_nodes[-1])]},
         "phase_s": phase_s,
         "sweep_s": meta.sweep_s,
     }
-    if cfg.params.rho == 0.0 and cfg.probes:
+    if closed and cfg.probes:
         summary["closed_form_verified"] = bool(closed_ok)
     _json_dump(cfg.out_dir / "solve_summary.json", summary)
 
@@ -309,6 +311,11 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_table(cfg: RunConfig) -> int:
+    """pi at T_COLUMNS per exp_y row: the closed form at rho**2 in {0, 1}, else a solve.
+
+    A row that cannot be solved ends the command, naming the block and the
+    exp_y, and no table is written.
+    """
     if cfg.table_block is None:
         raise ConfigError("cmd_table needs 'table_block' in the config")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,20 +324,18 @@ def cmd_table(cfg: RunConfig) -> int:
 
     lines = ["exp_y," + ",".join(f"t={t:g}" for t in T_COLUMNS)]
     table = {}
-    notes = {}
     for exp_y in rows:
         y = float(np.log(exp_y))
-        if rho == 0.0:
-            vals = [closed_form_policy_rho0(t, y, params) for t in T_COLUMNS]
+        if _closed_everywhere(rho):
+            vals = [_closed_form(t, y, params) for t in T_COLUMNS]
         else:
             try:
-                _grid, _h, pol = _solve_for_probe(
-                    params, y, cfg.grid_kwargs, cfg.fixed_point
-                )
-                vals = [float(pol.value(t, y)) for t in T_COLUMNS]
-            except (PositivityError, ConvergenceError) as exc:
-                vals = [float("nan")] * len(T_COLUMNS)
-                notes[exp_y] = f"{type(exc).__name__}: {exc}"
+                grid = default_grid(params, probe_y=[y], **cfg.grid_kwargs)
+                _h, pol = fixed_point_solve(grid, params, cfg.fixed_point)
+            except (DomainError, PositivityError, ConvergenceError) as exc:
+                exc.args = (f"table block {cfg.table_block}, exp_y = {exp_y!r}: {exc}",)
+                raise
+            vals = [float(pol.value(t, y)) for t in T_COLUMNS]
         table[exp_y] = vals
         lines.append(f"{exp_y!r}," + ",".join(repr(v) for v in vals))
 
@@ -338,14 +343,12 @@ def cmd_table(cfg: RunConfig) -> int:
     csv_path.write_text("\n".join(lines) + "\n")
     _json_dump(cfg.out_dir / f"table_{cfg.table_block.replace(',', '_')}.json",
                {"block": cfg.table_block, "t_columns": list(T_COLUMNS),
-                "rows": {str(k): v for k, v in table.items()},
-                "notes": {str(k): v for k, v in notes.items()}})
+                "rows": {str(k): v for k, v in table.items()}})
 
     print(f"block {cfg.table_block}:")
     for exp_y in rows:
         cells = "  ".join(f"{v:7.3f}" for v in table[exp_y])
-        note = f"   [{notes[exp_y]}]" if exp_y in notes else ""
-        print(f"  exp_y={exp_y!r:>5}: {cells}{note}")
+        print(f"  exp_y={exp_y!r:>5}: {cells}")
     return 0
 
 
@@ -364,15 +367,31 @@ def _check_in_hull(grid, points):
             )
 
 
+def _check_reward_cover(grid, params, points):
+    """Reject (name, t, y) reward probes whose quadrature reads beyond the slices.
+
+    reward_quadrature reads ybar in mean +- QUAD_SD sd and would clamp it.
+    """
+    yb = grid.ybar_nodes
+    for name, t0, y0 in points:
+        mean, sd = grid.terminal_mean_sd(t0, y0, params)
+        lo, hi = float(mean - QUAD_SD * sd), float(mean + QUAD_SD * sd)
+        if lo < yb[0] or hi > yb[-1]:
+            raise DomainError(
+                f"{name} (t = {t0!r}, exp_y = {float(np.exp(y0))!r}): its reward quadrature "
+                f"reads ybar in [{lo!r}, {hi!r}], outside the solved slices "
+                f"[{float(yb[0])!r}, {float(yb[-1])!r}]")
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     vcfg = cfg.verify
     probes = cfg.probes or ((0.0, cfg.params.y0),)
     reward_probes = vcfg.get("reward_probes",
                              [{"t": 0.0, "exp_y": float(np.exp(cfg.params.y0))}])
+    reward_points = [(f"verify.reward_probes[{i}]", float(p["t"]), float(np.log(p["exp_y"])))
+                     for i, p in enumerate(reward_probes)]
     points = [(f"probes[{i}]", t0, y0) for i, (t0, y0) in enumerate(probes)]
-    points += [(f"verify.reward_probes[{i}]", float(p["t"]), float(np.log(p["exp_y"])))
-               for i, p in enumerate(reward_probes)]
 
     h_path = cfg.out_dir / "h_surface.bin"
     p_path = cfg.out_dir / "policy_surface.bin"
@@ -382,11 +401,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         h = load_h_surface(h_path, cfg.params)
         pol = load_policy_surface(p_path, cfg.params)
         grid = h.grid
-        _check_in_hull(grid, points)
     else:
-        probe_ys = sorted({y for _t, y in cfg.probes}) or [cfg.params.y0]
+        probe_ys = sorted({y for _t, y in probes} | {y for _n, _t, y in reward_points})
         grid = default_grid(cfg.params, probe_y=probe_ys, **cfg.grid_kwargs)
-        _check_in_hull(grid, points)
+    _check_in_hull(grid, points + reward_points)
+    _check_reward_cover(grid, cfg.params, reward_points)
+    if not loaded:
         h, pol = fixed_point_solve(grid, cfg.params, cfg.fixed_point)
 
     z_gate = float(vcfg.get("z_gate", 3.0))

@@ -3,8 +3,8 @@
 The equilibrium fraction solves a fixed-point problem: the policy is a
 functional of the continuation factors through a density-weighted elasticity
 integral, while the factors solve PDEs whose coefficients contain the
-policy.  With zero stock/preference correlation the integral drops out and
-the policy is available in closed form.
+policy.  With zero or perfect stock/preference correlation the policy is
+available in closed form.
 
 The coupling is triangular in time: the policy at a time level depends only
 on the factors at that level, which depend only on later levels, as in the
@@ -27,6 +27,7 @@ from .conditional import bridge_drift_y, score
 from .errors import ConvergenceError, DomainError
 from .model import EPS_GAMMA, ModelParams, expected_terminal_gamma
 from .pide import (
+    QUAD_SD,
     GridSpec,
     HSurface,
     _locate,
@@ -69,9 +70,10 @@ class IterationMeta:
     level in march order, at time ``t_worst``).  ``evals_histogram`` holds
     (map evaluations, number of levels) pairs over the iterated levels, in
     ascending order, and ``map_evals`` their total.  A solve with no
-    iterated level (rho = 0) reports one evaluation with change 0, an
-    empty histogram and no ``t_worst``.  Only settled solves carry one: a
-    level that does not settle raises ConvergenceError instead.
+    iterated level (rho**2 in {0, 1}, see _closed_from) reports one
+    evaluation with change 0, an empty histogram and no ``t_worst``.  Only
+    settled solves carry one: a level that does not settle raises
+    ConvergenceError instead.
 
     ``sweep_s`` holds the whole solve's wall seconds, summed over levels, in
     ``prepare`` (the policy-free work of each level: _prepare_level and
@@ -153,10 +155,8 @@ def _terminal_bracket(grid: GridSpec, params: ModelParams, t, y):
     linear weights, each of shape broadcast(t, y) + (n_gh,).
     """
     mean, sd = grid.terminal_mean_sd(t, y, params)
-    # The mapping is capped at grid.quad_sd conditional deviations (the
-    # integrand is extended flat beyond): the quadrature must read only the
-    # region where the marched factor is valid, strictly inside the band.
-    offset = np.clip(np.sqrt(2.0) * grid.gh_nodes, -grid.quad_sd, grid.quad_sd)
+    # The mapping is capped at QUAD_SD conditional deviations.
+    offset = np.clip(np.sqrt(2.0) * grid.gh_nodes, -QUAD_SD, QUAD_SD)
     target = np.asarray(mean)[..., None] + offset * np.asarray(sd)[..., None]
     lo, frac = _locate(grid.ybar_nodes, target, clip=True)
     points = np.arange(lo.size // lo.shape[-1]).reshape(lo.shape[:-1] + (1,))
@@ -192,14 +192,15 @@ def _degenerate_cut(t_k, grid: GridSpec, params: ModelParams):
 
 
 def _layer_hedging(t, y, params: ModelParams):
-    """Leading-order hedging demand from the exact constant-policy solution.
+    """Hedging demand of the exact constant-policy solution.
 
-    For a locally constant fraction pi the factor is log-affine with
-    y-slope pi rho (sigma_S/sigma_Y)(gamma - 1), making the hedging demand
-    rho**2 pi (1 - 1/E[gamma_T]); solving the resulting scalar fixed point
-    gives pi = (mu_S - r)/(sigma_S**2 ((1-rho**2) E[gamma_T] + rho**2)).
-    Used to close the policy inside the terminal layer, where the marched
-    elasticity has not yet relaxed to its layer-free profile.
+    For a constant fraction pi the log factor is exactly affine in y, with
+    y-slope pi rho (sigma_S/sigma_Y)(gamma - 1); the hedging demand
+    rho**2 pi (1 - 1/E[gamma_T]) then has the fixed point
+    pi = M/((1 - rho**2) E[gamma_T] + rho**2), M = (mu_S - r)/sigma_S**2:
+    the equilibrium at rho = 0 (this returns +0.0) and at rho**2 = 1
+    (myopic + hedging is M to rounding; pi = M is self-consistent there).
+    Elsewhere it closes the terminal window (_closed_from).
     """
     Eg = expected_terminal_gamma(t, y, params)
     pi_layer = (params.mu_S - params.r) / (
@@ -208,13 +209,21 @@ def _layer_hedging(t, y, params: ModelParams):
     return pi_layer - closed_form_policy_rho0(t, y, params)
 
 
-def _apply_terminal_layer(hedging: np.ndarray, grid: GridSpec, params: ModelParams):
-    cut = _terminal_layer_cut(grid, params.rho)
-    if cut < grid.t_nodes.size:
-        hedging[cut:] = _layer_hedging(
-            grid.t_nodes[cut:, None], grid.y_nodes[None, :], params
-        )
-    return hedging
+def _closed_everywhere(rho) -> bool:
+    """Whether _layer_hedging is the equilibrium at every level: rho**2 in {0, 1}."""
+    return rho * rho in (0.0, 1.0)
+
+
+def _closed_from(grid: GridSpec, params: ModelParams):
+    """(first level closed by _layer_hedging, hedging surface of those rows, 0 before).
+
+    Every level if _closed_everywhere, else pide._terminal_layer_cut's window.
+    """
+    closed = 0 if _closed_everywhere(params.rho) else _terminal_layer_cut(grid, params.rho)
+    hedging = np.zeros(grid.shape[:2])
+    hedging[closed:] = _layer_hedging(grid.t_nodes[closed:, None], grid.y_nodes[None, :],
+                                      params)
+    return closed, hedging
 
 
 def _row_map(k, grid: GridSpec, params: ModelParams):
@@ -263,17 +272,14 @@ def policy_from_h(h: HSurface, grid: GridSpec, params: ModelParams) -> PolicySur
 
     pi = (mu_S - r + rho sigma_S sigma_Y I(t, y)) / (sigma_S**2 E[gamma_T]),
     stored together with its myopic part and the hedging correction.  Each
-    level's hedging row is the one the coupled solve settles (_row_map and
-    _hedging_row), and the analytic terminal window overrides the rows
-    inside it; the hedging component is identically zero when rho = 0.
+    level's hedging row is the one the coupled solve settles: _layer_hedging
+    on the levels _closed_from closes, else _row_map and _hedging_row.
     """
     myopic = closed_form_policy_rho0(grid.t_nodes[:, None], grid.y_nodes[None, :], params)
-    hedging = np.zeros_like(myopic)
-    if params.rho != 0.0:
-        for k in range(grid.t_nodes.size):
-            hedging[k] = _hedging_row(np.log(h.values[k]).T, _row_map(k, grid, params),
-                                      grid, params)
-        _apply_terminal_layer(hedging, grid, params)
+    closed, hedging = _closed_from(grid, params)
+    for k in range(closed):
+        hedging[k] = _hedging_row(np.log(h.values[k]).T, _row_map(k, grid, params),
+                                  grid, params)
     return PolicySurface(grid=grid, pi=myopic + hedging, myopic=myopic, hedging=hedging)
 
 
@@ -300,11 +306,12 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     part of the coefficients); every map evaluation at that level then
     runs only the policy-dependent work, one block-diagonal solve
     (pide._march_level) and the hedging quadrature through the level's
-    precomputed bracket (_row_map, _hedging_row).  For rho = 0 and inside
-    the analytic terminal window the hedging row is known before the step,
-    and the level is marched once.  Below the window the level's hedging
-    row u solves u = H(march(myopic + u)), H the hedging quadrature of the
-    marched level with its edge and degenerate-band closures.  The row is
+    precomputed bracket (_row_map, _hedging_row).  On the levels
+    _closed_from closes (all of them at rho**2 in {0, 1}, else the terminal
+    window) the hedging row is _layer_hedging's, known before the step, and
+    the level is marched once.  Every other level's hedging row u solves
+    u = H(march(myopic + u)), H the hedging quadrature of the marched level
+    with its edge and degenerate-band closures.  The row is
     iterated from the previous level's with Anderson acceleration and
     accepted once one more map evaluation moves it by less than
     cfg.tol_sup; the accepted iterate, not the map output, is stored, so
@@ -321,10 +328,7 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     cfg = cfg or FixedPointConfig()
     t = grid.t_nodes
     myopic = closed_form_policy_rho0(t[:, None], grid.y_nodes[None, :], params)
-    hedging = np.zeros_like(myopic)
-    layer_cut = _terminal_layer_cut(grid, params.rho)
-    if params.rho != 0.0:
-        _apply_terminal_layer(hedging, grid, params)
+    closed, hedging = _closed_from(grid, params)
     worst: list[float] = []
     t_worst = None
     evals = Counter()
@@ -339,7 +343,7 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     def advance(level, k):
         nonlocal worst, t_worst
         prep = timed("prepare", _prepare_level, level, k, grid, params)
-        if params.rho == 0.0 or k >= layer_cut:
+        if k >= closed:
             return timed("march", _march_level, prep, myopic[k] + hedging[k], grid, params)
         row_map = timed("prepare", _row_map, k, grid, params)
         us, gs, history = [hedging[k + 1]], [], []
@@ -383,7 +387,7 @@ def reward_quadrature(h: HSurface, t0, x0, y0, params: ModelParams, n_nodes=21):
     grid = h.grid
     xi, w = np.polynomial.hermite.hermgauss(n_nodes)
     mean, sd = grid.terminal_mean_sd(t0, y0, params)
-    cap = grid.quad_sd * sd
+    cap = QUAD_SD * sd
     total = 0.0
     for x_, w_ in zip(xi, w / np.sqrt(np.pi)):
         yb = float(np.clip(mean + np.clip(np.sqrt(2.0) * sd * x_, -cap, cap),

@@ -41,7 +41,6 @@ M-matrix, hence positivity-preserving.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,8 +49,6 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import DegenerateTimeError, DomainError, OutOfGridError, PositivityError
 from .model import EPS_GAMMA, ModelParams, eval_policy
-
-_log = logging.getLogger(__name__)
 
 # Abort threshold for the continuation factor inside a slice's bridge tube
 # (values beyond it there mean the solve left the representable regime: at
@@ -65,6 +62,11 @@ H_MIN = float(np.exp(-690.0))
 # the band around each slice's bridge line where the solution is resolved
 # and checked; quadrature never reads the factor outside ~4.5 sd.
 BAND_SD = 4.5
+
+# Cap, in conditional standard deviations, on the terminal-state quadrature
+# nodes (the integrand is held flat beyond), strictly inside the band where
+# the factor is valid; also the half-width of the residual's band.
+QUAD_SD = 4.0
 
 # Fewest rows of a marched window: the tube extension reads slopes from
 # interior node pairs two rows inside each window edge.
@@ -97,8 +99,6 @@ class GridSpec:
     ybar_nodes: np.ndarray
     gh_nodes: np.ndarray
     ybar_weights: np.ndarray
-    band_sd: float = BAND_SD
-    quad_sd: float = 4.0
 
     def __post_init__(self):
         t = np.asarray(self.t_nodes, dtype=float)
@@ -135,8 +135,6 @@ class GridSpec:
             raise DomainError("gh_nodes and ybar_weights must be 1-d and paired")
         if not np.isclose(w.sum(), 1.0, rtol=1e-12):
             raise DomainError("ybar_weights must sum to 1")
-        if not 0 < self.quad_sd <= self.band_sd:
-            raise DomainError("need 0 < quad_sd <= band_sd")
 
     @property
     def dy(self) -> float:
@@ -187,9 +185,11 @@ def default_grid(
     standard deviations; the node count scales up with the domain so the
     spacing never coarsens below that reference.
 
-    ``ybar_pad_sd`` must be at least 3 (DomainError otherwise).  When the
-    factor budget forces a narrower pad or band than requested, a warning
-    names the requested and the chosen (pad, band_sd, quad_sd).
+    ``ybar_pad_sd`` must be at least 3, and a crude estimate of the steepest
+    slice's |ln h| (worst-case slope times tube width plus the reaction
+    over the horizon, at the lowest slice's constant-policy fraction) at
+    most 500, inside float range (H_MAX is e^690).  Otherwise DomainError
+    is raised before any grid is built, naming the estimate and the pad.
     """
     if not ybar_pad_sd >= 3.0:
         raise DomainError(f"ybar_pad_sd must be >= 3.0, got {ybar_pad_sd!r}")
@@ -200,45 +200,20 @@ def default_grid(
 
     probes = [params.y0] if probe_y is None else [float(v) for v in np.atleast_1d(probe_y)]
 
-    # The log factor of the steepest slice must stay within float range over
-    # its tube; shrink the terminal-state pad (and, in extreme cases, the
-    # band and quadrature widths) until a crude budget estimate (worst-case
-    # slope times tube width plus the reaction accumulated over the
-    # horizon) fits.  Tail mass beyond the narrowest fallback is ~1e-2 of
-    # the quadrature weight.
-    def _budget(pad, band):
-        g_top = np.exp(max(abs(min(probes) + drift - pad * sT),
-                           abs(max(probes) + drift + pad * sT)))
-        g_lo = np.exp(min(probes) + drift - pad * sT)
-        pi_est = (params.mu_S - params.r) / (
-            params.sigma_S**2 * ((1.0 - params.rho**2) * g_lo + params.rho**2 + 1e-12)
-        )
-        pi_est = min(abs(pi_est), abs(params.mu_S - params.r) / params.sigma_S**2 * 4.0)
-        slope_part = (
-            abs(pi_est * params.rho) * (params.sigma_S / params.sigma_Y)
-            * (band + 1.0) * sT
-        )
-        growth_part = (
-            abs(params.r) + pi_est * abs(params.mu_S - params.r)
-            + 0.5 * pi_est**2 * params.sigma_S**2
-        ) * params.T
-        return g_top * (slope_part + growth_part)
+    yb_lo = min(probes) + drift - ybar_pad_sd * sT
+    yb_hi = max(probes) + drift + ybar_pad_sd * sT
+    merton = abs(params.mu_S - params.r) / params.sigma_S**2
+    pi_est = min(merton / ((1.0 - params.rho**2) * np.exp(yb_lo) + params.rho**2 + 1e-12),
+                 4.0 * merton)
+    slope = pi_est * abs(params.rho) * (params.sigma_S / params.sigma_Y) * (BAND_SD + 1.0) * sT
+    growth = (abs(params.r) + pi_est * abs(params.mu_S - params.r)
+              + 0.5 * pi_est**2 * params.sigma_S**2) * params.T
+    budget = np.exp(max(abs(yb_lo), abs(yb_hi))) * (slope + growth)
+    if not budget <= 500.0:
+        raise DomainError(
+            f"default_grid: the log-factor budget estimate {budget:.4g} exceeds 500 at "
+            f"ybar_pad_sd = {float(ybar_pad_sd)!r}; a smaller pad or nearer probes may fit")
 
-    candidates = [(p, BAND_SD, 4.0) for p in np.arange(ybar_pad_sd, 2.99, -0.25)]
-    candidates += [(3.0, 3.5, 3.0), (2.5, 3.5, 3.0)]
-    pad, band_sd, quad_sd = candidates[-1]
-    for cand in candidates:
-        if _budget(cand[0], cand[1]) <= 500.0:
-            pad, band_sd, quad_sd = cand
-            break
-    if (pad, band_sd, quad_sd) != candidates[0]:
-        _log.warning(
-            "default_grid: factor budget fallback from (pad, band_sd, quad_sd) = "
-            "(%r, %r, %r) to (%r, %r, %r)", *map(float, candidates[0]),
-            float(pad), float(band_sd), float(quad_sd))
-
-    yb_lo = min(probes) + drift - pad * sT
-    yb_hi = max(probes) + drift + pad * sT
     ybar_nodes = np.linspace(yb_lo, yb_hi, n_ybar)
     # gamma = 1 is excluded: nudge any slice that lands on ybar = 0.
     hit = np.abs(ybar_nodes) <= EPS_GAMMA
@@ -260,8 +235,6 @@ def default_grid(
         ybar_nodes=ybar_nodes,
         gh_nodes=xi,
         ybar_weights=w / np.sqrt(np.pi),
-        band_sd=float(band_sd),
-        quad_sd=float(quad_sd),
     )
 
 
@@ -581,7 +554,7 @@ def _slice_windows(grid: GridSpec, params: ModelParams, t):
     """
     y = grid.y_nodes
     tau = params.T - t
-    half = grid.band_sd * params.sigma_Y * np.sqrt(tau)
+    half = BAND_SD * params.sigma_Y * np.sqrt(tau)
     centers = grid.ybar_nodes - params.mu_Y * tau
     band_lo = np.searchsorted(y, centers - half, side="left")
     band_hi = np.searchsorted(y, centers + half, side="right")
@@ -759,7 +732,8 @@ def _terminal_layer_cut(grid: GridSpec, rho: float) -> int:
     gain scaling like rho**2/(T-t).  Inside the window the hedging demand is
     closed analytically instead (see equilibrium._layer_hedging), and the
     residual is not measured there; the window lies inside the terminal
-    layer, far later than any probe time.
+    layer, far later than any probe time.  At rho**2 in {0, 1} the solve
+    closes every level instead (equilibrium._closed_from).
     """
     frac = max(0.02, 0.1 * rho * rho)
     return int(np.searchsorted(grid.t_nodes, grid.T - frac * grid.T))
@@ -816,12 +790,12 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
     t_slope, y_slope = grid._t_slope, grid._y_slope
 
     # Bridge-compatible band: nodes whose terminal state lies within
-    # grid.quad_sd conditional sd of the node's conditional mean, at times
+    # QUAD_SD conditional sd of the node's conditional mean, at times
     # below the analytically closed terminal window.  Outside it (far
     # corners, where the factor is a linear log-extension, and the terminal
     # layer) pointwise central differences are not meaningful.
     tau = (params.T - t[1:-1])[:, None]
-    width = grid.quad_sd * params.sigma_Y * np.sqrt(tau)
+    width = QUAD_SD * params.sigma_Y * np.sqrt(tau)
     early = (np.arange(1, t.size - 1) < _terminal_layer_cut(grid, params.rho))[:, None]
 
     max_abs, max_rel, worst_at, band_max = [], [], [], []

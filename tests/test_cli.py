@@ -243,7 +243,35 @@ class TestCommands:
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert solves == []
         err = capsys.readouterr().err
-        assert name in err and "outside the solved grid" in err and "39.96" in err
+        if probe["exp_y"] == 1e4:
+            # verify builds its slices around the reward probes too, and
+            # there the factor budget refuses them.
+            assert "budget estimate" in err
+        else:
+            assert name in err and "outside the solved grid" in err and "39.96" in err
+
+    def test_verify_slices_cover_reward_probes(self, tmp_path, monkeypatch):
+        # Probes at exp_y = 2, the default reward probe at y0 = 0: the
+        # reward quadrature's nodes lie inside the slices verify solves.
+        import prefhedge.cli as cli
+        from prefhedge.pide import QUAD_SD
+
+        class Solved(Exception):
+            pass
+
+        def stop(grid, *a, **k):
+            raise Solved(grid)
+
+        monkeypatch.setattr(cli, "fixed_point_solve", stop)
+        params = {**BASE["params"], "rho": 0.6, "y0": 0.0}
+        path = write_config(tmp_path, {"params": params, "grid": self.GRID,
+                                       "probes": [{"t": 0.0, "exp_y": 2.0}]})
+        with pytest.raises(Solved) as exc:
+            main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+        grid = exc.value.args[0]
+        mean, sd = grid.terminal_mean_sd(0.0, 0.0, RunConfig.from_file(path).params)
+        assert grid.ybar_nodes[0] <= mean - QUAD_SD * sd
+        assert mean + QUAD_SD * sd <= grid.ybar_nodes[-1]
 
     def test_solve_rejects_probe_outside_grid_before_solving(
             self, tmp_path, monkeypatch, capsys):
@@ -279,6 +307,32 @@ class TestCommands:
         assert name in capsys.readouterr().err
         assert not (out / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("exp_y", [1.0, 10.0])
+    def test_verify_rejects_reward_probe_beyond_loaded_slices(
+            self, tmp_path, monkeypatch, capsys, exp_y):
+        # Surfaces solved around exp_y = 2: a reward probe at 1 or 10 lies in
+        # the (t, y) hull, but its quadrature reads beyond the slices.
+        import prefhedge.cli as cli
+
+        out = tmp_path / "out"
+        extra = {"params": {**BASE["params"], "rho": 0.6}, "grid": self.GRID}
+        path = write_config(tmp_path, extra)
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        runs = []
+        for fn in ("residual", "verify_g_representation_batch", "equilibrium_spike_test",
+                   "reward_mc", "fixed_point_solve"):
+            monkeypatch.setattr(cli, fn, lambda *a, _fn=fn, **k: runs.append(_fn))
+        monkeypatch.setattr(prefhedge.mc, "_simulate",
+                            lambda *a, **k: runs.append("_simulate"))
+        extra["verify"] = {"reward_probes": [{"t": 0.0, "exp_y": 2.0},
+                                             {"t": 0.0, "exp_y": exp_y}]}
+        path = write_config(tmp_path, extra)
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+        assert runs == []
+        err = capsys.readouterr().err
+        assert "verify.reward_probes[1]" in err and "outside the solved slices" in err
+        assert not (out / "verify_report.json").exists()
+
     def test_table_rho0_block(self, tmp_path):
         path = write_config(tmp_path, {"table_block": "0.02,0"})
         rc = main(["table", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -288,9 +342,10 @@ class TestCommands:
         assert row[0] == pytest.approx(0.078, abs=1e-3)
         assert row[5] == pytest.approx(0.161, abs=1e-3)
 
-    def test_every_table_block_right_or_refused(self, tmp_path):
-        # Each row holds six finite cells, or NaN cells and a note naming
-        # the exception; every |rho| = 0.6 and rho = 0 row is finite.
+    def test_every_table_block_finite(self, tmp_path):
+        # Each row holds six finite cells; at |rho| = 1 every cell is the
+        # closed form M = (mu_S - r)/sigma_S**2.
+        M = (0.07 - 0.02) / 0.2**2
         grid = {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9}
         for block, (_mu, rho, rows) in TABLE_BLOCKS.items():
             path = write_config(tmp_path, {"table_block": block, "grid": grid})
@@ -298,16 +353,27 @@ class TestCommands:
             assert main(["table", "--config", str(path), "--out", str(out)]) == 0
             name = block.replace(",", "_")
             data = json.loads((out / f"table_{name}.json").read_text())
+            assert sorted(data) == ["block", "rows", "t_columns"]
             assert list(data["rows"]) == [str(r) for r in rows]
             for key, cells in data["rows"].items():
-                assert len(cells) == 6
-                if all(np.isfinite(cells)):
-                    assert key not in data["notes"], (block, key)
-                else:
-                    assert abs(rho) == 1.0, (block, key)
-                    assert np.all(np.isnan(cells)), (block, key)
-                    assert data["notes"][key].split(":")[0] in (
-                        "ConvergenceError", "PositivityError"), (block, key)
+                assert len(cells) == 6 and np.all(np.isfinite(cells)), (block, key)
+                if abs(rho) == 1.0:
+                    assert np.max(np.abs(np.subtract(cells, M))) <= 1e-15, (block, key)
+
+    def test_failing_table_row_names_block_and_exp_y(self, tmp_path, monkeypatch, capsys):
+        import prefhedge.cli as cli
+        from prefhedge.errors import ConvergenceError
+
+        def fail(*a, **k):
+            raise ConvergenceError("hedging row at t = 1.0 still moved", history=[1.0])
+
+        monkeypatch.setattr(cli, "fixed_point_solve", fail)
+        path = write_config(tmp_path, {"table_block": "0.02,0.6"})
+        out = tmp_path / "out"
+        assert main(["table", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "ConvergenceError: table block 0.02,0.6, exp_y = 2: hedging row" in err
+        assert list(out.iterdir()) == []
 
     def test_round_trip_solve_then_verify(self, tmp_path):
         out = tmp_path / "out"

@@ -81,6 +81,64 @@ class TestClosedForm:
         assert np.all(vals == vals[0])
 
 
+M = (0.07 - 0.02) / 0.2**2    # (mu_S - r)/sigma_S**2 of params_with
+
+
+class TestClosedLayer:
+    """rho**2 in {0, 1}: _layer_hedging is the equilibrium at every level."""
+
+    @pytest.mark.parametrize("rho", [0.0, -0.0])
+    def test_rho0_layer_hedging_is_positive_zero(self, rho):
+        p = params_with(0.02, rho)
+        g = default_grid(p)
+        hedging = equilibrium._layer_hedging(g.t_nodes[:, None], g.y_nodes[None, :], p)
+        assert hedging.shape == g.shape[:2]
+        assert np.all(hedging == 0.0) and not np.any(np.signbit(hedging))
+
+    @pytest.fixture(scope="class", params=[1.0, -1.0])
+    def perfect(self, request):
+        p = params_with(-0.02, request.param)
+        g = default_grid(p, probe_y=[np.log(0.8)])
+        return g, p, *fixed_point_solve(g, p)
+
+    def test_perfect_correlation_is_closed(self, perfect):
+        g, p, h, pol = perfect
+        meta = pol.iteration_meta
+        assert (meta.map_evals, meta.evals_histogram, meta.t_worst) == (0, (), None)
+        assert np.array_equal(pol.pi, pol.myopic + pol.hedging)
+        assert np.max(np.abs(pol.pi - M)) <= 2 * np.spacing(M)
+        assert np.array_equal(solve_h(pol.pi, g, p).values, h.values)
+        assert np.array_equal(policy_from_h(h, g, p).pi, pol.pi)
+
+    def test_supremand_maximizer_is_merton_fraction(self, perfect):
+        # The independent oracle, quadratic in the trial fraction: its
+        # maximizer from three exact evaluations.
+        g, p, h, _pol = perfect
+        i = int(np.argmin(np.abs(g.y_nodes - np.log(0.8))))
+        for t in (0.0, 14.0, 28.0):
+            k = int(np.argmin(np.abs(g.t_nodes - t)))
+            f0, f1, f2 = (ehjb_supremand(x, g.t_nodes[k], g.y_nodes[i], h, g, p)
+                          for x in (0.0, 1.0, 2.0))
+            curvature = f2 - 2.0 * f1 + f0
+            assert curvature < 0
+            assert abs((f0 - f2) / (2.0 * curvature) + 1.0 - M) < 0.02, t
+
+    def test_near_perfect_sweep_refines_toward_merton_fraction(self):
+        # rho**2 just below 1 takes the iterated sweep: a numerical oracle for
+        # the closed form, its error shrinking under grid refinement.
+        y = np.log(0.8)
+        p = params_with(-0.02, -(1.0 - 1e-12))
+        errors = []
+        for kw in ({"n_t_steps": 100, "n_y": 121, "n_ybar": 11}, {}):
+            g = default_grid(p, probe_y=[y], **kw)
+            _h, pol = fixed_point_solve(g, p)
+            assert pol.iteration_meta.map_evals > 0
+            errors.append(np.abs([pol.value(t, y) - M for t in (0, 7, 14, 21, 28, 35)]))
+        coarse, fine = errors
+        assert fine[0] < 1e-3
+        assert np.all(fine < coarse)
+
+
 class TestHedgingIntegral:
     def _flat_surface(self, p, c=0.0):
         g = default_grid(p, n_t_steps=30, n_y=81, n_ybar=11)
@@ -114,7 +172,7 @@ class TestHedgingIntegral:
         mean = y0n + p.mu_Y * (p.T - t0n)
         sd = p.sigma_Y * np.sqrt(p.T - t0n)
         yy = np.linspace(mean - 8 * sd, mean + 8 * sd, 4001)
-        cap = g.quad_sd * sd
+        cap = pide.QUAD_SD * sd
         yy_read = np.clip(np.clip(yy, mean - cap, mean + cap),
                           g.ybar_nodes[0], g.ybar_nodes[-1])
         e_interp = np.interp(yy_read, g.ybar_nodes, el[kt, iy, :])
@@ -135,7 +193,7 @@ class TestTerminalAverage:
         # its middle point
         g = self.G
         mean, sd = g.terminal_mean_sd(self.T0, g.y_nodes, self.P)
-        cap = g.quad_sd * sd
+        cap = pide.QUAD_SD * sd
         y = g.y_nodes[(mean - cap > g.ybar_nodes[0]) & (mean + cap < g.ybar_nodes[-1])]
         assert y.size > 10
         return y if row else y[y.size // 2]
@@ -312,7 +370,7 @@ def reference_hedging_row(w_level, k, grid, params):
     t_k, y = grid.t_nodes[k], grid.y_nodes
     el = np.gradient(w_level, y, axis=1).T
     mean, sd = grid.terminal_mean_sd(t_k, y, params)
-    offset = np.clip(np.sqrt(2.0) * grid.gh_nodes, -grid.quad_sd, grid.quad_sd)
+    offset = np.clip(np.sqrt(2.0) * grid.gh_nodes, -pide.QUAD_SD, pide.QUAD_SD)
     target = np.asarray(mean)[..., None] + offset * np.asarray(sd)[..., None]
     lo, frac = pide._locate(grid.ybar_nodes, target, clip=True)
     f_lo = np.take_along_axis(el, lo, axis=-1)

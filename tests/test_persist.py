@@ -17,6 +17,7 @@ from prefhedge import (
 )
 from prefhedge.equilibrium import policy_from_h
 from prefhedge.persist import params_hash
+from prefhedge.pide import BAND_SD, QUAD_SD
 
 P = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.6,
                 mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
@@ -39,8 +40,7 @@ def test_h_surface_round_trip(tmp_path, solved):
     assert np.array_equal(back.grid.t_nodes, grid.t_nodes)
     assert np.array_equal(back.grid.ybar_nodes, grid.ybar_nodes)
     assert back.grid.eps_T == grid.eps_T
-    assert back.grid.band_sd == grid.band_sd
-    assert type(back.grid.T) is float and type(back.grid.band_sd) is float
+    assert type(back.grid.T) is float and type(back.grid.eps_T) is float
     # the loaded values keep the march's slice-major (ybar, t, y) layout
     assert np.moveaxis(back.values, 2, 0).flags.c_contiguous
 
@@ -111,7 +111,7 @@ def _old_h_container(h, params):
     g = h.grid
     body = b"HSRF" + struct.pack("<I", 1) + params_hash(params)
     body += struct.pack("<4I4d", *g.shape, g.gh_nodes.size,
-                        g.eps_T, g.T, g.band_sd, g.quad_sd)
+                        g.eps_T, g.T, BAND_SD, QUAD_SD)
     for a in (g.t_nodes, g.y_nodes, g.ybar_nodes, g.gh_nodes, g.ybar_weights,
               np.moveaxis(h.values, 2, 0)):
         body += np.ascontiguousarray(a, dtype="<f8").tobytes()
@@ -120,7 +120,7 @@ def _old_h_container(h, params):
 
 def _same_surface(a, b):
     arrays = ["t_nodes", "y_nodes", "ybar_nodes", "gh_nodes", "ybar_weights"]
-    scalars = ["T", "eps_T", "band_sd", "quad_sd"]
+    scalars = ["T", "eps_T"]
     payload = ["values"] if hasattr(a, "values") else ["pi", "myopic", "hedging"]
     return (all(np.array_equal(getattr(a.grid, n), getattr(b.grid, n)) for n in arrays)
             and all(getattr(a.grid, n) == getattr(b.grid, n) for n in scalars)
@@ -136,7 +136,7 @@ def test_damaged_archive_fails_closed(tmp_path, solved, kind):
     save(path, surface, P)
     blob = path.read_bytes()
     offsets = _flip_offsets(blob)
-    assert 35 <= len(offsets) <= 45
+    assert 30 <= len(offsets) <= 45
     rejected = 0
     for off in offsets:
         damaged = bytearray(blob)
@@ -167,5 +167,18 @@ def test_old_binary_container_is_rejected(tmp_path, solved):
     _, h, _ = solved
     path = tmp_path / "h.bin"
     path.write_bytes(_old_h_container(h, P))
+    with pytest.raises(ConfigError, match="container"):
+        load_h_surface(path, P)
+
+
+def test_archive_with_band_widths_is_rejected(tmp_path, solved):
+    # Archives written while the grid carried band_sd and quad_sd members.
+    _, h, _ = solved
+    path = tmp_path / "h.bin"
+    save_h_surface(path, h, P)
+    with np.load(path) as z:
+        members = {name: z[name] for name in z.files}
+    with open(path, "wb") as fh:
+        np.savez(fh, **members, band_sd=np.float64(BAND_SD), quad_sd=np.float64(QUAD_SD))
     with pytest.raises(ConfigError, match="container"):
         load_h_surface(path, P)

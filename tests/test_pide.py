@@ -78,7 +78,7 @@ def reference_residual(h, policy, grid, params, coeff_fn=None):
                             posinf=np.inf, neginf=-np.inf)
     tau = (params.T - t[1:-1])[:, None, None]
     dev = yb[None, None, :] - y[None, 1:-1, None] - params.mu_Y * tau
-    band = np.abs(dev) <= grid.quad_sd * params.sigma_Y * np.sqrt(tau)
+    band = np.abs(dev) <= pide.QUAD_SD * params.sigma_Y * np.sqrt(tau)
     band &= (np.arange(1, t.size - 1) < pide._terminal_layer_cut(grid, params.rho))[:, None, None]
     rel_band = rel[band] if np.any(band) else rel
     k, i, j = np.unravel_index(np.argmax(np.abs(rel)), core.shape)
@@ -189,30 +189,31 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("pad", [-1.0, 0.0, 2.9, float("nan")])
     def test_rejects_pad_below_three(self, pad):
-        # np.arange(pad, 2.99, -0.25) is empty below 3, which would leave
-        # default_grid only its fallback candidates.
         with pytest.raises(DomainError, match="ybar_pad_sd"):
             default_grid(P06, n_t_steps=10, n_y=21, n_ybar=5, ybar_pad_sd=pad)
         g = default_grid(P06, n_t_steps=10, n_y=21, n_ybar=5, ybar_pad_sd=3.0)
         assert g.ybar_nodes[-1] - g.ybar_nodes[0] == pytest.approx(
             6.0 * P06.sigma_Y * np.sqrt(P06.T))
 
-    @pytest.mark.parametrize("exp_y,chosen", [
-        (2.0, None), (7.0, (3.25, 4.5, 4.0)), (10.0, (2.5, 3.5, 3.0)),
-    ])
-    def test_budget_fallback_is_logged(self, caplog, exp_y, chosen):
-        # mu_Y = 0.02, rho = 1: the budget ladder passes its first candidate
-        # at exp_y = 2 only.
-        p = dataclasses.replace(P06, rho=1.0)
-        with caplog.at_level("WARNING", logger="prefhedge.pide"):
-            g = default_grid(p, n_t_steps=10, n_y=21, n_ybar=5, probe_y=[np.log(exp_y)])
-        if chosen is None:
-            assert caplog.records == []
-            assert (g.band_sd, g.quad_sd) == (pide.BAND_SD, 4.0)
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    @pytest.mark.parametrize("exp_y", [7.0, 10.0])
+    def test_over_budget_is_refused(self, rho, exp_y):
+        # mu_Y = 0.02, |rho| = 1: the factor budget admits the default pad at
+        # exp_y = 2 and 4, not at 7 or 10; at 7 it admits a pad of 3.25.
+        p = dataclasses.replace(P06, rho=rho)
+        small = {"n_t_steps": 10, "n_y": 21, "n_ybar": 5}
+        for fits in (2.0, 4.0):
+            default_grid(p, **small, probe_y=[np.log(fits)])
+        with pytest.raises(DomainError, match=r"budget estimate .* ybar_pad_sd = 5\.0"):
+            default_grid(p, **small, probe_y=[np.log(exp_y)])
+        narrow = {"probe_y": [np.log(exp_y)], "ybar_pad_sd": 3.25}
+        if exp_y == 7.0:
+            g = default_grid(p, **small, **narrow)
+            assert g.ybar_nodes[-1] - g.ybar_nodes[0] == pytest.approx(
+                6.5 * p.sigma_Y * np.sqrt(p.T))
         else:
-            [record] = caplog.records
-            assert record.getMessage().endswith(f"(5.0, 4.5, 4.0) to {chosen}")
-            assert (g.band_sd, g.quad_sd) == chosen[1:]
+            with pytest.raises(DomainError, match=r"ybar_pad_sd = 3\.25"):
+                default_grid(p, **small, **narrow)
 
 
 class TestHSurface:
@@ -411,8 +412,7 @@ class TestSolveH:
         h_full = solve_h(0.3, g, P06)
         sub = GridSpec(T=g.T, eps_T=g.eps_T, t_nodes=g.t_nodes, y_nodes=g.y_nodes,
                        ybar_nodes=g.ybar_nodes[2:5], gh_nodes=g.gh_nodes,
-                       ybar_weights=g.ybar_weights, band_sd=g.band_sd,
-                       quad_sd=g.quad_sd)
+                       ybar_weights=g.ybar_weights)
         h_sub = solve_h(0.3, sub, P06)
         assert np.array_equal(h_sub.values, h_full.values[:, :, 2:5])
 
@@ -565,8 +565,7 @@ def _grid(params, kind):
     # Cut the y-domain so the outer slices' windows clip at both grid edges.
     return GridSpec(T=g.T, eps_T=g.eps_T, t_nodes=g.t_nodes,
                     y_nodes=g.y_nodes[18:-18], ybar_nodes=g.ybar_nodes,
-                    gh_nodes=g.gh_nodes, ybar_weights=g.ybar_weights,
-                    band_sd=g.band_sd, quad_sd=g.quad_sd)
+                    gh_nodes=g.gh_nodes, ybar_weights=g.ybar_weights)
 
 
 class TestBatchedMarch:
@@ -656,7 +655,7 @@ class TestResidual:
     @pytest.mark.parametrize("source", ["fresh", "loaded", "contiguous"])
     @pytest.mark.parametrize("case", ["model", "overflowing_coeffs", "empty_band",
                                       "nan_late_block", "late_worst"])
-    def test_streamed_matches_whole_array_reference(self, solved, source, case):
+    def test_streamed_matches_whole_array_reference(self, solved, source, case, monkeypatch):
         g, pol, surfaces = solved
         h = surfaces[source]
         # 39 core time levels: a full block and a shorter last one.
@@ -675,7 +674,7 @@ class TestResidual:
                 P, Q, R = coefficients(t, y, yb, pi, params)
                 return P * 1e306, Q, R
         elif case == "empty_band":
-            g = dataclasses.replace(g, quad_sd=1e-300)
+            monkeypatch.setattr(pide, "QUAD_SD", 1e-300)
         elif case == "nan_late_block":
             # NaN in P at one level of the second block: the raw norms are
             # NaN, the relative ones read it as 0.
