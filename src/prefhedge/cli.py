@@ -288,9 +288,8 @@ def cmd_solve(cfg: RunConfig) -> int:
                       "total": meta.map_evals, "t_worst": meta.t_worst},
         "converged": True,
         "residual": {
-            "max_abs": res.max_abs, "rms": res.rms,
-            "max_rel": res.max_rel, "rms_rel": res.rms_rel,
             "max_rel_band": res.max_rel_band, "rms_rel_band": res.rms_rel_band,
+            "worst": dict(zip(("t", "y", "ybar"), res.worst)),
         },
         "grid": {"n_t": int(grid.t_nodes.size), "n_y": int(grid.y_nodes.size),
                  "n_ybar": int(grid.ybar_nodes.size),
@@ -305,8 +304,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     for row in probe_rows:
         print(f"  pi(t={row['t']:g}, exp_y={row['exp_y']:g}) = {row['pi']:.4f} "
               f"(myopic {row['myopic']:.4f}, hedging {row['hedging']:+.4f})")
-    print(f"solve: converged, at most {meta.iterations} map evaluation(s) "
-          f"per level; outputs in {cfg.out_dir}")
+    work = (f"at most {meta.iterations} map evaluation(s) per level" if meta.iterations
+            else "closed form at every level, no level iterated")
+    print(f"solve: converged, {work}; outputs in {cfg.out_dir}")
     return 0
 
 
@@ -384,9 +384,17 @@ def _check_reward_cover(grid, params, points):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     vcfg = cfg.verify
     probes = cfg.probes or ((0.0, cfg.params.y0),)
+    # The spike windows [t_spike, t_spike + delta) start at the first probe,
+    # at most T - 1, and must end before T.
+    T = cfg.params.T
+    t_spike = max(0.0, min(probes[0][0], T - 1.0))
+    deltas = tuple(vcfg.get("spike_deltas", (0.5, 0.25, 0.125)))
+    if not t_spike + max(deltas) < T:
+        raise DomainError(f"verify: the spike window [{t_spike!r}, {t_spike + max(deltas)!r}] "
+                          f"reaches T = {T!r}; smaller verify.spike_deltas may fit")
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     reward_probes = vcfg.get("reward_probes",
                              [{"t": 0.0, "exp_y": float(np.exp(cfg.params.y0))}])
     reward_points = [(f"verify.reward_probes[{i}]", float(p["t"]), float(np.log(p["exp_y"])))
@@ -443,10 +451,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     bundle["g_representation"] = g_rows
     clock.append(time.perf_counter())
 
-    t0, y0 = probes[0]
     spike = equilibrium_spike_test(
-        pol, min(t0, cfg.params.T - 1.0), 1.0, y0, cfg.sim, cfg.params,
-        deltas=tuple(vcfg.get("spike_deltas", (0.5, 0.25, 0.125))),
+        pol, t_spike, 1.0, probes[0][1], cfg.sim, cfg.params, deltas=deltas,
         perturbations=tuple(vcfg.get("spike_offsets", (0.05, 0.1, 0.2))),
         ybar_quadrature=_VERIFY_NODES, z_gate=z_gate,
     )
@@ -475,7 +481,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     clock.append(time.perf_counter())
 
     bundle["spike_test"] = {
-        "note": spike.note,
+        "note": spike.note, "t0": t_spike,
         "j_base": spike.j_base, "j_base_se": spike.j_base_se,
         "rows": [{"delta": r.delta, "spike": r.spike, "quotient": r.quotient,
                   "se": r.se, "pass": bool(r.passed)} for r in spike.rows],

@@ -70,8 +70,8 @@ class IterationMeta:
     level in march order, at time ``t_worst``).  ``evals_histogram`` holds
     (map evaluations, number of levels) pairs over the iterated levels, in
     ascending order, and ``map_evals`` their total.  A solve with no
-    iterated level (rho**2 in {0, 1}, see _closed_from) reports one
-    evaluation with change 0, an empty histogram and no ``t_worst``.  Only
+    iterated level (rho**2 in {0, 1}, see _closed_from) reports 0
+    iterations, an empty history and histogram, and no ``t_worst``.  Only
     settled solves carry one: a level that does not settle raises
     ConvergenceError instead.
 
@@ -367,7 +367,7 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
 
     h = _march(grid, advance)
     meta = IterationMeta(
-        iterations=max(len(worst), 1), sup_changes=tuple(worst) or (0.0,),
+        iterations=len(worst), sup_changes=tuple(worst),
         evals_histogram=tuple(sorted(evals.items())),
         map_evals=sum(n * count for n, count in evals.items()),
         t_worst=t_worst, sweep_s=sweep_s,

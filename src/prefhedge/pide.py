@@ -28,9 +28,13 @@ and central differencing would oscillate there).  The reaction term P h is
 advanced by an exact exponential factor in a split sub-step, which keeps the
 solution strictly positive no matter how large P grows in far corners of the
 (y, ybar) grid.  The continuous coefficients are singular at t = T, so the
-march starts from t = T - eps_T with h = 1 there; the terminal condition
-h(T, y) = 1 and flat terminal profile make the neglected contribution
-O(eps_T).
+march starts from t = T - eps_T with h = 1 there.  That flat start is not
+the exact one: for a constant fraction pi the factor is exactly
+ln h = K (T - t) + B (y - ybar), B = rho pi (sigma_S/sigma_Y)(gamma - 1),
+so at T - eps_T the flat start is off by B (y - ybar) across each tube,
+which is O(sqrt(eps_T)) inside the band (|y - ybar| is a few
+sigma_Y sqrt(eps_T) there), and the error does not vanish as the time step
+shrinks.
 
 Boundary rows impose linearity in y (h_yy = 0).  The transport term at a
 boundary uses the one-sided interior difference when the scheme needs
@@ -41,7 +45,7 @@ M-matrix, hence positivity-preserving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -281,15 +285,11 @@ def _bridge_terms(t, y, ybar, params: ModelParams):
 def _policy_terms(pi_value, bridge, params: ModelParams):
     """(P, Q) of coefficients from its bridge terms and the fraction."""
     gamma, one_minus, pull, bracket = bridge
-    del bridge
     P = (
         params.r
         + pi_value * bracket
         - 0.5 * pi_value**2 * params.sigma_S**2 * gamma
     ) * one_minus
-    # Release the bracket before Q is formed: on the residual's whole
-    # (n_t, n_y) slices it would be one more array at the peak.
-    del bracket
     Q = pull + params.rho * pi_value * params.sigma_S * params.sigma_Y * one_minus
     return P, Q
 
@@ -741,20 +741,21 @@ def _terminal_layer_cut(grid: GridSpec, rho: float) -> int:
 
 @dataclass(frozen=True)
 class ResidualNorms:
-    """Residual of the factor equation over interior nodes.
+    """Relative residual of the factor equation on its bridge-compatible band.
 
-    ``max_abs``/``rms`` are norms of the raw residual; ``max_rel``/``rms_rel``
-    normalize node-wise by the local factor value, which is the scale-free
-    measure (the factor spans many orders of magnitude across slices).
+    The band holds the interior nodes at levels before the terminal window
+    (_terminal_layer_cut) whose terminal state lies within QUAD_SD
+    conditional sd of the node's conditional mean.  ``max_rel_band`` and
+    ``rms_rel_band`` are norms of the residual divided node-wise by the
+    factor, the scale-free measure (the factor spans many orders of
+    magnitude across slices); a NaN band node makes both NaN.  ``worst`` is
+    the (t, y, ybar) of the first band node of largest |rel| in (t, y, ybar)
+    order, a NaN node counting as largest.
     """
 
-    max_abs: float
-    rms: float
-    max_rel: float
-    rms_rel: float
     max_rel_band: float
     rms_rel_band: float
-    worst: tuple = field(default=())
+    worst: tuple
 
 
 # Core time rows per block of the streamed residual: a block's dozen or
@@ -763,87 +764,73 @@ _RESIDUAL_BLOCK = 24
 
 
 def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=None) -> ResidualNorms:
-    """Central-difference residual h_t + Q h_y + R h_yy + P h on interior nodes.
+    """Relative residual (h_t + Q h_y + R h_yy + P h) / h on the band of ResidualNorms.
 
-    Streamed one terminal-state slice and one block of _RESIDUAL_BLOCK time
-    levels at a time: the block's interior nodes, read with a one-level
-    halo, are differenced with np.gradient's stencils (precomputed per
-    grid) and weighed against their coefficients, and the norms are
-    accumulated over the blocks.  The peak working memory is a dozen or so
-    block-sized arrays, whatever the grid (a few hundred kB on the default
-    465-node rows), beside the (n_t, n_y) policy values.  Every node's
-    residual is the one a whole-array evaluation gives; only the rms sums
-    are accumulated in another order.  ``worst`` is the first node of
-    largest |rel| in (t, y, ybar) order.
+    Outside the band (the far corners, where the factor is a linear
+    log-extension, and the terminal window) pointwise central differences
+    are not meaningful, and nothing is computed there.  Streamed one
+    terminal-state slice and one block of _RESIDUAL_BLOCK time levels at a
+    time, over the block's band hull: the rows from the lowest to the
+    highest band node of any of its levels.  The hull, read with a one-node
+    halo on both axes, is differenced with np.gradient's stencils
+    (precomputed per grid) and weighed against its coefficients, and its
+    nodes outside their level's band are dropped.  Every band node's
+    residual is the one a whole-array evaluation gives; only the rms sum is
+    accumulated in another order.  Raises DomainError when the band holds
+    no node.
 
     ``coeff_fn`` may override the coefficient functions (signature matching
     :func:`coefficients`; it is called once per slice and block, with a
-    scalar ybar and the block's interior nodes); the default uses the model
+    scalar ybar and the hull's nodes); the default uses the model
     coefficients with the supplied policy.
     """
     t = grid.t_nodes
     y = grid.y_nodes
     yb = grid.ybar_nodes
-    dy = grid.dy
     PI = policy_values(policy, t, y)
     fn = coefficients if coeff_fn is None else coeff_fn
     t_slope, y_slope = grid._t_slope, grid._y_slope
-
-    # Bridge-compatible band: nodes whose terminal state lies within
-    # QUAD_SD conditional sd of the node's conditional mean, at times
-    # below the analytically closed terminal window.  Outside it (far
-    # corners, where the factor is a linear log-extension, and the terminal
-    # layer) pointwise central differences are not meaningful.
-    tau = (params.T - t[1:-1])[:, None]
+    end = min(_terminal_layer_cut(grid, params.rho), t.size - 1)
+    tau = (params.T - t)[:, None]
     width = QUAD_SD * params.sigma_Y * np.sqrt(tau)
-    early = (np.arange(1, t.size - 1) < _terminal_layer_cut(grid, params.rho))[:, None]
 
-    max_abs, max_rel, worst_at, band_max = [], [], [], []
-    sq_abs = sq_rel = sq_band = 0.0
-    n_band = 0
+    worst_at, band_max = [], []
+    sq_band, n_band = 0.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(yb.size):
-            for k0 in range(1, t.size - 1, _RESIDUAL_BLOCK):
-                k1 = min(k0 + _RESIDUAL_BLOCK, t.size - 1)
-                core_t = slice(k0 - 1, k1 - 1)    # the block's rows of the core
-                v = np.ascontiguousarray(h.values[k0 - 1:k1 + 1, :, j])
+            for k0 in range(1, end, _RESIDUAL_BLOCK):
+                k1 = min(k0 + _RESIDUAL_BLOCK, end)
+                dev = yb[j] - y[None, 1:-1] - params.mu_Y * tau[k0:k1]
+                band = np.abs(dev) <= width[k0:k1]
+                hull = np.flatnonzero(band.any(axis=0))
+                if not hull.size:
+                    continue
+                lo, hi = hull[0] + 1, hull[-1] + 2    # the hull's node rows
+                band = band[:, hull[0]:hull[-1] + 1]
+                v = np.ascontiguousarray(h.values[k0 - 1:k1 + 1, lo - 1:hi + 1, j])
                 mid = v[1:-1, 1:-1]
-                ht = t_slope.interior(v[:, 1:-1], axis=0, at=core_t)
-                hy = y_slope.interior(v[1:-1], axis=1)
-                hyy = (v[1:-1, 2:] - 2.0 * mid + v[1:-1, :-2]) / dy**2
+                ht = t_slope.interior(v[:, 1:-1], axis=0, at=slice(k0 - 1, k1 - 1))
+                hy = y_slope.interior(v[1:-1], axis=1, at=slice(lo - 1, hi - 1))
+                hyy = (v[1:-1, 2:] - 2.0 * mid + v[1:-1, :-2]) / grid.dy**2
 
-                P, Q, R = fn(t[k0:k1, None], y[None, 1:-1], yb[j], PI[k0:k1, 1:-1], params)
-                core = ht + Q * hy + R * hyy + P * mid
-                rel = core / mid
-                rel = np.nan_to_num(rel, nan=0.0, posinf=np.inf, neginf=-np.inf)
+                P, Q, R = fn(t[k0:k1, None], y[None, lo:hi], yb[j], PI[k0:k1, lo:hi], params)
+                rel = np.where(band, np.abs((ht + Q * hy + R * hyy + P * mid) / mid), -np.inf)
+                k, i = np.unravel_index(np.argmax(rel), rel.shape)
+                worst_at.append((k0 + int(k), lo + int(i), j))
+                band_max.append(rel[k, i])
+                sq_band += np.sum(rel[band]**2)
+                n_band += int(np.count_nonzero(band))
 
-                dev = yb[j] - y[None, 1:-1] - params.mu_Y * tau[core_t]
-                band = (np.abs(dev) <= width[core_t]) & early[core_t]
-                abs_rel = np.abs(rel)
-                flat = int(np.argmax(abs_rel))
-                k, i = np.unravel_index(flat, rel.shape)
-                worst_at.append((k0 + int(k), 1 + int(i), j))
-                max_rel.append(abs_rel.flat[flat])
-                max_abs.append(np.max(np.abs(core)))
-                sq_abs += np.sum(core**2)
-                sq_rel += np.sum(rel**2)
-                if np.any(band):
-                    rel_band = rel[band]
-                    band_max.append(np.max(np.abs(rel_band)))
-                    sq_band += np.sum(rel_band**2)
-                    n_band += rel_band.size
-
-        n = yb.size * (t.size - 2) * (y.size - 2)
-        if n_band == 0:     # no node in the band: measure everywhere
-            band_max, sq_band, n_band = max_rel, sq_rel, n
-        top = np.max(max_rel)
-        k, i, j = min(at for at, m in zip(worst_at, max_rel) if m == top)
+        if not n_band:
+            raise DomainError("the residual band holds no interior node before the "
+                              "terminal window")
+        # np.argmax over the blocks' first maxima in (t, y, ybar) order
+        # picks the first largest band node, a NaN one first.
+        order = sorted(range(len(worst_at)), key=worst_at.__getitem__)
+        top = order[int(np.argmax(np.array(band_max)[order]))]
+        k, i, j = worst_at[top]
         return ResidualNorms(
-            max_abs=float(np.max(max_abs)),
-            rms=float(np.sqrt(sq_abs / n)),
-            max_rel=float(top),
-            rms_rel=float(np.sqrt(sq_rel / n)),
-            max_rel_band=float(np.max(band_max)),
+            max_rel_band=float(band_max[top]),
             rms_rel_band=float(np.sqrt(sq_band / n_band)),
             worst=(float(t[k]), float(y[i]), float(yb[j])),
         )

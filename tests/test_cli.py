@@ -186,7 +186,7 @@ class TestCommands:
         assert all(v >= 0 for v in phase_s.values())
 
     @pytest.mark.parametrize("rho", [0.0, 0.6])
-    def test_solve_summary_reports_map_evals(self, tmp_path, rho):
+    def test_solve_summary_reports_map_evals(self, tmp_path, capsys, rho):
         out = tmp_path / "out"
         path = write_config(tmp_path, {
             "params": {**BASE["params"], "rho": rho},
@@ -197,11 +197,15 @@ class TestCommands:
         evals = summary["map_evals"]
         hist = {int(n): count for n, count in evals["histogram"].items()}
         assert evals["total"] == sum(n * count for n, count in hist.items())
+        printed = capsys.readouterr().out
         if rho == 0.0:
             assert evals == {"histogram": {}, "total": 0, "t_worst": None}
+            assert (summary["iterations"], summary["sup_changes"]) == (0, [])
+            assert "no level iterated" in printed and "map evaluation" not in printed
         else:
             assert max(hist) == summary["iterations"] == len(summary["sup_changes"])
             assert 0.0 <= evals["t_worst"] < 40.0
+            assert f"at most {summary['iterations']} map evaluation(s)" in printed
         sweep_s = summary["sweep_s"]
         assert list(sweep_s) == ["prepare", "march", "hedging", "anderson"]
         assert all(v >= 0 for v in sweep_s.values())
@@ -211,6 +215,67 @@ class TestCommands:
         assert (sweep_s["hedging"] > 0) == (rho != 0.0)
         if rho == 0.0:
             assert sweep_s["anderson"] == 0.0
+
+    def test_solve_summary_is_strict_json(self, tmp_path):
+        # At (0.02, 1, e^y = 4) the whole-grid residual norms overflowed to
+        # Infinity, which strict JSON parsers reject; the band norms and
+        # the worst band node are finite.
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {
+            "params": {**BASE["params"], "rho": 1.0, "y0": float(np.log(4.0))},
+            "grid": self.GRID, "probes": [{"t": 0.0, "exp_y": 4.0}],
+        })
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        text = (out / "solve_summary.json").read_text()
+        residual = json.loads(text, parse_constant=refuse)["residual"]
+        assert list(residual) == ["max_rel_band", "rms_rel_band", "worst"]
+        assert list(residual["worst"]) == ["t", "y", "ybar"]
+
+    def test_verify_spike_start_is_clamped_at_zero(self, tmp_path):
+        # With T = 0.5 the start min(t0, T - 1) is negative: the spike test
+        # runs from t = 0 instead, and the report says so.
+        params = {**BASE["params"], "rho": 0.6, "T": 0.5}
+        path = write_config(tmp_path, {
+            "params": params, "grid": self.GRID,
+            "sim": {"n_paths": 200, "n_steps": 20, "seed": 7},
+            "verify": {"spike_deltas": [0.25], "spike_offsets": [0.1]}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) in (0, 1)
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["spike_test"]["t0"] == 0.0
+        assert report["reward_crosscheck"][0]["j_mc"] == report["spike_test"]["j_base"]
+
+    @pytest.mark.parametrize("T,deltas", [(0.5, None), (40.0, [1.0])])
+    def test_verify_refuses_spike_window_reaching_T_first(
+            self, tmp_path, monkeypatch, capsys, T, deltas):
+        # The window [t0, t0 + max delta) must end before T.  The refusal
+        # comes before any load, solve or simulation, even with surfaces on
+        # disk.
+        import prefhedge.cli as cli
+
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("h_surface.bin", "policy_surface.bin"):
+            (out / name).write_bytes(b"")
+        runs = []
+        for fn in ("load_h_surface", "load_policy_surface", "default_grid",
+                   "fixed_point_solve", "residual", "verify_g_representation_batch",
+                   "equilibrium_spike_test", "reward_mc"):
+            monkeypatch.setattr(cli, fn, lambda *a, _fn=fn, **k: runs.append(_fn))
+        monkeypatch.setattr(prefhedge.mc, "_simulate",
+                            lambda *a, **k: runs.append("_simulate"))
+        verify = {} if deltas is None else {"spike_deltas": deltas}
+        probes = [{"t": 39.0, "exp_y": 2.0}] if T == 40.0 else []
+        path = write_config(tmp_path, {"params": {**BASE["params"], "T": T},
+                                       "probes": probes, "verify": verify})
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+        assert runs == []
+        assert "spike window" in capsys.readouterr().err
+        assert not (out / "verify_report.json").exists()
 
     GRID = {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9}
     OUTSIDE = [

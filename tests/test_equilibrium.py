@@ -105,6 +105,7 @@ class TestClosedLayer:
         g, p, h, pol = perfect
         meta = pol.iteration_meta
         assert (meta.map_evals, meta.evals_histogram, meta.t_worst) == (0, (), None)
+        assert (meta.iterations, meta.sup_changes) == (0, ())
         assert np.array_equal(pol.pi, pol.myopic + pol.hedging)
         assert np.max(np.abs(pol.pi - M)) <= 2 * np.spacing(M)
         assert np.array_equal(solve_h(pol.pi, g, p).values, h.values)

@@ -57,8 +57,9 @@ def reference_march(policy, grid, params, slices=None):
 def reference_residual(h, policy, grid, params, coeff_fn=None):
     """Whole-array residual: every slice differenced in one (n_t, n_y, n_ybar) pass.
 
-    The formulas of pide.residual on the full surface at once, with numpy's
-    own norms and argmax; the streamed version must agree with it.
+    The formulas of pide.residual on the full surface at once, reduced to
+    the band with numpy's own norms and argmax; the streamed version must
+    agree with it.
     """
     t, y, yb, v = grid.t_nodes, grid.y_nodes, grid.ybar_nodes, h.values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -73,22 +74,16 @@ def reference_residual(h, policy, grid, params, coeff_fn=None):
         P, Q, R = fn(t[:, None, None], y[None, :, None], yb[None, None, :],
                      PI[:, :, None], params)
         res = ht + Q * hy + R * hyy + P * v
-        core = res[1:-1, 1:-1, :]
-        rel = np.nan_to_num(core / v[1:-1, 1:-1, :], nan=0.0,
-                            posinf=np.inf, neginf=-np.inf)
+        rel = np.abs(res[1:-1, 1:-1, :] / v[1:-1, 1:-1, :])
     tau = (params.T - t[1:-1])[:, None, None]
     dev = yb[None, None, :] - y[None, 1:-1, None] - params.mu_Y * tau
     band = np.abs(dev) <= pide.QUAD_SD * params.sigma_Y * np.sqrt(tau)
     band &= (np.arange(1, t.size - 1) < pide._terminal_layer_cut(grid, params.rho))[:, None, None]
-    rel_band = rel[band] if np.any(band) else rel
-    k, i, j = np.unravel_index(np.argmax(np.abs(rel)), core.shape)
+    rel_band = rel[band]
+    k, i, j = np.unravel_index(np.argmax(np.where(band, rel, -np.inf)), rel.shape)
     with np.errstate(over="ignore"):
         return pide.ResidualNorms(
-            max_abs=float(np.max(np.abs(core))),
-            rms=float(np.sqrt(np.mean(core**2))),
-            max_rel=float(np.max(np.abs(rel))),
-            rms_rel=float(np.sqrt(np.mean(rel**2))),
-            max_rel_band=float(np.max(np.abs(rel_band))),
+            max_rel_band=float(np.max(rel_band)),
             rms_rel_band=float(np.sqrt(np.mean(rel_band**2))),
             worst=(float(t[k + 1]), float(y[i + 1]), float(yb[j])),
         )
@@ -547,8 +542,11 @@ class TestSlope:
         assert np.array_equal(slope.full(f), np.gradient(f, nodes, axis=1))
         want = np.gradient(f.T, nodes, axis=0)
         assert np.array_equal(slope.interior(f.T, axis=0), want[1:-1])
-        # A run of rows with its halo, as the residual reads a time block.
+        # A run of rows or columns with its halo, as the residual reads a
+        # block's band hull.
         assert np.array_equal(slope.interior(f.T[2:8], axis=0, at=slice(2, 6)), want[3:7])
+        assert np.array_equal(slope.interior(f[:, 2:8], axis=1, at=slice(2, 6)),
+                              want.T[:, 3:7])
 
 
 def _params(mu_Y, rho):
@@ -614,7 +612,7 @@ class TestResidual:
             return z, z, z
 
         r = residual(h, 0.0, g, P0, coeff_fn=zero_coeffs)
-        assert r.max_abs == 0.0
+        assert (r.max_rel_band, r.rms_rel_band) == (0.0, 0.0)
 
     def test_manufactured_solution(self):
         a = 0.05
@@ -629,7 +627,7 @@ class TestResidual:
             return np.full(shape, a), np.zeros(shape), np.zeros(shape)
 
         r = residual(h, 0.0, g, P0, coeff_fn=mms_coeffs)
-        assert r.max_rel < 1e-8
+        assert r.max_rel_band < 1e-8
 
     def test_solver_self_check_rho0(self):
         from prefhedge import fixed_point_solve
@@ -668,16 +666,18 @@ class TestResidual:
         assert np.moveaxis(h.values, 2, 0).flags.c_contiguous == (source != "contiguous")
         coeff_fn = None
         if case == "overflowing_coeffs":
-            # P * h overflows on the larger factors: rel holds inf at nodes
-            # of several slices, which exercises the first-in-(k, i, j) rule.
+            # P * h overflows at band nodes of every slice, on the top slice
+            # from the first core level and on the lower ones only later:
+            # the first-in-(k, i, j) rule picks the top slice, the first
+            # block in march order would not.
             def coeff_fn(t, y, yb, pi, params):
                 P, Q, R = coefficients(t, y, yb, pi, params)
-                return P * 1e306, Q, R
+                return P * (1e306 * np.exp(2.0 * yb + 0.5 * t)), Q, R
         elif case == "empty_band":
             monkeypatch.setattr(pide, "QUAD_SD", 1e-300)
         elif case == "nan_late_block":
-            # NaN in P at one level of the second block: the raw norms are
-            # NaN, the relative ones read it as 0.
+            # NaN in P at one level of the second block: the band norms are
+            # NaN, so the gate fails closed, and the worst node is there.
             def coeff_fn(t, y, yb, pi, params):
                 P, Q, R = coefficients(t, y, yb, pi, params)
                 return np.where(t == late, np.nan, P), Q, R
@@ -685,19 +685,47 @@ class TestResidual:
             def coeff_fn(t, y, yb, pi, params):
                 P, Q, R = coefficients(t, y, yb, pi, params)
                 return np.where(t == late, P * 1e60, P), Q, R
+        if case == "empty_band":
+            with pytest.raises(DomainError, match="band holds no"):
+                residual(h, pol.pi, g, P06)
+            return
         want = reference_residual(h, pol.pi, g, P06, coeff_fn=coeff_fn)
         got = residual(h, pol.pi, g, P06, coeff_fn=coeff_fn)
         if case == "overflowing_coeffs":
-            assert np.isinf(want.max_rel)
+            assert np.isinf(want.max_rel_band)
+            assert want.worst[::2] == (g.t_nodes[1], g.ybar_nodes[-1])
         if case == "nan_late_block":
-            assert np.isnan(want.max_abs) and np.isnan(want.rms)
-            assert np.isfinite(want.max_rel)
-        if case == "late_worst":
+            assert np.isnan(want.max_rel_band) and np.isnan(want.rms_rel_band)
+        if case in ("nan_late_block", "late_worst"):
             assert want.worst[0] == late
-        if case == "empty_band":
-            assert (want.max_rel_band, want.rms_rel_band) == (want.max_rel, want.rms_rel)
-        for name in ("max_abs", "max_rel", "max_rel_band"):
-            np.testing.assert_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_equal(got.max_rel_band, want.max_rel_band)
         assert got.worst == want.worst
-        for name in ("rms", "rms_rel", "rms_rel_band"):
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
+        np.testing.assert_allclose(got.rms_rel_band, want.rms_rel_band, rtol=1e-12)
+
+    def test_evaluates_only_band_hulls(self, solved):
+        # Each coefficient call covers the levels of one block before the
+        # terminal cut and exactly the rows of that block's band hull.
+        g, pol, surfaces = solved
+        t, y, yb = g.t_nodes, g.y_nodes, g.ybar_nodes
+        calls = []
+
+        def recording(t_, y_, yb_, pi, params):
+            calls.append((t_[:, 0], y_[0], yb_))
+            return coefficients(t_, y_, yb_, pi, params)
+
+        got = residual(surfaces["fresh"], pol.pi, g, P06, coeff_fn=recording)
+        assert got == residual(surfaces["fresh"], pol.pi, g, P06)
+        cut = pide._terminal_layer_cut(g, P06.rho)
+        assert 1 < cut < t.size - 1
+        n_nodes = 0
+        for t_, y_, yb_ in calls:
+            assert t_.max() < t[cut]
+            tau = P06.T - t_[:, None]
+            band = (np.abs(yb_ - y[None, 1:-1] - P06.mu_Y * tau)
+                    <= pide.QUAD_SD * P06.sigma_Y * np.sqrt(tau))
+            hull = np.flatnonzero(band.any(axis=0)) + 1
+            assert np.array_equal(y_, y[hull[0]:hull[-1] + 1])
+            n_nodes += t_.size * y_.size
+        assert sorted({c[2] for c in calls}) == list(yb)
+        assert sorted({float(v) for c in calls for v in c[0]}) == list(t[1:cut])
+        assert n_nodes < 0.5 * yb.size * (t.size - 2) * (y.size - 2)
