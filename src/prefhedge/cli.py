@@ -39,6 +39,7 @@ from .mc import (
     reward_mc,
     simulate_conditioned,
     simulate_unconditional,
+    simulation_work,
     verify_g_representation_batch,
     z_score,
 )
@@ -483,8 +484,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     bundle["spike_test"] = {
         "note": spike.note, "t0": t_spike,
         "j_base": spike.j_base, "j_base_se": spike.j_base_se,
-        "rows": [{"delta": r.delta, "spike": r.spike, "quotient": r.quotient,
-                  "se": r.se, "pass": bool(r.passed)} for r in spike.rows],
+        "rows": [{"delta": r.delta, "held": r.held, "spike": r.spike,
+                  "quotient": r.quotient, "se": r.se, "pass": bool(r.passed)}
+                 for r in spike.rows],
         "pass": bool(spike.all_passed),
     }
     if not spike.all_passed:
@@ -494,6 +496,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     phases = ("load" if loaded else "solve", "residual", "g_representation",
               "spike", "reward")
     bundle["phase_s"] = dict(zip(phases, np.diff(clock).tolist()))
+    # One conditioned run starts every g point; the spike test runs once
+    # per quadrature node, a lane per spike beside the base policy's.
+    bundle["mc_work"] = {
+        "g_representation": simulation_work(cfg.sim, n_starts=len(g_points)),
+        "spike": simulation_work(cfg.sim, n_runs=_VERIFY_NODES,
+                                 n_lanes=1 + len(spike.rows)),
+    }
     bundle["pass"] = not hard_fail
     _json_dump(cfg.out_dir / "verify_report.json", bundle)
     for key in ("residual", "spike_test"):

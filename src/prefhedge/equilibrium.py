@@ -30,6 +30,7 @@ from .pide import (
     QUAD_SD,
     GridSpec,
     HSurface,
+    _check_hull,
     _locate,
     _march,
     _march_level,
@@ -119,14 +120,36 @@ class PolicySurface:
         simulation use) arguments are clamped to the hull, so times past
         the last node return the final-slice policy and excursions of y
         beyond the grid edges hold the edge value; with ``clip=False``
-        out-of-hull points raise OutOfGridError.
+        out-of-hull points raise OutOfGridError.  NaN reads NaN.
+
+        At one time ``t`` (a path step, a probe, a table cell) the two
+        bracketing time rows are blended once into a row over y, and each
+        y is placed on it by arithmetic on the uniform y spacing: no
+        bracket search, two gathers and a multiply-add per point.  An
+        array ``t`` reads through bilinear_interp.
         """
         values = getattr(self, component)
-        t = np.minimum(np.asarray(t, dtype=float), self.grid.t_nodes[-1]) if clip else t
-        out = bilinear_interp(
-            self.grid.t_nodes, self.grid.y_nodes, values, t, y, clip=clip
-        )
-        return out if np.ndim(out) else float(out)
+        t_nodes, y_nodes = self.grid.t_nodes, self.grid.y_nodes
+        t = np.minimum(np.asarray(t, dtype=float), t_nodes[-1]) if clip else t
+        if np.ndim(t):
+            return bilinear_interp(t_nodes, y_nodes, values, t, y, clip=clip)
+        k, tw = _locate(t_nodes, t, clip)
+        row = values[k] * (1.0 - tw) + values[k + 1] * tw
+        y = np.asarray(y, dtype=float)
+        if not clip:
+            _check_hull(y_nodes, y)
+        top = y_nodes.size - 2
+        u = np.atleast_1d(y - y_nodes[0])
+        u *= (top + 1) / (y_nodes[-1] - y_nodes[0])
+        np.clip(u, 0.0, top + 1, out=u)
+        # fmin sends NaN to a valid index before the cast; its weight stays NaN.
+        lo = np.fmin(u, top).astype(np.intp)
+        u -= lo
+        out = row[lo]
+        step = (row[1:] - row[:-1])[lo]
+        step *= u
+        out += step
+        return out.reshape(y.shape) if y.ndim else float(out[0])
 
 
 def closed_form_policy_rho0(t, y, params: ModelParams):

@@ -20,6 +20,12 @@ Brownian increment under either measure, so conditioning needs no drift
 correction.  The one discretization left is the policy, held at its
 left-point value over each step.
 
+A step's work besides the draw is one policy read per start, through
+eval_policy (a PolicySurface blends the step's two time rows once and
+places each path on that row by its uniform y spacing), and an in-place
+advance of ln X and Y in which the correlated noise and drift are folded
+into five per-step scalars.
+
 Random numbers come from counter-based Philox streams keyed by the
 configured seed (and a stream index for per-node independence), so runs are
 bit-reproducible and two simulations with the same configuration consume
@@ -96,6 +102,17 @@ def _rng(seed, stream=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(stream)))))
 
 
+def _time_grid(t0, cfg: SimConfig, params: ModelParams):
+    """A start's uniform step grid, linspace(t0, T, n_steps + 1)."""
+    return np.linspace(t0, params.T, cfg.n_steps + 1)
+
+
+def _held_steps(times, start, end):
+    """Which steps of ``times`` a spike on [start, end) holds: left point inside."""
+    left = times[:-1]
+    return (start <= left) & (left < end)
+
+
 def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
               store="full", stream=0, spikes=()):
     """The one path kernel: a PathBatch per (t0, y0, ybar) start, on one stream.
@@ -112,47 +129,69 @@ def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
     n = cfg.n_paths
     n_lanes = 1 + len(spikes)
     rng = _rng(cfg.seed, stream)
-    rho = params.rho
-    rho_c = np.sqrt(1.0 - rho * rho)
+    sigma_S, sigma_Y = params.sigma_S, params.sigma_Y
+    # A step adds r dt + pi (excess dt + slope dY + noise_scale dW2
+    # - sigma_S^2 dt pi / 2) to ln X: the factor's own increment
+    # dW1 = (dY - mu_Y dt)/sigma_Y is folded into slope and excess.
+    slope = params.rho * sigma_S / sigma_Y
+    excess = params.mu_S - params.r - slope * params.mu_Y
+    noise_scale = np.sqrt(1.0 - params.rho * params.rho) * sigma_S
 
-    grids = [np.linspace(t0, params.T, cfg.n_steps + 1) for t0, _y0, _ybar in starts]
+    grids = [_time_grid(t0, cfg, params) for t0, _y0, _ybar in starts]
+    held = [[_held_steps(times, start, end) for _value, start, end in spikes]
+            for times in grids]
     lnX = [np.full((n_lanes, n), np.log(x0)) for _start in starts]
     Y = [np.full(n, float(y0)) for _t0, y0, _ybar in starts]
     if store == "full":
         Xs = [np.full((n_lanes, n, cfg.n_steps + 1), float(x0)) for _start in starts]
         Ys = [np.full((n, cfg.n_steps + 1), float(y0)) for _t0, y0, _ybar in starts]
+    Z = np.empty((2, n))
+    half = np.empty((2, n // 2)) if cfg.antithetic else None
+    dY, noise, scaled = np.empty(n), np.empty(n), np.empty(n)
+    gain = np.empty((n_lanes, n))
 
     for k in range(cfg.n_steps):
         if cfg.antithetic:
-            Zh = rng.standard_normal((2, n // 2))
-            Z = np.concatenate([Zh, -Zh], axis=1)
+            rng.standard_normal(out=half)
+            Z[:, :n // 2] = half
+            np.negative(half, out=Z[:, n // 2:])
         else:
-            Z = rng.standard_normal((2, n))
+            rng.standard_normal(out=Z)
         for s, (times, (_t0, _y0, ybar)) in enumerate(zip(grids, starts)):
             t = times[k]
             dt = times[k + 1] - t
             sdt = np.sqrt(dt)
             pi = eval_policy(policy, t, Y[s])
-            held = [(lane, value) for lane, (value, start, end) in enumerate(spikes, 1)
-                    if start <= t < end]
-            if held:
+            lanes = [(lane, value) for lane, ((value, _a, _b), mask)
+                     in enumerate(zip(spikes, held[s]), 1) if mask[k]]
+            if lanes:
                 pi = np.repeat(pi[None], n_lanes, axis=0)
-                for lane, value in held:
+                for lane, value in lanes:
                     pi[lane] = value
             if ybar is not None:
                 tau = params.T - t
-                dY = (dt / tau) * (ybar - Y[s]) + (
-                    params.sigma_Y * np.sqrt(max(dt * (tau - dt) / tau, 0.0))) * Z[0]
+                np.subtract(ybar, Y[s], out=dY)
+                dY *= dt / tau
+                np.multiply(Z[0], sigma_Y * np.sqrt(max(dt * (tau - dt) / tau, 0.0)),
+                            out=scaled)
+                dY += scaled
             else:
-                dY = params.mu_Y * dt + (params.sigma_Y * sdt) * Z[0]
-            dW1 = (dY - params.mu_Y * dt) / params.sigma_Y
-            # Lanes outside their windows share the base row's increment.
-            lnX[s] += (
-                params.r + pi * (params.mu_S - params.r) - 0.5 * pi**2 * params.sigma_S**2
-            ) * dt + pi * params.sigma_S * (rho * dW1 + rho_c * sdt * Z[1])
-            Y[s] = Y[s] + dY
+                np.multiply(Z[0], sigma_Y * sdt, out=dY)
+                dY += params.mu_Y * dt
+            np.multiply(dY, slope, out=noise)
+            np.multiply(Z[1], noise_scale * sdt, out=scaled)
+            noise += scaled
+            noise += excess * dt
+            # Lanes outside their windows share the base row's gain.
+            g = gain if pi.ndim == 2 else gain[0]
+            np.multiply(pi, -0.5 * sigma_S**2 * dt, out=g)
+            g += noise
+            g *= pi
+            g += params.r * dt
+            lnX[s] += g
+            Y[s] += dY
             if store == "full":
-                Xs[s][..., k + 1] = np.exp(lnX[s])
+                np.exp(lnX[s], out=Xs[s][..., k + 1])
                 Ys[s][:, k + 1] = Y[s]
 
     batches = []
@@ -173,6 +212,18 @@ def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
             store=store,
         ))
     return batches
+
+
+def simulation_work(cfg: SimConfig, n_runs=1, n_starts=1, n_lanes=1):
+    """Path-steps and normals drawn by ``n_runs`` simulations of one shape.
+
+    Every start and every wealth lane steps each path once per step; a
+    run's starts and lanes share one draw of two normals per path per step
+    (half of them drawn, half mirrored, when antithetic).
+    """
+    drawn = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    return {"path_steps": n_runs * n_starts * n_lanes * cfg.n_paths * cfg.n_steps,
+            "normals": n_runs * 2 * drawn * cfg.n_steps}
 
 
 def _run(policy, t0, x0, y0, ybar, cfg, params, store, stream, spikes=()):
@@ -402,7 +453,10 @@ def verify_g_representation_batch(h: HSurface, policy, points, x0,
 
 @dataclass(frozen=True)
 class SpikeRow:
+    """One spike of the menu; ``held`` is the duration its lane holds it."""
+
     delta: float
+    held: float
     spike: float
     j_spiked: float
     quotient: float
@@ -416,9 +470,9 @@ class SpikeReport:
 
     ``note`` states the structural limitation up front: a finite menu of
     spikes can falsify the equilibrium property, never certify it.  Each
-    row estimates (J[candidate] - J[spiked]) / delta with common random
-    numbers; an equilibrium candidate should show no significantly negative
-    quotient.
+    row estimates (J[candidate] - J[spiked]) / held with common random
+    numbers, ``held`` the duration the spike is held; an equilibrium
+    candidate should show no significantly negative quotient.
     """
 
     note: str
@@ -440,17 +494,24 @@ def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelPara
     """Estimate improvement quotients for spike deviations from a policy.
 
     ``perturbations`` are absolute offsets applied both ways around the
-    candidate's value at (t0, y0) (spiked policies are constant on the
-    window [t0, t0+delta) and follow the candidate afterwards).  Every
-    spiked policy is a lane of the base policy's simulation at each
-    quadrature node, on the same noise and factor paths, so the difference
-    J_base - J_spiked is estimated far more precisely than either level.
+    candidate's value at (t0, y0).  A spiked policy holds its constant
+    fraction on every step whose left point lies in [t0, t0 + delta) and
+    follows the candidate afterwards, so it is held for a whole number of
+    steps (0.6 for delta = 0.5 on 0.2-year steps); each quotient and its se
+    divide by that held duration.  Every spiked policy is a lane of the
+    base policy's simulation at each quadrature node, on the same noise and
+    factor paths, so the difference J_base - J_spiked is estimated far
+    more precisely than either level.
     """
     if ybar_quadrature is None:
         ybar_quadrature = 11
     for delta in deltas:
+        if not delta > 0:
+            raise DomainError("spike deltas must be > 0")
         if t0 + delta >= params.T:
             raise DomainError("spike window must end before T")
+    times = _time_grid(t0, cfg, params)
+    steps = np.diff(times)
     base_at = float(np.mean(eval_policy(pi_hat, t0, np.atleast_1d(float(y0)))))
     menu = [(delta, spike) for delta in deltas for off in perturbations
             for spike in (base_at - off, base_at + off)]
@@ -459,13 +520,15 @@ def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelPara
                                      ybar_quadrature, spikes)
     j_base = estimates[0]
     rows = []
-    for (delta, spike), j_sp, sp_terms in zip(menu, estimates[1:], terms[1:]):
+    for (delta, spike), (_spike, start, end), j_sp, sp_terms in zip(
+            menu, spikes, estimates[1:], terms[1:]):
+        held = float(np.sum(steps[_held_steps(times, start, end)]))
         diff = terms[0] - sp_terms
         se_diff = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
-        quotient = (j_base.value - j_sp.value) / delta
-        se_q = se_diff / delta
+        quotient = (j_base.value - j_sp.value) / held
+        se_q = se_diff / held
         rows.append(SpikeRow(
-            delta=float(delta), spike=float(spike),
+            delta=float(delta), held=held, spike=float(spike),
             j_spiked=j_sp.value, quotient=float(quotient),
             se=se_q, passed=bool(quotient >= -z_gate * se_q),
         ))

@@ -85,7 +85,9 @@ class GridSpec:
         T: horizon (years); the time grid lives in [0, T - eps_T].
         eps_T: terminal offset shielding the singular bridge coefficients.
         t_nodes: strictly increasing times, last node at T - eps_T.
-        y_nodes: strictly increasing, uniformly spaced preference states.
+        y_nodes: strictly increasing, uniformly spaced preference states
+            (to 1e-10 relative).  The spacing carries the policy read:
+            PolicySurface.value at one time indexes y by arithmetic on it.
         ybar_nodes: fixed terminal-state slices where the factor equations
             are solved; also the knots for cross-slice interpolation.  None
             may sit within EPS_GAMMA of 0 (gamma = 1 is excluded).
@@ -294,6 +296,18 @@ def _policy_terms(pi_value, bridge, params: ModelParams):
     return P, Q
 
 
+def _check_hull(nodes: np.ndarray, x):
+    """Raise OutOfGridError if any x lies outside [nodes[0], nodes[-1]].
+
+    The hull is widened by a rounding slack of 1e-12 of its span.
+    """
+    slack = 1e-12 * max(abs(nodes[-1] - nodes[0]), 1.0)
+    if np.any(x < nodes[0] - slack) or np.any(x > nodes[-1] + slack):
+        raise OutOfGridError(
+            f"point(s) outside grid hull [{nodes[0]!r}, {nodes[-1]!r}]"
+        )
+
+
 def _locate(nodes: np.ndarray, x, clip: bool):
     """Bracketing index and linear weight of x in sorted nodes.
 
@@ -305,12 +319,9 @@ def _locate(nodes: np.ndarray, x, clip: bool):
     searchsorted.
     """
     x = np.asarray(x, dtype=float)
+    if not clip:
+        _check_hull(nodes, x)
     span = nodes[-1] - nodes[0]
-    slack = 1e-12 * max(abs(span), 1.0)
-    if not clip and (np.any(x < nodes[0] - slack) or np.any(x > nodes[-1] + slack)):
-        raise OutOfGridError(
-            f"point(s) outside grid hull [{nodes[0]!r}, {nodes[-1]!r}]"
-        )
     xc = np.clip(x, nodes[0], nodes[-1])
     top = nodes.size - 2
     # fmin sends a NaN guess to the last interval, where searchsorted puts NaN.

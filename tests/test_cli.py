@@ -544,6 +544,40 @@ class TestCommands:
         assert len(streams) == 1 + cli._VERIFY_NODES == 12
         assert sorted(streams) == sorted([1] + list(range(cli._VERIFY_NODES)))
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_verify_reports_mc_work(self, tmp_path, monkeypatch, antithetic):
+        # Path-steps count every start and lane; normals count the draws,
+        # two per path per step of each run (half of them when antithetic).
+        import prefhedge.cli as cli
+
+        extra = {"params": {**BASE["params"], "rho": 0.6},
+                 "grid": {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9},
+                 "probes": [{"t": 7.0 * i, "exp_y": 2.0} for i in range(3)],
+                 "sim": {"n_paths": 200, "n_steps": 20, "seed": 7,
+                         "antithetic": antithetic},
+                 "verify": {"spike_deltas": [0.5, 0.25], "spike_offsets": [0.1]}}
+        path = write_config(tmp_path, extra)
+        out = tmp_path / "out"
+        runs = []
+        simulate = prefhedge.mc._simulate
+
+        def counted(policy, starts, x0, cfg, params, store="full", stream=0, spikes=()):
+            runs.append((len(starts), len(spikes)))
+            return simulate(policy, starts, x0, cfg, params, store, stream, spikes)
+
+        monkeypatch.setattr(prefhedge.mc, "_simulate", counted)
+        main(["verify", "--config", str(path), "--out", str(out)])
+        work = json.loads((out / "verify_report.json").read_text())["mc_work"]
+        drawn = 100 if antithetic else 200
+        assert work == {
+            "g_representation": {"path_steps": 3 * 200 * 20, "normals": 2 * drawn * 20},
+            "spike": {"path_steps": cli._VERIFY_NODES * 5 * 200 * 20,
+                      "normals": cli._VERIFY_NODES * 2 * drawn * 20},
+        }
+        assert runs == [(3, 0)] + [(1, 4)] * cli._VERIFY_NODES
+        assert sum(w["path_steps"] for w in work.values()) == sum(
+            starts * (1 + lanes) * 200 * 20 for starts, lanes in runs)
+
     def test_verify_g_rows_read_pinned_paths_only(self, tmp_path, monkeypatch):
         # Each g row reports the conditioned side alone, and verify runs no
         # unpinned simulation.

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import prefhedge.mc
 from prefhedge import (
     DomainError,
     ModelParams,
+    PolicySurface,
     SimConfig,
     closed_form_policy_rho0,
     default_grid,
@@ -21,6 +23,7 @@ from prefhedge import (
 )
 from prefhedge.mc import GRepReport, GRepSide, PathBatch, eval_policy, z_score
 from prefhedge.model import crra_utility, phi_prime
+from prefhedge.pide import bilinear_interp
 
 P0 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.0,
                  mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
@@ -381,6 +384,126 @@ class TestSharedStreamGRepresentation:
             simulate_conditioned(0.4, t0s, 1.0, y0s, ybars[:2], cfg, self.P)
 
 
+def reference_simulate(policy, starts, x0, cfg, p, store="full", stream=0, spikes=()):
+    """The unfused path step: (X, Y) arrays per start, X with a lane axis.
+
+    Draws as the kernel does, reads a PolicySurface through bilinear_interp
+    and steps ln X by the model's drift and correlated noise term by term,
+    with the factor's increment dW1 = (dY - mu_Y dt)/sigma_Y spelled out.
+    """
+    def read(t, y):
+        if isinstance(policy, PolicySurface):
+            g = policy.grid
+            return bilinear_interp(g.t_nodes, g.y_nodes, policy.pi,
+                                   min(t, g.t_nodes[-1]), y, clip=True)
+        return eval_policy(policy, t, y)
+
+    n, n_lanes = cfg.n_paths, 1 + len(spikes)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, stream))))
+    rho_c = np.sqrt(1.0 - p.rho * p.rho)
+    grids = [np.linspace(t0, p.T, cfg.n_steps + 1) for t0, _y0, _ybar in starts]
+    lnX = [np.full((n_lanes, n), np.log(x0)) for _start in starts]
+    Y = [np.full(n, float(y0)) for _t0, y0, _ybar in starts]
+    Xs = [[np.exp(x)] for x in lnX]
+    Ys = [[y.copy()] for y in Y]
+    for k in range(cfg.n_steps):
+        if cfg.antithetic:
+            Zh = rng.standard_normal((2, n // 2))
+            Z = np.concatenate([Zh, -Zh], axis=1)
+        else:
+            Z = rng.standard_normal((2, n))
+        for s, (times, (_t0, _y0, ybar)) in enumerate(zip(grids, starts)):
+            t = times[k]
+            dt = times[k + 1] - t
+            sdt = np.sqrt(dt)
+            pi = np.repeat(read(t, Y[s])[None], n_lanes, axis=0)
+            for lane, (value, start, end) in enumerate(spikes, 1):
+                if start <= t < end:
+                    pi[lane] = value
+            if ybar is not None:
+                tau = p.T - t
+                dY = (dt / tau) * (ybar - Y[s]) + (
+                    p.sigma_Y * np.sqrt(max(dt * (tau - dt) / tau, 0.0))) * Z[0]
+            else:
+                dY = p.mu_Y * dt + (p.sigma_Y * sdt) * Z[0]
+            dW1 = (dY - p.mu_Y * dt) / p.sigma_Y
+            lnX[s] = lnX[s] + (
+                p.r + pi * (p.mu_S - p.r) - 0.5 * pi**2 * p.sigma_S**2
+            ) * dt + pi * p.sigma_S * (p.rho * dW1 + rho_c * sdt * Z[1])
+            Y[s] = Y[s] + dY
+            Xs[s].append(np.exp(lnX[s]))
+            Ys[s].append(Y[s])
+    if store == "full":
+        return [(np.stack(x, axis=-1), np.stack(y, axis=-1)) for x, y in zip(Xs, Ys)]
+    return [(np.stack([x[0], x[-1]], axis=-1), np.stack([y[0], y[-1]], axis=-1))
+            for x, y in zip(Xs, Ys)]
+
+
+def smooth_surface(p):
+    """A PolicySurface on the smoke grid with a y- and t-dependent hedging demand."""
+    grid = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
+    t, y = grid.t_nodes[:, None], grid.y_nodes[None, :]
+    myopic = closed_form_policy_rho0(t, y, p)
+    hedging = 0.05 * np.sin(3.0 * y) * (1.0 - t / p.T)
+    return PolicySurface(grid, pi=myopic + hedging, myopic=myopic, hedging=hedging)
+
+
+class TestKernelAgainstReference:
+    P = P6
+    STARTS = ((0.0, P6.y0, 0.8), (20.0, 0.9, 1.0), (39.5, 0.5, 0.6))
+    SPIKES = ((0.9, 20.0, 22.0), (0.1, 0.0, 3.0))
+
+    def _policy(self, kind):
+        if kind == "surface":
+            return smooth_surface(self.P)
+        if kind == "callable":
+            return lambda t, y: 0.4 + 0.1 * np.tanh(y) + 0.001 * t
+        return 0.35
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("store", ["full", "terminal"])
+    @pytest.mark.parametrize("kind", ["surface", "callable", "constant"])
+    def test_matches_unfused_step(self, kind, store, antithetic):
+        policy = self._policy(kind)
+        cfg = SimConfig(n_paths=300, n_steps=25, seed=89, antithetic=antithetic)
+        t0s, y0s, ybars = zip(*self.STARTS)
+        runs = [
+            (simulate_conditioned(policy, t0s, 1.3, y0s, ybars, cfg, self.P,
+                                  store=store, stream=2, spikes=self.SPIKES),
+             reference_simulate(policy, self.STARTS, 1.3, cfg, self.P, store, 2,
+                                self.SPIKES)),
+            (simulate_unconditional(policy, t0s, 1.3, y0s, cfg, self.P,
+                                    store=store, stream=2),
+             reference_simulate(policy, [(t0, y0, None) for t0, y0, _ in self.STARTS],
+                                1.3, cfg, self.P, store, 2)),
+        ]
+        for batches, reference in runs:
+            for batch, (X, Y) in zip(batches, reference):
+                np.testing.assert_allclose(batch.X, X if batch.X.ndim == 3 else X[0],
+                                           rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(batch.Y, Y, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["surface", "callable", "constant"])
+    def test_one_policy_read_per_step_per_start(self, monkeypatch, kind):
+        # The policy is read by name through prefhedge.mc.eval_policy, once per
+        # step per start; a read around it would escape a wrapper there.
+        policy = self._policy(kind)
+        read = prefhedge.mc.eval_policy
+        calls = []
+        monkeypatch.setattr(prefhedge.mc, "eval_policy",
+                            lambda pol, t, y: calls.append(t) or read(pol, t, y))
+        cfg = SimConfig(n_paths=200, n_steps=15, seed=97)
+        t0s, y0s, ybars = zip(*self.STARTS)
+        grids = [np.linspace(t0, self.P.T, cfg.n_steps + 1) for t0 in t0s]
+        want = [grid[k] for k in range(cfg.n_steps) for grid in grids]
+        simulate_conditioned(policy, t0s, 1.0, y0s, ybars, cfg, self.P,
+                             store="terminal", spikes=self.SPIKES)
+        assert calls == want
+        calls.clear()
+        simulate_unconditional(policy, t0s, 1.0, y0s, cfg, self.P)
+        assert calls == want
+
+
 class TestSpike:
     def _policy(self, p):
         return lambda t, y: closed_form_policy_rho0(t, y, p)
@@ -401,6 +524,19 @@ class TestSpike:
         assert rep.all_passed
         # CRN: quotient SE far below the scale of either estimate's own SE
         assert all(r.se < rep.j_base_se for r in rep.rows)
+
+    def test_quotient_divides_by_held_duration(self):
+        # 0.2-year steps: a spike on [0, 0.5) holds on the steps starting
+        # at 0, 0.2 and 0.4, for 0.6.
+        cfg = SimConfig(n_paths=500, n_steps=200, seed=59)
+        rep = equilibrium_spike_test(0.3, 0.0, 1.0, P6.y0, cfg, P6, deltas=(0.5,),
+                                     perturbations=(0.1,), ybar_quadrature=3)
+        assert len(rep.rows) == 2
+        for row in rep.rows:
+            assert row.delta == 0.5
+            assert row.held == pytest.approx(0.6, rel=1e-12)
+            assert row.quotient * row.held == pytest.approx(rep.j_base - row.j_spiked,
+                                                            rel=1e-12)
 
     def test_detects_non_equilibrium_policy(self):
         p = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.0,
@@ -423,9 +559,12 @@ def reference_spike_test(pi_hat, t0, y0, cfg, p, deltas, offsets, n_nodes):
     """The spike test with one reward_mc run per policy (no shared lanes).
 
     Returns (j_base, [(j_spiked, quotient, se)]), the per-path terms of the
-    standard error rebuilt node by node from each run's own streams.
+    standard error rebuilt node by node from each run's own streams.  Each
+    quotient divides by the held duration: the steps of linspace(t0, T,
+    n_steps + 1) whose left point lies in [t0, t0 + delta).
     """
     nodes, weights = gh_terminal_quadrature(t0, y0, p, n_nodes)
+    times = np.linspace(t0, p.T, cfg.n_steps + 1)
 
     def run(policy):
         est = reward_mc(policy, t0, 1.0, y0, cfg, p, ybar_quadrature=n_nodes)
@@ -441,12 +580,15 @@ def reference_spike_test(pi_hat, t0, y0, cfg, p, deltas, offsets, n_nodes):
     j_base, base_terms = run(pi_hat)
     rows = []
     for delta in deltas:
+        left = times[:-1]
+        inside = (left >= float(t0)) & (left < float(t0) + float(delta))
+        held = float(np.sum(np.diff(times)[inside]))
         for off in offsets:
             for spike in (base_at - off, base_at + off):
                 j_sp, sp_terms = run(SpikePolicy(pi_hat, spike, float(t0), float(delta)))
                 diff = base_terms - sp_terms
-                se = float(np.std(diff, ddof=1) / np.sqrt(diff.size)) / delta
-                rows.append((j_sp.value, (j_base.value - j_sp.value) / delta, se))
+                se = float(np.std(diff, ddof=1) / np.sqrt(diff.size)) / held
+                rows.append((j_sp.value, (j_base.value - j_sp.value) / held, se))
     return j_base, rows
 
 

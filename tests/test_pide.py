@@ -9,9 +9,11 @@ from prefhedge import (
     DomainError,
     ModelParams,
     OutOfGridError,
+    PolicySurface,
     PositivityError,
     coefficients,
     default_grid,
+    fixed_point_solve,
     residual,
     solve_h,
 )
@@ -316,6 +318,62 @@ class TestLocate:
             ref = reference_bilinear(g.t_nodes, g.y_nodes, values, t, y, clip=True)
             assert np.shape(got) == np.shape(ref)
             assert np.array_equal(got, ref)
+
+
+class TestPolicyRowRead:
+    """PolicySurface.value at one t (a row blend, y placed by arithmetic)
+    against bilinear_interp, on the solved surface of the smoke grid."""
+
+    GRID = default_grid(P06, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
+
+    def _surface(self):
+        return fixed_point_solve(self.GRID, P06)[1]
+
+    def _reference(self, pol, component, t, y):
+        g = self.GRID
+        return pide.bilinear_interp(g.t_nodes, g.y_nodes, getattr(pol, component),
+                                    np.minimum(t, g.t_nodes[-1]), y, clip=True)
+
+    @pytest.mark.parametrize("component", ["pi", "myopic", "hedging"])
+    def test_matches_bilinear(self, component):
+        g, pol = self.GRID, self._surface()
+        ys = np.concatenate([bracket_points(g.y_nodes),
+                             [g.y_nodes[0] - 1.0, g.y_nodes[-1] + 1.0, -np.inf, np.inf]])
+        times = np.concatenate([bracket_points(g.t_nodes), [g.t_nodes[-1] + 0.5, g.T]])
+        for t in times:
+            got = pol.value(t, ys, component=component)
+            assert got.shape == ys.shape
+            assert np.max(np.abs(got - self._reference(pol, component, t, ys))) <= 1e-13
+            for y in ys[::17]:
+                one = pol.value(float(t), float(y), component=component)
+                assert isinstance(one, float)
+                assert abs(one - self._reference(pol, component, t, y)) <= 1e-13
+        tt = np.resize(times, ys.size)
+        for t, y in ((tt, ys), (tt[:, None], ys[None, :40])):
+            assert np.array_equal(pol.value(t, y, component=component),
+                                  self._reference(pol, component, t, y))
+
+    def test_nan_reads_nan(self):
+        pol = self._surface()
+        got = pol.value(3.0, np.array([np.nan, 0.7, np.nan]))
+        assert np.isnan(got[[0, 2]]).all() and np.isfinite(got[1])
+        assert np.isnan(pol.value(3.0, np.nan))
+        assert np.isnan(pol.value(np.nan, 0.7))
+
+    def test_same_out_of_grid_error_without_clip(self):
+        g, pol = self.GRID, self._surface()
+        for t, y in ((3.0, g.y_nodes[-1] + 1e-3),
+                     (3.0, np.array([g.y_nodes[0], g.y_nodes[0] - 1e-3])),
+                     (g.t_nodes[-1] + 1e-3, g.y_nodes[3])):
+            with pytest.raises(OutOfGridError) as ref:
+                pide.bilinear_interp(g.t_nodes, g.y_nodes, pol.pi, t, y)
+            with pytest.raises(OutOfGridError) as got:
+                pol.value(t, y, clip=False)
+            assert str(got.value) == str(ref.value)
+        inside = bracket_points(g.y_nodes)[g.y_nodes.size:]
+        assert np.max(np.abs(pol.value(3.0, inside, clip=False)
+                             - pide.bilinear_interp(g.t_nodes, g.y_nodes, pol.pi,
+                                                    3.0, inside))) <= 1e-13
 
 
 class TestSolveH:
