@@ -257,7 +257,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     clock = [time.perf_counter()]
     h, pol = fixed_point_solve(grid, cfg.params, cfg.fixed_point)
     clock.append(time.perf_counter())
-    res = residual(h, pol, grid, cfg.params)
+    res = residual(h, pol.pi, grid, cfg.params)
     clock.append(time.perf_counter())
     save_h_surface(cfg.out_dir / "h_surface.bin", h, cfg.params)
     save_policy_surface(cfg.out_dir / "policy_surface.bin", pol, cfg.params)
@@ -424,7 +424,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     hard_fail = False
 
     clock.append(time.perf_counter())
-    res = residual(h, pol, grid, cfg.params)
+    res = residual(h, pol.pi, grid, cfg.params)
     clock.append(time.perf_counter())
     res_pass = res.rms_rel_band < res_tol
     bundle["residual"] = {
@@ -435,7 +435,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     g_points = []
     for t0, y0 in probes:
-        mean = y0 + cfg.params.mu_Y * (cfg.params.T - t0)
+        mean = grid.terminal_mean_sd(t0, y0, cfg.params)[0]
         ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
         g_points.append((t0, y0, ybar))
     g_rows = []

@@ -30,7 +30,6 @@ from .pide import (
     QUAD_SD,
     GridSpec,
     HSurface,
-    _check_hull,
     _locate,
     _march,
     _march_level,
@@ -114,42 +113,17 @@ class PolicySurface:
             setattr(self, name, arr)
 
     def value(self, t, y, clip=True, component="pi"):
-        """Interpolated policy at (t, y).
+        """Interpolated policy at one time t and points y, through bilinear_interp.
 
-        Bilinear inside the grid hull.  With ``clip`` (the default for
-        simulation use) arguments are clamped to the hull, so times past
-        the last node return the final-slice policy and excursions of y
-        beyond the grid edges hold the edge value; with ``clip=False``
-        out-of-hull points raise OutOfGridError.  NaN reads NaN.
-
-        At one time ``t`` (a path step, a probe, a table cell) the two
-        bracketing time rows are blended once into a row over y, and each
-        y is placed on it by arithmetic on the uniform y spacing: no
-        bracket search, two gathers and a multiply-add per point.  An
-        array ``t`` reads through bilinear_interp.
+        With ``clip`` (the default for simulation use) arguments are
+        clamped to the hull, so times past the last node return the
+        final-slice policy and excursions of y beyond the grid edges hold
+        the edge value; with ``clip=False`` out-of-hull points raise
+        OutOfGridError.  NaN reads NaN; an array ``t`` raises DomainError.
         """
-        values = getattr(self, component)
-        t_nodes, y_nodes = self.grid.t_nodes, self.grid.y_nodes
-        t = np.minimum(np.asarray(t, dtype=float), t_nodes[-1]) if clip else t
-        if np.ndim(t):
-            return bilinear_interp(t_nodes, y_nodes, values, t, y, clip=clip)
-        k, tw = _locate(t_nodes, t, clip)
-        row = values[k] * (1.0 - tw) + values[k + 1] * tw
-        y = np.asarray(y, dtype=float)
-        if not clip:
-            _check_hull(y_nodes, y)
-        top = y_nodes.size - 2
-        u = np.atleast_1d(y - y_nodes[0])
-        u *= (top + 1) / (y_nodes[-1] - y_nodes[0])
-        np.clip(u, 0.0, top + 1, out=u)
-        # fmin sends NaN to a valid index before the cast; its weight stays NaN.
-        lo = np.fmin(u, top).astype(np.intp)
-        u -= lo
-        out = row[lo]
-        step = (row[1:] - row[:-1])[lo]
-        step *= u
-        out += step
-        return out.reshape(y.shape) if y.ndim else float(out[0])
+        out = bilinear_interp(self.grid.t_nodes, self.grid.y_nodes,
+                              getattr(self, component), t, y, clip=clip)
+        return out if out.ndim else float(out)
 
 
 def closed_form_policy_rho0(t, y, params: ModelParams):
@@ -411,17 +385,12 @@ def reward_quadrature(h: HSurface, t0, x0, y0, params: ModelParams, n_nodes=21):
     xi, w = np.polynomial.hermite.hermgauss(n_nodes)
     mean, sd = grid.terminal_mean_sd(t0, y0, params)
     cap = QUAD_SD * sd
-    total = 0.0
-    for x_, w_ in zip(xi, w / np.sqrt(np.pi)):
-        yb = float(np.clip(mean + np.clip(np.sqrt(2.0) * sd * x_, -cap, cap),
-                           grid.ybar_nodes[0], grid.ybar_nodes[-1]))
-        if abs(yb) <= EPS_GAMMA:
-            yb = 2.0 * EPS_GAMMA
-        gamma = np.exp(yb)
-        hval = h.interp_at(t0, y0, yb)
-        # log certainty equivalent of g = h x^(1-gamma)/(1-gamma)
-        total += w_ * (np.log(hval) / (1.0 - gamma) + np.log(x0))
-    return float(total)
+    yb = np.clip(mean + np.clip(np.sqrt(2.0) * sd * xi, -cap, cap),
+                 grid.ybar_nodes[0], grid.ybar_nodes[-1])
+    yb[np.abs(yb) <= EPS_GAMMA] = 2.0 * EPS_GAMMA
+    hval = h.interp_at(t0, y0, yb)
+    # log certainty equivalent of g = h x^(1-gamma)/(1-gamma)
+    return float((w / np.sqrt(np.pi)) @ (np.log(hval) / (1.0 - np.exp(yb)) + np.log(x0)))
 
 
 def ehjb_supremand(pi_value, t, y, h: HSurface, grid: GridSpec, params: ModelParams):

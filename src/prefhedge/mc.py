@@ -21,10 +21,10 @@ correction.  The one discretization left is the policy, held at its
 left-point value over each step.
 
 A step's work besides the draw is one policy read per start, through
-eval_policy (a PolicySurface blends the step's two time rows once and
-places each path on that row by its uniform y spacing), and an in-place
-advance of ln X and Y in which the correlated noise and drift are folded
-into five per-step scalars.
+eval_policy at the step's time (a PolicySurface reads through
+pide.bilinear_interp: one blend of the two time rows, each path placed on
+it by the uniform y spacing), and an in-place advance of ln X and Y in
+which the correlated noise and drift are folded into five per-step scalars.
 
 Random numbers come from counter-based Philox streams keyed by the
 configured seed (and a stream index for per-node independence), so runs are
@@ -512,7 +512,7 @@ def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelPara
             raise DomainError("spike window must end before T")
     times = _time_grid(t0, cfg, params)
     steps = np.diff(times)
-    base_at = float(np.mean(eval_policy(pi_hat, t0, np.atleast_1d(float(y0)))))
+    base_at = float(eval_policy(pi_hat, t0, float(y0)))
     menu = [(delta, spike) for delta in deltas for off in perturbations
             for spike in (base_at - off, base_at + off)]
     spikes = [(spike, float(t0), float(t0) + float(delta)) for delta, spike in menu]

@@ -119,7 +119,8 @@ def eval_policy(policy, t, y):
     """Fraction at (t, y) under a policy specification: shape broadcast(t, y).
 
     Accepts a surface (anything with ``.value(t, y, clip=...)``, read
-    clamped to its grid), a callable ``pi(t, y)``, or a scalar.
+    clamped to its grid at one time ``t``), a callable ``pi(t, y)``, or a
+    scalar.  solve_h and residual take a PolicySurface's node array.
     """
     if hasattr(policy, "value"):
         return np.asarray(policy.value(t, y, clip=True), dtype=float)

@@ -86,8 +86,8 @@ class GridSpec:
         eps_T: terminal offset shielding the singular bridge coefficients.
         t_nodes: strictly increasing times, last node at T - eps_T.
         y_nodes: strictly increasing, uniformly spaced preference states
-            (to 1e-10 relative).  The spacing carries the policy read:
-            PolicySurface.value at one time indexes y by arithmetic on it.
+            (to 1e-10 relative).  The spacing carries every surface read:
+            bilinear_interp, at one time, places y by arithmetic on it.
         ybar_nodes: fixed terminal-state slices where the factor equations
             are solved; also the knots for cross-slice interpolation.  None
             may sit within EPS_GAMMA of 0 (gamma = 1 is excluded).
@@ -322,7 +322,7 @@ def _locate(nodes: np.ndarray, x, clip: bool):
     if not clip:
         _check_hull(nodes, x)
     span = nodes[-1] - nodes[0]
-    xc = np.clip(x, nodes[0], nodes[-1])
+    xc = np.minimum(np.maximum(x, nodes[0]), nodes[-1])
     top = nodes.size - 2
     # fmin sends a NaN guess to the last interval, where searchsorted puts NaN.
     lo = np.asarray(np.fmin(np.floor((xc - nodes[0]) * ((top + 1) / span)), top),
@@ -332,38 +332,41 @@ def _locate(nodes: np.ndarray, x, clip: bool):
     if np.any(miss):
         lo[miss] = np.clip(np.searchsorted(nodes, xc[miss], side="right"), 1, top + 1) - 1
         left, right = nodes[lo], nodes[lo + 1]
-    w = np.clip((xc - left) / (right - left), 0.0, 1.0)
+    w = np.minimum(np.maximum((xc - left) / (right - left), 0.0), 1.0)
     return lo[()], w
 
 
 def bilinear_interp(t_nodes, y_nodes, values, t, y, clip=False):
-    """Bilinear interpolation of values[t, y, ...] at (t, y) points.
+    """Bilinear interpolation of values[t, y, ...] at one time t and points y.
 
-    ``t`` and ``y`` broadcast together; trailing dimensions of ``values``
-    ride along.  Points outside the hull raise OutOfGridError unless
-    ``clip`` is set, in which case they are clamped to the boundary.
+    The result has shape y.shape + values.shape[2:]: trailing dimensions
+    of ``values`` ride along.  The two time rows that bracket ``t`` are
+    blended once into a row over y, and each y is placed on that row by
+    arithmetic on the uniform y spacing (see GridSpec.y_nodes): no bracket
+    search, two gathers and a multiply-add per point.  Points outside the
+    hull raise OutOfGridError unless ``clip`` is set, in which case they
+    are clamped to the boundary.  NaN reads NaN; an array ``t`` raises
+    DomainError.
     """
-    ti, tw = _locate(t_nodes, t, clip)
-    yi, yw = _locate(y_nodes, y, clip)
-    if np.ndim(tw) == 0:
-        # One time: gather from the two bracketing rows.
-        below, above = values[ti], values[ti + 1]
-        if values.ndim > 2:
-            yw = np.asarray(yw)[..., None]
-        v00, v01 = below[yi], below[yi + 1]
-        v10, v11 = above[yi], above[yi + 1]
-    else:
-        ti, yi, tw, yw = np.broadcast_arrays(ti, yi, tw, yw)
-        if values.ndim > 2:
-            tw = tw[..., None]
-            yw = yw[..., None]
-        v00 = values[ti, yi]
-        v01 = values[ti, yi + 1]
-        v10 = values[ti + 1, yi]
-        v11 = values[ti + 1, yi + 1]
-    lo = v00 * (1.0 - yw) + v01 * yw
-    hi = v10 * (1.0 - yw) + v11 * yw
-    return lo * (1.0 - tw) + hi * tw
+    if np.ndim(t):
+        raise DomainError("bilinear_interp reads at one time t, not an array of times")
+    k, tw = _locate(t_nodes, t, clip)
+    row = values[k] * (1.0 - tw) + values[k + 1] * tw
+    y = np.asarray(y, dtype=float)
+    if not clip:
+        _check_hull(y_nodes, y)
+    top = y_nodes.size - 2
+    u = np.atleast_1d(y - y_nodes[0])
+    u *= (top + 1) / (y_nodes[-1] - y_nodes[0])
+    np.clip(u, 0.0, top + 1, out=u)
+    # fmin sends NaN to a valid index before the cast; its weight stays NaN.
+    lo = np.fmin(u, top).astype(np.intp)
+    u -= lo
+    out = row[lo]
+    step = (row[1:] - row[:-1])[lo]
+    step *= u.reshape(u.shape + (1,) * (row.ndim - 1))
+    out += step
+    return out.reshape(y.shape + row.shape[1:])
 
 
 @dataclass
@@ -396,7 +399,7 @@ class HSurface:
         self.values = v
 
     def interp(self, t, y, clip=False):
-        """All-slice values at (t, y): shape broadcast(t, y) + (n_ybar,)."""
+        """All-slice values at one time t and points y: shape y.shape + (n_ybar,)."""
         return bilinear_interp(
             self.grid.t_nodes, self.grid.y_nodes, self.values, t, y, clip=clip
         )
@@ -414,8 +417,9 @@ class HSurface:
 def policy_values(policy, t_nodes, y_nodes):
     """Evaluate a policy specification on the tensor grid -> (n_t, n_y).
 
-    A 2-d array is taken as the grid values themselves (not copied); any
-    other specification goes through model.eval_policy.
+    A 2-d array, such as a PolicySurface's ``pi``, is taken as the grid
+    values themselves (not copied); a callable or scalar goes through
+    model.eval_policy.
     """
     shape = (len(t_nodes), len(y_nodes))
     if np.ndim(policy) == 2:

@@ -20,7 +20,7 @@ from prefhedge.equilibrium import (
     _row_map,
     _terminal_bracket,
 )
-from prefhedge.model import expected_terminal_gamma
+from prefhedge.model import EPS_GAMMA, expected_terminal_gamma
 from prefhedge.pide import HSurface, _terminal_layer_cut, bilinear_interp
 
 
@@ -359,6 +359,38 @@ def test_reward_quadrature_constant_policy_oracle():
     j_exact = p.T * (p.r + pi0 * (p.mu_S - p.r) - 0.5 * pi0**2 * p.sigma_S**2 * geff)
     got = reward_quadrature(h, 0.0, 1.0, p.y0, p)
     assert got == pytest.approx(j_exact, abs=5e-3)
+
+
+def reference_reward_quadrature(h, t0, x0, y0, params, n_nodes=21):
+    """reward_quadrature as a per-node loop: one interp_at call per node."""
+    grid = h.grid
+    xi, w = np.polynomial.hermite.hermgauss(n_nodes)
+    mean, sd = grid.terminal_mean_sd(t0, y0, params)
+    cap = pide.QUAD_SD * sd
+    total = 0.0
+    for x_, w_ in zip(xi, w / np.sqrt(np.pi)):
+        yb = float(np.clip(mean + np.clip(np.sqrt(2.0) * sd * x_, -cap, cap),
+                           grid.ybar_nodes[0], grid.ybar_nodes[-1]))
+        if abs(yb) <= EPS_GAMMA:
+            yb = 2.0 * EPS_GAMMA
+        gamma = np.exp(yb)
+        total += w_ * (np.log(h.interp_at(t0, y0, yb)) / (1.0 - gamma) + np.log(x0))
+    return float(total)
+
+
+@pytest.mark.parametrize("mu_Y,rho", [(0.02, 0.6), (-0.02, -0.6)])
+def test_reward_quadrature_matches_per_node_loop(mu_Y, rho):
+    p = params_with(mu_Y, rho)
+    g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
+    h, _pol = fixed_point_solve(g, p)
+    # At (0, -mu_Y T) the middle node maps onto ybar = 0 and is nudged
+    # off gamma = 1 when the slices span 0 (they do at mu_Y < 0).
+    points = [(0.0, p.y0, 1.0, 11), (12.3, p.y0 + 0.3, 2.5, 21),
+              (30.0, p.y0 - 0.5, 0.7, 11), (0.0, -p.mu_Y * p.T, 1.0, 11)]
+    for t0, y0, x0, n_nodes in points:
+        want = reference_reward_quadrature(h, t0, x0, y0, p, n_nodes)
+        got = reward_quadrature(h, t0, x0, y0, p, n_nodes)
+        assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def reference_hedging_row(w_level, k, grid, params):

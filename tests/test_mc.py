@@ -23,7 +23,6 @@ from prefhedge import (
 )
 from prefhedge.mc import GRepReport, GRepSide, PathBatch, eval_policy, z_score
 from prefhedge.model import crra_utility, phi_prime
-from prefhedge.pide import bilinear_interp
 
 P0 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.0,
                  mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
@@ -387,16 +386,25 @@ class TestSharedStreamGRepresentation:
 def reference_simulate(policy, starts, x0, cfg, p, store="full", stream=0, spikes=()):
     """The unfused path step: (X, Y) arrays per start, X with a lane axis.
 
-    Draws as the kernel does, reads a PolicySurface through bilinear_interp
-    and steps ln X by the model's drift and correlated noise term by term,
-    with the factor's increment dW1 = (dY - mu_Y dt)/sigma_Y spelled out.
+    Draws as the kernel does, reads a PolicySurface by 2-d gathers at its
+    searchsorted brackets (clamped to the hull) and steps ln X by the
+    model's drift and correlated noise term by term, with the factor's
+    increment dW1 = (dY - mu_Y dt)/sigma_Y spelled out.
     """
+    def bracket(nodes, x):
+        x = np.clip(x, nodes[0], nodes[-1])
+        lo = np.clip(np.searchsorted(nodes, x, side="right"), 1, nodes.size - 1) - 1
+        return lo, (x - nodes[lo]) / (nodes[lo + 1] - nodes[lo])
+
     def read(t, y):
-        if isinstance(policy, PolicySurface):
-            g = policy.grid
-            return bilinear_interp(g.t_nodes, g.y_nodes, policy.pi,
-                                   min(t, g.t_nodes[-1]), y, clip=True)
-        return eval_policy(policy, t, y)
+        if not isinstance(policy, PolicySurface):
+            return eval_policy(policy, t, y)
+        g, v = policy.grid, policy.pi
+        ti, tw = bracket(g.t_nodes, t)
+        yi, yw = bracket(g.y_nodes, y)
+        lo = v[ti, yi] * (1.0 - yw) + v[ti, yi + 1] * yw
+        hi = v[ti + 1, yi] * (1.0 - yw) + v[ti + 1, yi + 1] * yw
+        return lo * (1.0 - tw) + hi * tw
 
     n, n_lanes = cfg.n_paths, 1 + len(spikes)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, stream))))
