@@ -30,11 +30,13 @@ from .pide import (
     QUAD_SD,
     GridSpec,
     HSurface,
+    _extend,
     _locate,
     _march,
     _march_level,
     _prepare_level,
     _terminal_layer_cut,
+    _window_slopes,
     bilinear_interp,
 )
 
@@ -76,9 +78,10 @@ class IterationMeta:
     ConvergenceError instead.
 
     ``sweep_s`` holds the whole solve's wall seconds, summed over levels, in
-    ``prepare`` (the policy-free work of each level: _prepare_level and
-    _row_map), ``march`` (_march_level), ``hedging`` (_hedging_row) and
-    ``anderson`` (the mixing step).
+    ``prepare`` (the policy-free work of each level: _prepare_level,
+    _row_map and _window_slopes), ``march`` (_march_level, and _extend of
+    the accepted step), ``hedging`` (the window elasticities and
+    _hedging_row) and ``anderson`` (the mixing step).
     """
 
     iterations: int
@@ -177,7 +180,7 @@ def _degenerate_cut(t_k, grid: GridSpec, params: ModelParams):
     with no information content, and letting it feed back into the factor
     equations leaves a slowly relaxing mode pinned at the grid edge.
     Constant continuation from the range, which always keeps one node, is
-    the neutral closure (applied in _hedging_row).
+    the neutral closure: _row_map's ``fill`` applies it.
     """
     y = grid.y_nodes
     drift = params.mu_Y * (params.T - t_k)
@@ -226,42 +229,39 @@ def _closed_from(grid: GridSpec, params: ModelParams):
 def _row_map(k, grid: GridSpec, params: ModelParams):
     """Policy-free part of the hedging row at t[k], computed once per level.
 
-    The quadrature bracket of every y-row, the denominator
-    sigma_S**2 E[gamma_T] and the _degenerate_cut range.
+    Returns ((r0, r1), bracket, denom, fill).  The row is held flat through
+    the two outermost y-rows on each side (one-sided elasticity stencils,
+    ~6 sd from any probe) and beyond _degenerate_cut's [lo, hi): row i is
+    raw row clip(clip(i, lo, hi - 1), 2, n_y - 3), ``fill`` indexing the
+    raw rows r0..r1 so kept, the only rows the quadrature ``bracket`` and
+    the denominator sigma_S**2 E[gamma_T] cover.
     """
-    t_k, y = grid.t_nodes[k], grid.y_nodes
-    return (_terminal_bracket(grid, params, t_k, y),
-            params.sigma_S**2 * expected_terminal_gamma(t_k, y, params),
-            _degenerate_cut(t_k, grid, params))
+    t_k, n_y = grid.t_nodes[k], grid.y_nodes.size
+    lo, hi = _degenerate_cut(t_k, grid, params)
+    fill = np.clip(np.clip(np.arange(n_y), lo, hi - 1), 2, n_y - 3)
+    r0, r1 = int(fill[0]), int(fill[-1])
+    y = grid.y_nodes[r0:r1 + 1]
+    return ((r0, r1), _terminal_bracket(grid, params, t_k, y),
+            params.sigma_S**2 * expected_terminal_gamma(t_k, y, params), fill - r0)
 
 
-def _hedging_row(w_level, row_map, grid: GridSpec, params: ModelParams):
-    """Hedging demand at a level from its log factors w = ln h.
+def _hedging_row(el, row_map, grid: GridSpec, params: ModelParams):
+    """Hedging demand at a level from the elasticities of its log factors.
 
     rho sigma_S sigma_Y I / (sigma_S**2 E[gamma_T]), I the terminal-state
-    average of the elasticity d w / d y (the log-factor slope), held flat
-    through the edge rows and the degenerate band.  ``w_level`` has shape
-    (n_ybar, n_y) and ``row_map`` is the level's _row_map; returns the row,
-    shape (n_y,).
+    average of the elasticity d w / d y of w = ln h, closed as the level's
+    _row_map says.  ``el`` is np.gradient's stencil on w at the row map's
+    rows r0..r1, shape (r1 - r0 + 1, n_ybar): log space, because on exp(b y)
+    profiles central differences of h overstate the slope by
+    sinh(b dy)/(b dy), which destabilizes the coupling at high |rho|.
     """
-    bracket, denom, (lo, hi) = row_map
-    # Differenced in log space: on profiles exp(b y) central differences of
-    # h overstate the slope by sinh(b dy)/(b dy), which destabilizes the
-    # coupling at high |rho|; differences of ln h are exact there.  The
-    # stencil is np.gradient's, computed once per grid.
-    el = grid._y_slope.full(w_level)
+    _rows, bracket, denom, fill = row_map
     hedging = (
         params.rho * params.sigma_S * params.sigma_Y
-        * _bracket_average(el.T, bracket, grid)
+        * _bracket_average(el, bracket, grid)
         / denom
     )
-    # The two outermost y-rows use one-sided elasticity stencils; continue
-    # the hedging demand flat through them (they sit ~6 sd from any probe).
-    hedging[:2] = hedging[2]
-    hedging[-2:] = hedging[-3]
-    hedging[:lo] = hedging[lo]
-    hedging[hi:] = hedging[hi - 1]
-    return hedging
+    return hedging[fill]
 
 
 def policy_from_h(h: HSurface, grid: GridSpec, params: ModelParams) -> PolicySurface:
@@ -275,8 +275,11 @@ def policy_from_h(h: HSurface, grid: GridSpec, params: ModelParams) -> PolicySur
     myopic = closed_form_policy_rho0(grid.t_nodes[:, None], grid.y_nodes[None, :], params)
     closed, hedging = _closed_from(grid, params)
     for k in range(closed):
-        hedging[k] = _hedging_row(np.log(h.values[k]).T, _row_map(k, grid, params),
-                                  grid, params)
+        row_map = _row_map(k, grid, params)
+        r0, r1 = row_map[0]
+        el = grid._y_slope.interior(np.log(h.values[k, r0 - 1:r1 + 2]), axis=0,
+                                    at=slice(r0 - 1, r1))
+        hedging[k] = _hedging_row(el, row_map, grid, params)
     return PolicySurface(grid=grid, pi=myopic + hedging, myopic=myopic, hedging=hedging)
 
 
@@ -299,16 +302,16 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     """Coupled solve: one backward march settling the policy level by level.
 
     All terminal-state slices step jointly from t = T - eps_T.  Each level
-    is prepared once (pide._prepare_level: windows, gathers and the bridge
-    part of the coefficients); every map evaluation at that level then
-    runs only the policy-dependent work, one block-diagonal solve
-    (pide._march_level) and the hedging quadrature through the level's
-    precomputed bracket (_row_map, _hedging_row).  On the levels
-    _closed_from closes (all of them at rho**2 in {0, 1}, else the terminal
-    window) the hedging row is _layer_hedging's, known before the step, and
-    the level is marched once.  Every other level's hedging row u solves
-    u = H(march(myopic + u)), H the hedging quadrature of the marched level
-    with its edge and degenerate-band closures.  The row is
+    is prepared once (pide._prepare_level, _row_map, pide._window_slopes);
+    every map evaluation at that level then works on the marched windows
+    only: one block-diagonal solve (pide._march_level), the elasticities of
+    the rows the closures keep, read off the windows, and their hedging
+    quadrature (_hedging_row).  Only the accepted evaluation is extended to
+    the whole level (pide._extend).  On the levels _closed_from closes (all
+    of them at rho**2 in {0, 1}, else the terminal window) the hedging row
+    is _layer_hedging's, known before the step, and the level is marched
+    once.  Every other level's hedging row u solves u = H(march(myopic + u)),
+    H the closed hedging quadrature of the marched level.  The row is
     iterated from the previous level's with Anderson acceleration and
     accepted once one more map evaluation moves it by less than
     cfg.tol_sup; the accepted iterate, not the map output, is stored, so
@@ -341,19 +344,21 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
         nonlocal worst, t_worst
         prep = timed("prepare", _prepare_level, level, k, grid, params)
         if k >= closed:
-            return timed("march", _march_level, prep, myopic[k] + hedging[k], grid, params)
+            w = timed("march", _march_level, prep, myopic[k] + hedging[k], grid, params)
+            return timed("march", _extend, prep, w)
         row_map = timed("prepare", _row_map, k, grid, params)
+        slopes = timed("prepare", _window_slopes, prep, grid, *row_map[0])
         us, gs, history = [hedging[k + 1]], [], []
         while len(history) < cfg.max_iters:
-            new_level = timed("march", _march_level, prep, myopic[k] + us[-1], grid, params)
-            gs.append(timed("hedging", _hedging_row, new_level, row_map, grid, params))
+            w = timed("march", _march_level, prep, myopic[k] + us[-1], grid, params)
+            gs.append(timed("hedging", lambda: _hedging_row(slopes(w), row_map, grid, params)))
             history.append(float(np.max(np.abs(gs[-1] - us[-1]))))
             if history[-1] < cfg.tol_sup:
                 hedging[k] = us[-1]
                 evals[len(history)] += 1
                 if len(history) > len(worst):
                     worst, t_worst = history, float(t[k])
-                return new_level
+                return timed("march", _extend, prep, w)
             us.append(timed("anderson", _anderson_step, us[-_ANDERSON_DEPTH - 1:],
                             gs[-_ANDERSON_DEPTH - 1:]))
         raise ConvergenceError(

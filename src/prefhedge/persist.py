@@ -39,10 +39,20 @@ def params_hash(params: ModelParams) -> bytes:
 
 
 def _write(path, params, grid, **payload):
-    # Through a handle: given a path, np.savez would append ".npz".
-    with open(path, "wb") as fh:
-        np.savez(fh, params_hash=np.frombuffer(params_hash(params), dtype=np.uint8),
-                 **{name: getattr(grid, name) for name in _GRID_FIELDS}, **payload)
+    """np.savez's archive, each member written from its own buffer.
+
+    np.savez copies members out in 16 MiB chunks, which set the solve's peak
+    memory.  np.asarray keeps 0-d members 0-d; np.ascontiguousarray would not.
+    """
+    members = {"params_hash": np.frombuffer(params_hash(params), dtype=np.uint8),
+               **{name: getattr(grid, name) for name in _GRID_FIELDS}, **payload}
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, arr in members.items():
+            arr = np.asarray(arr, order="C")
+            with zf.open(name + ".npy", "w", force_zip64=True) as fid:
+                fmt = np.lib.format
+                fmt.write_array_header_1_0(fid, fmt.header_data_from_array_1_0(arr))
+                fid.write(memoryview(arr).cast("B"))
 
 
 def _read(path, payload, params):

@@ -10,15 +10,17 @@ candidate investment policy.  Slices are independent given the policy; the
 policy feedback happens one level up, in the equilibrium sweep, which
 settles each level's policy before the next step.
 
-One kernel advances every slice by one time level, in two phases.
+One kernel advances every slice by one time level, in three phases.
 _prepare_level does the policy-free work once per level: each slice is
 marched only in a window around its bridge line, the windows are laid end
 to end, and the gather of the previous level, its slope term and the
 bridge part of the coefficients are taken there.  _march_level then applies
 one policy row: the policy part of the coefficients and one block-diagonal
-tridiagonal solve that steps every window.  solve_h runs one map step per
-level with a fixed policy; the equilibrium sweep prepares each level once
-and runs as many map steps as its policy fixed point needs.
+tridiagonal solve that steps every window.  _extend makes the whole level
+of the windows.  solve_h runs one map step per level with a fixed policy;
+the equilibrium sweep prepares each level once, runs as many map steps as
+its policy fixed point needs, each read off the windows (_window_slopes),
+and extends only the accepted one.
 
 Numerical scheme: implicit (backward Euler) time stepping of the
 convection-diffusion part with central differences in y, switching to
@@ -458,6 +460,18 @@ class _Slope:
         return cls(-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2),
                    d1 / (d2 * (d1 + d2)), dx[0], dx[-1])
 
+    def take(self, at):
+        """The stencil with only the coefficients ``at`` selects."""
+        if self.a is None:
+            return self
+        return _Slope(self.a[at], self.b[at], self.c[at], self.d0, self.dn)
+
+    def stencil(self, lo, mid, hi):
+        """Slopes from the values at each node (mid) and at its two neighbours."""
+        if self.a is None:
+            return (hi - lo) / self.c
+        return self.a * lo + self.b * mid + self.c * hi
+
     def interior(self, f, axis, at=slice(None)):
         """Slopes of 2-d ``f`` along ``axis`` at its inner positions.
 
@@ -465,15 +479,8 @@ class _Slope:
         from at.start to at.stop + 1 along ``axis``.
         """
         if axis == 0:
-            lo, mid, hi = f[:-2], f[1:-1], f[2:]
-        else:
-            lo, mid, hi = f[:, :-2], f[:, 1:-1], f[:, 2:]
-        if self.a is None:
-            return (hi - lo) / self.c
-        a, b, c = self.a[at], self.b[at], self.c[at]
-        if axis == 0:
-            a, b, c = a[:, None], b[:, None], c[:, None]
-        return a * lo + b * mid + c * hi
+            return self.take((at, None)).stencil(f[:-2], f[1:-1], f[2:])
+        return self.take(at).stencil(f[:, :-2], f[:, 1:-1], f[:, 2:])
 
     def full(self, f):
         """np.gradient(f, nodes, axis=1) of a 2-d ``f``."""
@@ -587,8 +594,9 @@ class _Level:
     """Policy-free data of one backward step, shared by its map steps.
 
     ``seg``/``rows`` map each entry of the laid-out windows to its slice
-    and y-row, ``first``/``last`` index each window's boundary rows; ``w``
-    is the previous level gathered there and ``w_slope`` its linearized
+    and y-row, ``flat`` to its place in the (n_ybar, n_y) level, and
+    ``first``/``last`` index each window's boundary rows; ``w`` is the
+    previous level gathered there and ``w_slope`` its linearized
     squared-gradient term.  ``in_band`` marks the entries inside each
     slice's band, where the range is checked; ``below``, ``off_lo`` and
     ``off_hi`` (n_ybar, n_y) drive the linear extension outside the windows.
@@ -596,9 +604,11 @@ class _Level:
 
     k: int
     dt: float
+    dy: float
     R: float
     seg: np.ndarray
     rows: np.ndarray
+    flat: np.ndarray
     first: np.ndarray
     last: np.ndarray
     w: np.ndarray
@@ -614,8 +624,8 @@ def _prepare_level(level, k, grid: GridSpec, params: ModelParams) -> _Level:
     """Everything of the step from t[k+1] to t[k] that does not read the policy.
 
     ``level`` holds every slice's tube-extended w = ln h at t[k+1], shape
-    (n_ybar, n_y).  Run once per time level; _march_level then takes one
-    policy row at a time.
+    (n_ybar, n_y) (_extend).  Run once per time level; _march_level then
+    takes one policy row at a time.
     """
     t, y, yb = grid.t_nodes, grid.y_nodes, grid.ybar_nodes
     R = 0.5 * params.sigma_Y**2
@@ -625,13 +635,14 @@ def _prepare_level(level, k, grid: GridSpec, params: ModelParams) -> _Level:
     first = last - width + 1
     seg = np.repeat(np.arange(yb.size), width)
     rows = np.arange(last[-1] + 1) - np.repeat(first - lo, width)
+    flat = seg * y.size + rows
     with np.errstate(over="ignore", under="ignore"):
-        w = level[seg, rows]
+        w = level.ravel()[flat]
         w_slope = R * ((w[2:] - w[:-2]) / (2.0 * grid.dy))
         bridge = _bridge_terms(t[k], y[rows], yb[seg], params)
     return _Level(
-        k=k, dt=t[k + 1] - t[k], R=R, seg=seg, rows=rows, first=first, last=last,
-        w=w, w_slope=w_slope, bridge=bridge,
+        k=k, dt=t[k + 1] - t[k], dy=grid.dy, R=R, seg=seg, rows=rows, flat=flat,
+        first=first, last=last, w=w, w_slope=w_slope, bridge=bridge,
         in_band=(rows >= band_lo[seg]) & (rows < band_hi[seg]),
         below=np.arange(y.size) < lo[:, None],
         off_lo=y - y[lo, None],
@@ -643,8 +654,9 @@ def _march_level(prep: _Level, pi_row, grid: GridSpec, params: ModelParams):
     """One backward step of the log factor w = ln h, all slices at once.
 
     ``prep`` is the level's policy-free data (_prepare_level) and
-    ``pi_row`` the policy at t[k].  Returns the tube-extended level at t[k],
-    shape (n_ybar, n_y).  In log variables the equation reads
+    ``pi_row`` the policy at t[k].  Returns w at t[k] on the laid-out
+    windows, checked and clipped (_extend makes the level of it).  In log
+    variables the equation reads
         w_t + Q w_y + R w_yy + R (w_y)^2 + P = 0,
     and the factor's near-exponential y-profiles become near-linear, where
     finite differences are exact: the scheme has no cosh inflation and the
@@ -686,20 +698,64 @@ def _march_level(prep: _Level, pi_row, grid: GridSpec, params: ModelParams):
             y=y[rows[band[np.argmax(np.abs(w[band]))]]],
             ybar=yb[j],
         )
+    return np.where(np.isnan(w), 0.0, np.clip(w, -_W_MAX, _W_MAX))
 
-    w = np.where(np.isnan(w), 0.0, np.clip(w, -_W_MAX, _W_MAX))
-    # Linear extension of w outside each window.  Slopes come from strictly
-    # interior node pairs (the outermost marched row carries the
-    # transport-only closure and drifts slightly off the interior profile).
-    slope_lo = (w[first + 2] - w[first + 1]) / dy
-    slope_hi = (w[last - 1] - w[last - 2]) / dy
-    new = np.where(
-        prep.below,
-        w[first, None] + slope_lo[:, None] * prep.off_lo,
-        w[last, None] + slope_hi[:, None] * prep.off_hi,
-    )
-    new[seg, rows] = w
-    return np.clip(new, -_W_MAX, _W_MAX, out=new)
+
+def _edge_slopes(prep: _Level, w):
+    """Slopes of w's linear extension below and above each window."""
+    # Strictly interior node pairs: the outermost marched row carries the
+    # transport-only closure and drifts slightly off the interior profile.
+    return ((w[prep.first + 2] - w[prep.first + 1]) / prep.dy,
+            (w[prep.last - 1] - w[prep.last - 2]) / prep.dy)
+
+
+def _extend(prep: _Level, w):
+    """The (n_ybar, n_y) level of the windows' solution w (_march_level).
+
+    w is scattered through prep.flat and extended linearly beyond each
+    window with _edge_slopes, clipped into [-_W_MAX, _W_MAX].
+    """
+    slope_lo, slope_hi = _edge_slopes(prep, w)
+    new = np.where(prep.below, w[prep.first, None] + slope_lo[:, None] * prep.off_lo,
+                   w[prep.last, None] + slope_hi[:, None] * prep.off_hi)
+    np.clip(new, -_W_MAX, _W_MAX, out=new)
+    np.put(new, prep.flat, w)
+    return new
+
+
+def _window_slopes(prep: _Level, grid: GridSpec, r0, r1):
+    """d w / d y at rows r0..r1 of every slice, read off the windows.
+
+    Returns a function of the windows' solution w (_march_level), shape
+    (r1 - r0 + 1, n_ybar), 2 <= r0 <= r1 <= n_y - 3: np.gradient's stencil
+    on the level _extend builds, without building it.  The windows are laid
+    out again with a ghost node at each end, _extend's value there, so rows
+    inside a window get the stencil's value bit for bit; rows beyond it
+    take the extension's slope, which the stencil gives to rounding.
+    """
+    y, j = grid.y_nodes, np.arange(grid.ybar_nodes.size)
+    lo, hi = prep.rows[prep.first], prep.rows[prep.last] + 1
+    ghost_lo, ghost_hi = prep.first + 2 * j, prep.last + 2 * j + 2
+    pos = np.arange(prep.rows.size) + 2 * prep.seg + 1
+    # Row numbers of the padded layout, lo - 1 to hi per window, kept on the grid.
+    row = np.clip(np.arange(ghost_hi[-1] + 1) - np.repeat(ghost_lo - lo + 1, hi - lo + 2),
+                  0, y.size - 1)
+    off_lo, off_hi = y[row[ghost_lo]] - y[lo], y[row[ghost_hi]] - y[hi - 1]
+    coef = grid._y_slope.take(np.clip(row[1:-1] - 1, 0, y.size - 3))
+    src = np.clip(np.arange(r0, r1 + 1)[:, None] - lo, -1, hi - lo) + ghost_lo + 1
+
+    def read(w):
+        slope_lo, slope_hi = _edge_slopes(prep, w)
+        pad = np.empty(row.size)
+        pad[pos] = w
+        pad[ghost_lo] = np.minimum(np.maximum(w[prep.first] + slope_lo * off_lo, -_W_MAX), _W_MAX)
+        pad[ghost_hi] = np.minimum(np.maximum(w[prep.last] + slope_hi * off_hi, -_W_MAX), _W_MAX)
+        el = np.empty_like(pad)
+        el[1:-1] = coef.stencil(pad[:-2], pad[1:-1], pad[2:])
+        el[ghost_lo], el[ghost_hi] = slope_lo, slope_hi
+        return el[src]
+
+    return read
 
 
 def _march(grid: GridSpec, advance) -> HSurface:
@@ -724,17 +780,21 @@ def solve_h(policy, grid: GridSpec, params: ModelParams) -> HSurface:
     The policy enters only through the coefficients; slices do not couple
     inside this routine, so solving any subset reproduces the same numbers
     bit for bit.  Each time level is prepared once and stepped by one
-    block-diagonal solve over all slices' windows (see _prepare_level and
-    _march_level), in log space; the returned surface holds the factor
-    itself, clamped into floating range outside the bridge-compatible band
-    and verified finite inside it.  A factor that
-    leaves that range inside a band raises PositivityError at the first
-    such level in march order (latest t first), the lowest failing slice
-    there, and the node of largest |ln h| in its band.
+    block-diagonal solve over all slices' windows (see _prepare_level,
+    _march_level and _extend), in log space; the returned surface holds the
+    factor itself, clamped into floating range outside the bridge-compatible
+    band and verified finite inside it.  A factor that leaves that range
+    inside a band raises PositivityError at the first such level in march
+    order (latest t first), the lowest failing slice there, and the node of
+    largest |ln h| in its band.
     """
     PI = policy_values(policy, grid.t_nodes, grid.y_nodes)
-    return _march(grid, lambda level, k: _march_level(
-        _prepare_level(level, k, grid, params), PI[k], grid, params))
+
+    def advance(level, k):
+        prep = _prepare_level(level, k, grid, params)
+        return _extend(prep, _march_level(prep, PI[k], grid, params))
+
+    return _march(grid, advance)
 
 
 def _terminal_layer_cut(grid: GridSpec, rho: float) -> int:

@@ -396,33 +396,42 @@ def test_reward_quadrature_matches_per_node_loop(mu_Y, rho):
 def reference_hedging_row(w_level, k, grid, params):
     """The hedging row in one pass, without the per-level preparation.
 
-    np.gradient, the Gauss-Hermite bracket gathered by two take_along_axis
-    calls, the edge rows and the degenerate-band cut, all computed from
-    scratch.  Returns the row and the cut (lo, hi).
+    The degenerate-band cut (lo, hi) and the rows r0..r1 that the closures
+    keep, then on those rows only np.gradient, the Gauss-Hermite bracket
+    gathered by two take_along_axis calls and the denominator, all computed
+    from scratch.  Every other row holds NaN before the four closure
+    assignments, so a closure that read one would leave NaN in the row.
+    Returns the row, the cut and (r0, r1).
     """
     t_k, y = grid.t_nodes[k], grid.y_nodes
-    el = np.gradient(w_level, y, axis=1).T
-    mean, sd = grid.terminal_mean_sd(t_k, y, params)
+    n_y = y.size
+    drift = params.mu_Y * (params.T - t_k)
+    cut_lo = int(np.searchsorted(y, grid.ybar_nodes[0] - drift, side="left"))
+    cut_hi = int(np.searchsorted(y, grid.ybar_nodes[-1] - drift, side="right"))
+    cut_lo = min(cut_lo, n_y - 1)
+    cut_hi = max(min(cut_hi, n_y), cut_lo + 1)
+    r0 = min(max(cut_lo, 2), n_y - 3)
+    r1 = min(max(cut_hi - 1, 2), n_y - 3)
+    rows = slice(r0, r1 + 1)
+
+    el = np.gradient(w_level, y, axis=1).T[rows]
+    mean, sd = grid.terminal_mean_sd(t_k, y[rows], params)
     offset = np.clip(np.sqrt(2.0) * grid.gh_nodes, -pide.QUAD_SD, pide.QUAD_SD)
     target = np.asarray(mean)[..., None] + offset * np.asarray(sd)[..., None]
     lo, frac = pide._locate(grid.ybar_nodes, target, clip=True)
     f_lo = np.take_along_axis(el, lo, axis=-1)
     f_hi = np.take_along_axis(el, lo + 1, axis=-1)
     average = ((1.0 - frac) * f_lo + frac * f_hi) @ grid.ybar_weights
-    hedging = (
+    hedging = np.full(n_y, np.nan)
+    hedging[rows] = (
         params.rho * params.sigma_S * params.sigma_Y * average
-        / (params.sigma_S**2 * expected_terminal_gamma(t_k, y, params))
+        / (params.sigma_S**2 * expected_terminal_gamma(t_k, y[rows], params))
     )
     hedging[:2] = hedging[2]
     hedging[-2:] = hedging[-3]
-    drift = params.mu_Y * (params.T - t_k)
-    cut_lo = int(np.searchsorted(y, grid.ybar_nodes[0] - drift, side="left"))
-    cut_hi = int(np.searchsorted(y, grid.ybar_nodes[-1] - drift, side="right"))
-    cut_lo = min(cut_lo, y.size - 1)
-    cut_hi = max(min(cut_hi, y.size), cut_lo + 1)
     hedging[:cut_lo] = hedging[cut_lo]
     hedging[cut_hi:] = hedging[cut_hi - 1]
-    return hedging, (cut_lo, cut_hi)
+    return hedging, (cut_lo, cut_hi), (r0, r1)
 
 
 class TestPreparedPolicyMap:
@@ -435,11 +444,54 @@ class TestPreparedPolicyMap:
         cut_active = 0
         for k in range(g.t_nodes.size):
             w_level = np.log(h.values[k]).T
-            want, (lo, hi) = reference_hedging_row(w_level, k, g, p)
-            got = _hedging_row(w_level, _row_map(k, g, p), g, p)
+            want, (lo, hi), (r0, r1) = reference_hedging_row(w_level, k, g, p)
+            row_map = _row_map(k, g, p)
+            assert row_map[0] == (r0, r1)
+            el = np.gradient(w_level, g.y_nodes, axis=1).T[r0:r1 + 1]
+            got = _hedging_row(el, row_map, g, p)
             assert np.all(got == want), k
             cut_active += lo > 2 or hi < n_y - 2
         assert cut_active > 0
+
+    def test_fill_equals_four_closures_for_every_cut(self, monkeypatch):
+        # Every (lo, hi) _degenerate_cut can return on a 7-row grid, cuts
+        # inside the two edge rows on each side included.
+        p = params_with(0.02, 0.6)
+        g0 = default_grid(p, n_t_steps=10, n_y=61, n_ybar=5, n_gh=9)
+        y = g0.y_nodes[::10]
+        g = pide.GridSpec(T=g0.T, eps_T=g0.eps_T, t_nodes=g0.t_nodes, y_nodes=y,
+                          ybar_nodes=g0.ybar_nodes, gh_nodes=g0.gh_nodes,
+                          ybar_weights=g0.ybar_weights)
+        n_y = y.size
+        raw = np.arange(n_y) * 10.0 + 1.0
+        seen = set()
+        for lo in range(n_y):
+            for hi in range(lo + 1, n_y + 1):
+                monkeypatch.setattr(equilibrium, "_degenerate_cut", lambda *a: (lo, hi))
+                (r0, r1), bracket, denom, fill = _row_map(3, g, p)
+                want = raw.copy()
+                want[:2] = want[2]
+                want[-2:] = want[-3]
+                want[:lo] = want[lo]
+                want[hi:] = want[hi - 1]
+                assert np.array_equal(raw[r0:r1 + 1][fill], want), (lo, hi)
+                assert denom.shape == (r1 - r0 + 1,)
+                assert bracket[0].shape == (r1 - r0 + 1, g.gh_nodes.size)
+                seen.add((lo < 2, hi > n_y - 2))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_extend_runs_once_per_level(self, monkeypatch):
+        # The sweep extends only each level's accepted march.
+        p = params_with(-0.02, -0.6)
+        g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9,
+                         probe_y=[np.log(0.8)])
+        calls = []
+        extend = equilibrium._extend
+        monkeypatch.setattr(equilibrium, "_extend",
+                            lambda *a: calls.append(a[0].k) or extend(*a))
+        _h, pol = fixed_point_solve(g, p)
+        assert pol.iteration_meta.map_evals > g.t_nodes.size
+        assert calls == list(range(g.t_nodes.size - 2, -1, -1))
 
     def test_each_level_prepared_once(self, monkeypatch):
         # The march's policy-free set-up runs once per time level, however

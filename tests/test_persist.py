@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import struct
 import zipfile
@@ -17,7 +18,7 @@ from prefhedge import (
 )
 from prefhedge.equilibrium import policy_from_h
 from prefhedge.persist import params_hash
-from prefhedge.pide import BAND_SD, QUAD_SD
+from prefhedge.pide import BAND_SD, QUAD_SD, HSurface
 
 P = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.6,
                 mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
@@ -53,6 +54,34 @@ def test_policy_surface_round_trip(tmp_path, solved):
     assert np.array_equal(back.pi, pol.pi)
     assert np.array_equal(back.myopic, pol.myopic)
     assert np.array_equal(back.hedging, pol.hedging)
+
+
+@pytest.mark.parametrize("kind", ["h", "h_not_contiguous", "policy"])
+def test_members_equal_np_savez(tmp_path, solved, kind):
+    # The streamed writer must give np.savez's members byte for byte; the
+    # 0-d T and eps_T members stay 0-d, which a load round trip would hide.
+    grid, h, pol = solved
+    if kind == "h_not_contiguous":
+        h = HSurface(grid=grid, values=np.ascontiguousarray(h.values))
+        assert not np.moveaxis(h.values, 2, 0).flags.c_contiguous
+    if kind == "policy":
+        save_policy_surface(tmp_path / "got.bin", pol, P)
+        payload = {"pi": pol.pi, "myopic": pol.myopic, "hedging": pol.hedging}
+    else:
+        save_h_surface(tmp_path / "got.bin", h, P)
+        payload = {"h": np.moveaxis(h.values, 2, 0)}
+    with open(tmp_path / "want.bin", "wb") as fh:
+        np.savez(fh, params_hash=np.frombuffer(params_hash(P), dtype=np.uint8),
+                 **{f.name: getattr(grid, f.name) for f in dataclasses.fields(grid)},
+                 **payload)
+    with zipfile.ZipFile(tmp_path / "got.bin") as got, \
+            zipfile.ZipFile(tmp_path / "want.bin") as want:
+        assert got.namelist() == want.namelist()
+        for name in want.namelist():
+            assert got.getinfo(name).compress_type == zipfile.ZIP_STORED
+            assert got.read(name) == want.read(name), name
+    with np.load(tmp_path / "got.bin") as z:
+        assert z["T"].shape == z["eps_T"].shape == ()
 
 
 def test_bit_flip_is_detected(tmp_path, solved):

@@ -530,8 +530,64 @@ class TestStepMatrix:
             upwind = np.abs(Q) * dy > 2.0 * prep.R
             seen_upwind |= upwind.any()
             seen_central |= (~upwind).any()
-            level = pide._march_level(prep, np.full(g.y_nodes.size, 1.3), g, p)
+            level = pide._extend(prep, pide._march_level(prep, np.full(g.y_nodes.size, 1.3), g, p))
         assert seen_upwind and seen_central
+
+
+class TestWindowSlopes:
+    """The sweep's elasticities, read off the windows, against the extended level."""
+
+    @staticmethod
+    def _uniform(g):
+        # Exactly equal spacings (a power of two), so _Slope takes numpy's
+        # uniform branch.
+        dy = 2.0**-7
+        y = (np.floor(g.y_nodes[0] / dy) + np.arange(g.y_nodes.size)) * dy
+        return GridSpec(T=g.T, eps_T=g.eps_T, t_nodes=g.t_nodes, y_nodes=y,
+                        ybar_nodes=g.ybar_nodes, gh_nodes=g.gh_nodes,
+                        ybar_weights=g.ybar_weights)
+
+    @pytest.mark.parametrize("mu_Y,rho,exp_y,kind", [
+        (0.02, 0.6, 2.0, "default"), (-0.02, -0.6, 0.8, "default"),
+        (-0.02, -0.6, 0.8, "uniform"), (-0.02, -0.6, 2.0, "clipped")])
+    def test_equal_stencil_on_extended_level(self, mu_Y, rho, exp_y, kind):
+        from prefhedge.equilibrium import _row_map
+
+        p = dataclasses.replace(_params(mu_Y, rho), y0=np.log(exp_y))
+        if kind == "clipped":
+            # Windows reach both grid edges; the sweep's policy map is not
+            # needed to march them.
+            g = _grid(p, "clipped")
+            pi = 0.3 + 0.2 * np.tanh(g.y_nodes - p.y0)[None, :] + 0.002 * g.t_nodes[:, None]
+        else:
+            g = default_grid(p, n_t_steps=100 if kind == "default" else 40)
+            g = self._uniform(g) if kind == "uniform" else g
+            pi = fixed_point_solve(g, p)[1].pi
+        assert (g._y_slope.a is None) == (kind == "uniform")
+        level = np.zeros((g.ybar_nodes.size, g.y_nodes.size))
+        worst, read_beyond = 0.0, 0
+        for k in range(g.t_nodes.size - 2, -1, -1):
+            prep = pide._prepare_level(level, k, g, p)
+            w = pide._march_level(prep, pi[k], g, p)
+            level = pide._extend(prep, w)
+            (r0, r1), (at_lo, at_hi, w_lo, w_hi), _denom, _fill = _row_map(k, g, p)
+            got = pide._window_slopes(prep, g, r0, r1)(w)
+            want = g._y_slope.full(level).T[r0:r1 + 1]
+            assert got.shape == want.shape
+
+            lo, hi = prep.rows[prep.first], prep.rows[prep.last] + 1
+            i = np.arange(r0, r1 + 1)[:, None]
+            inside = (i >= lo) & (i < hi)
+            assert np.array_equal(got[inside], want[inside]), k
+            read = np.zeros(got.size, dtype=bool)
+            read[at_lo[w_lo != 0]] = True
+            read[at_hi[w_hi != 0]] = True
+            read = read.reshape(got.shape)
+            rel = np.abs(got - want)[read] / np.abs(want[read])
+            worst = max(worst, rel.max())
+            read_beyond += np.count_nonzero(read & ~inside)
+        assert worst <= 1e-12
+        assert read_beyond > 0
 
 
 class TestSolveBanded:
