@@ -438,8 +438,17 @@ def cmd_verify(cfg: RunConfig) -> int:
         mean = grid.terminal_mean_sd(t0, y0, cfg.params)[0]
         ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
         g_points.append((t0, y0, ybar))
+    # The g points ride on the spike test's node-1 run, which draws stream 1.
+    spike = equilibrium_spike_test(
+        pol, t_spike, 1.0, probes[0][1], cfg.sim, cfg.params, deltas=deltas,
+        perturbations=tuple(vcfg.get("spike_offsets", (0.05, 0.1, 0.2))),
+        ybar_quadrature=_VERIFY_NODES, z_gate=z_gate, riders=g_points,
+    )
+    clock.append(time.perf_counter())
+
     g_rows = []
-    for rep in verify_g_representation_batch(h, pol, g_points, 1.0, cfg.sim, cfg.params):
+    for rep in verify_g_representation_batch(h, pol, g_points, 1.0, cfg.sim, cfg.params,
+                                             moments=spike.rider_moments):
         ok = abs(rep.conditioned.z) < z_gate
         g_rows.append({
             "t": rep.t0, "exp_y": float(np.exp(rep.y0)), "ybar": rep.ybar,
@@ -450,13 +459,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         })
         hard_fail |= not ok
     bundle["g_representation"] = g_rows
-    clock.append(time.perf_counter())
-
-    spike = equilibrium_spike_test(
-        pol, t_spike, 1.0, probes[0][1], cfg.sim, cfg.params, deltas=deltas,
-        perturbations=tuple(vcfg.get("spike_offsets", (0.05, 0.1, 0.2))),
-        ybar_quadrature=_VERIFY_NODES, z_gate=z_gate,
-    )
     clock.append(time.perf_counter())
 
     reward_rows = []
@@ -493,13 +495,16 @@ def cmd_verify(cfg: RunConfig) -> int:
         bundle["spike_test"]["verdict"] = "not an equilibrium"
         hard_fail = True
 
-    phases = ("load" if loaded else "solve", "residual", "g_representation",
-              "spike", "reward")
-    bundle["phase_s"] = dict(zip(phases, np.diff(clock).tolist()))
-    # One conditioned run starts every g point; the spike test runs once
-    # per quadrature node, a lane per spike beside the base policy's.
+    first = "load" if loaded else "solve"
+    phase_s = dict(zip((first, "residual", "spike", "g_representation", "reward"),
+                       np.diff(clock).tolist()))
+    bundle["phase_s"] = {key: phase_s[key] for key in
+                         (first, "residual", "g_representation", "spike", "reward")}
+    # One spike run per quadrature node, a lane per spike beside the base
+    # policy's; the g points step on node 1's draws and draw none of their own.
     bundle["mc_work"] = {
-        "g_representation": simulation_work(cfg.sim, n_starts=len(g_points)),
+        "g_representation": {**simulation_work(cfg.sim, n_starts=len(g_points)),
+                             "normals": 0},
         "spike": simulation_work(cfg.sim, n_runs=_VERIFY_NODES,
                                  n_lanes=1 + len(spike.rows)),
     }

@@ -31,12 +31,14 @@ configured seed (and a stream index for per-node independence), so runs are
 bit-reproducible and two simulations with the same configuration consume
 identical noise regardless of the policy.  Shared noise is drawn once
 (common random numbers, bit for bit what separate runs with the same stream
-would give): a simulation steps several wealth lanes (the spike test's base
-and spiked policies) and several starts (t0, y0, ybar), each start on its
-own time grid, on one draw per step.  Stream layout: reward quadrature node
-j (the spike test's too) reads stream j; every g-representation point reads
-stream 1, so the points run as starts of one conditioned simulation and
-share noise with reward node 1.  verify draws no other stream.
+would give): a simulation steps several starts (t0, y0, ybar), each on its
+own time grid and with its own wealth lanes (the spike test's base and
+spiked policies), on one draw per step.  Stream layout: reward quadrature
+node j (the spike test's too) reads stream j; every g-representation point
+reads stream 1.  verify runs the points, base lane only, as starts of the
+spike test's node-1 run, so it draws each of its streams once;
+simulation_work counts the draws and path-steps it reports as mc_work, the
+g points' path-steps with no normals of their own.
 """
 
 from __future__ import annotations
@@ -114,20 +116,20 @@ def _held_steps(times, start, end):
 
 
 def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
-              store="full", stream=0, spikes=()):
-    """The one path kernel: a PathBatch per (t0, y0, ybar) start, on one stream.
+              store="full", stream=0):
+    """The one path kernel: a PathBatch per (t0, y0, ybar, spikes) start, on one stream.
 
     Each start steps its own grid linspace(t0, T, n_steps + 1), factor row
-    and wealth lanes (pinned to ybar, or unconditional where ybar is None).
-    Every start reads the step's one normal draw with its own arithmetic, so
-    its paths are bit for bit those of a run of that start alone.
+    and wealth lanes (pinned to ybar, or unconditional where ybar is None):
+    the base policy's lane and one per spike of its own.  Every start reads
+    the step's one normal draw with its own arithmetic, so its paths are
+    bit for bit those of a run of that start alone.
     """
     if not x0 > 0:
         raise DomainError("x0 must be > 0")
-    if not all(t0 < params.T for t0, _y0, _ybar in starts):
+    if not all(start[0] < params.T for start in starts):
         raise DomainError("t0 must be < T")
     n = cfg.n_paths
-    n_lanes = 1 + len(spikes)
     rng = _rng(cfg.seed, stream)
     sigma_S, sigma_Y = params.sigma_S, params.sigma_Y
     # A step adds r dt + pi (excess dt + slope dY + noise_scale dW2
@@ -137,18 +139,18 @@ def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
     excess = params.mu_S - params.r - slope * params.mu_Y
     noise_scale = np.sqrt(1.0 - params.rho * params.rho) * sigma_S
 
-    grids = [_time_grid(t0, cfg, params) for t0, _y0, _ybar in starts]
+    grids = [_time_grid(t0, cfg, params) for t0, _y0, _ybar, _spikes in starts]
     held = [[_held_steps(times, start, end) for _value, start, end in spikes]
-            for times in grids]
-    lnX = [np.full((n_lanes, n), np.log(x0)) for _start in starts]
-    Y = [np.full(n, float(y0)) for _t0, y0, _ybar in starts]
+            for times, (_t0, _y0, _ybar, spikes) in zip(grids, starts)]
+    lnX = [np.full((1 + len(spikes), n), np.log(x0)) for *_start, spikes in starts]
+    Y = [np.full(n, float(y0)) for _t0, y0, _ybar, _spikes in starts]
     if store == "full":
-        Xs = [np.full((n_lanes, n, cfg.n_steps + 1), float(x0)) for _start in starts]
-        Ys = [np.full((n, cfg.n_steps + 1), float(y0)) for _t0, y0, _ybar in starts]
+        Xs = [np.full(lnx.shape + (cfg.n_steps + 1,), float(x0)) for lnx in lnX]
+        Ys = [np.full((n, cfg.n_steps + 1), float(y0)) for _t0, y0, _ybar, _spikes in starts]
     Z = np.empty((2, n))
     half = np.empty((2, n // 2)) if cfg.antithetic else None
     dY, noise, scaled = np.empty(n), np.empty(n), np.empty(n)
-    gain = np.empty((n_lanes, n))
+    gain = np.empty((max(len(lnx) for lnx in lnX), n))
 
     for k in range(cfg.n_steps):
         if cfg.antithetic:
@@ -157,7 +159,7 @@ def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
             np.negative(half, out=Z[:, n // 2:])
         else:
             rng.standard_normal(out=Z)
-        for s, (times, (_t0, _y0, ybar)) in enumerate(zip(grids, starts)):
+        for s, (times, (_t0, _y0, ybar, spikes)) in enumerate(zip(grids, starts)):
             t = times[k]
             dt = times[k + 1] - t
             sdt = np.sqrt(dt)
@@ -165,7 +167,7 @@ def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
             lanes = [(lane, value) for lane, ((value, _a, _b), mask)
                      in enumerate(zip(spikes, held[s]), 1) if mask[k]]
             if lanes:
-                pi = np.repeat(pi[None], n_lanes, axis=0)
+                pi = np.repeat(pi[None], len(lnX[s]), axis=0)
                 for lane, value in lanes:
                     pi[lane] = value
             if ybar is not None:
@@ -183,7 +185,7 @@ def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
             noise += scaled
             noise += excess * dt
             # Lanes outside their windows share the base row's gain.
-            g = gain if pi.ndim == 2 else gain[0]
+            g = gain[:len(pi)] if pi.ndim == 2 else gain[0]
             np.multiply(pi, -0.5 * sigma_S**2 * dt, out=g)
             g += noise
             g *= pi
@@ -194,13 +196,18 @@ def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
                 np.exp(lnX[s], out=Xs[s][..., k + 1])
                 Ys[s][:, k + 1] = Y[s]
 
+    # A run peaks while its batches are built: the step buffers go first, a
+    # terminal batch is filled in place and its start's state dropped once read.
+    del Z, half, dY, noise, scaled, gain
     batches = []
-    for s, (t0, y0, ybar) in enumerate(starts):
+    for s, (t0, y0, ybar, spikes) in enumerate(starts):
         if store == "full":
             X_arr, Y_arr, t_arr = Xs[s], Ys[s], grids[s]
         else:
-            X_arr = np.stack([np.full((n_lanes, n), x0), np.exp(lnX[s])], axis=-1)
-            Y_arr = np.column_stack([np.full(n, y0), Y[s]])
+            X_arr, Y_arr = np.empty(lnX[s].shape + (2,)), np.empty((n, 2))
+            X_arr[..., 0], Y_arr[:, 0], Y_arr[:, 1] = x0, y0, Y[s]
+            np.exp(lnX[s], out=X_arr[..., 1])
+            lnX[s] = Y[s] = None
             t_arr = np.array([t0, params.T])
         batches.append(PathBatch(
             times=t_arr,
@@ -230,15 +237,18 @@ def _run(policy, t0, x0, y0, ybar, cfg, params, store, stream, spikes=()):
     """_simulate on one start, or on several given as equal-length sequences.
 
     Scalars in give a PathBatch out; sequences give a list, one per start.
+    ``spikes`` is one list of (value, start, end) lanes for every start, or,
+    with several starts, a list of such lists, one per start.
     """
     if np.ndim(t0) == 0:
-        return _simulate(policy, [(t0, y0, ybar)], x0, cfg, params,
-                         store, stream, spikes)[0]
+        return _run(policy, [t0], x0, [y0], [ybar], cfg, params, store, stream, [spikes])[0]
     ybars = [None] * len(t0) if ybar is None else ybar
-    if not len(t0) == len(y0) == len(ybars):
-        raise DomainError("t0, y0 and ybar need one entry per start")
-    return _simulate(policy, list(zip(t0, y0, ybars)), x0, cfg, params,
-                     store, stream, spikes)
+    if all(np.ndim(lane) == 1 and len(lane) == 3 for lane in spikes):
+        spikes = [spikes] * len(t0)
+    if not len(t0) == len(y0) == len(ybars) == len(spikes):
+        raise DomainError("t0, y0, ybar and per-start spikes need one entry per start")
+    return _simulate(policy, list(zip(t0, y0, ybars, map(tuple, spikes))), x0, cfg, params,
+                     store, stream)
 
 
 def simulate_unconditional(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
@@ -268,7 +278,8 @@ def simulate_conditioned(policy, t0, x0, y0, ybar, cfg: SimConfig, params: Model
     where it holds the fraction ``value``.  With spikes, ``X`` has a
     leading lane axis, the base policy's lane first.
     Equal-length sequences ``t0``, ``y0`` and ``ybar`` run several starts,
-    as in simulate_unconditional.
+    as in simulate_unconditional; ``spikes`` then gives every start the
+    same lanes, or is a list of lane lists, one per start.
     """
     return _run(policy, t0, x0, y0, ybar, cfg, params, store, stream, spikes)
 
@@ -323,18 +334,33 @@ def reward_mc(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
     expectation is within 5 standard errors of the sign boundary are
     flagged; an outright sign violation raises.
     """
-    estimates, _terms = _lane_rewards(policy, t0, x0, y0, cfg, params, ybar_quadrature)
-    return estimates[0]
+    return _lane_rewards(policy, t0, x0, y0, cfg, params, ybar_quadrature)[0][0]
+
+
+def _utility_moments(x_T, gamma):
+    """Terminal CRRA utility per path, its mean and the mean's standard error."""
+    u = crra_utility(x_T, gamma)
+    return u, float(np.mean(u)), float(np.std(u, ddof=1) / np.sqrt(u.size))
+
+
+def _rider_moments(batches, riders):
+    """(mean, se) of each (t0, y0, ybar) start's terminal utility at gamma = e^ybar."""
+    return [_utility_moments(batch.X[:, -1], float(np.exp(ybar)))[1:]
+            for batch, (_t0, _y0, ybar) in zip(batches, riders)]
 
 
 def _lane_rewards(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
-                  ybar_quadrature, spikes=()):
+                  ybar_quadrature, spikes=(), riders=()):
     """reward_mc of the base policy and of each spike lane, with per-path terms.
 
     One conditioned simulation per quadrature node serves every lane (see
     simulate_conditioned).  Returns the estimates, base first, and for each
     lane the per-path sum over nodes of w phi'(E u) u, whose lane-to-lane
     differences carry the common-random-number standard error.
+
+    ``riders`` are (t0, y0, ybar) starts that read stream 1 (the g points):
+    they ride, base lane only, on node 1's run and come back third as their
+    _rider_moments, reduced as soon as that run returns.
     """
     if ybar_quadrature is None:
         nodes, weights = gh_terminal_quadrature(t0, y0, params)
@@ -343,19 +369,24 @@ def _lane_rewards(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
     else:
         nodes, weights = (np.asarray(v, dtype=float) for v in ybar_quadrature)
 
+    if riders and len(nodes) < 2:
+        raise DomainError("riders ride on quadrature node 1: give at least two nodes")
     n_lanes = 1 + len(spikes)
+    moments = []
     total = [0.0] * n_lanes
     var = [0.0] * n_lanes
     reports = [[] for _ in range(n_lanes)]
     path_terms = np.zeros((n_lanes, cfg.n_paths))
     for idx, (yb, wt) in enumerate(zip(nodes, weights)):
         gamma = float(np.exp(yb))
-        batch = simulate_conditioned(policy, t0, x0, y0, yb, cfg, params,
-                                     store="terminal", stream=idx, spikes=spikes)
+        ride = riders if idx == 1 else ()
+        t0s, y0s, ybars = zip((t0, y0, yb), *ride)
+        batch, *rode = simulate_conditioned(policy, t0s, x0, y0s, ybars, cfg, params,
+                                            store="terminal", stream=idx,
+                                            spikes=[spikes] + [()] * len(ride))
+        moments += _rider_moments(rode, ride)
         for lane, x_T in enumerate(np.reshape(batch.X[..., -1], (n_lanes, -1))):
-            u = crra_utility(x_T, gamma)
-            inner = float(np.mean(u))
-            se = float(np.std(u, ddof=1) / np.sqrt(u.size))
+            u, inner, se = _utility_moments(x_T, gamma)
             if (1.0 - gamma) * inner <= 0.0:
                 raise DomainError(
                     f"inner expectation at node ybar={yb:.4f} violates the sign "
@@ -371,12 +402,14 @@ def _lane_rewards(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
                 inner_mean=inner, inner_se=se, ce_log=ce, flagged=flagged,
             ))
             path_terms[lane] += wt * dphi * u
+        # Dropped before the next node's run, so two runs' paths never coexist.
+        del batch, rode, x_T, u
     estimates = [
         RewardEstimate(value=total[lane], se=float(np.sqrt(var[lane])),
                        nodes=tuple(reports[lane]), n_paths=cfg.n_paths)
         for lane in range(n_lanes)
     ]
-    return estimates, path_terms
+    return estimates, path_terms, moments
 
 
 def z_score(diff, se):
@@ -421,30 +454,31 @@ class GRepReport:
 
 
 def verify_g_representation_batch(h: HSurface, policy, points, x0,
-                                  cfg: SimConfig, params: ModelParams) -> list:
+                                  cfg: SimConfig, params: ModelParams,
+                                  moments=None) -> list:
     """A GRepReport at each (t0, y0, ybar) of ``points``, from pinned paths.
 
     Every point reads stream 1, so one conditioned run, with a start per
     point, serves them all, bit for bit as separate runs would.  The points
-    thus share their noise, and so does the reward quadrature's node 1 at a
-    matching start (node j reads stream j): their z-scores are correlated,
-    and a run of neighbouring failing points is one draw, not independent
-    evidence.  At (mu_Y, rho, e^y) = (0.02, 0.6, 2) on the default grid,
-    20000 paths x 200 steps, seed 0 gives z = 1.89, 1.91, 1.98, 2.18, 2.75,
-    1.40 at t = 0, 7, ..., 35, and seed 1 is negative at every t up to 21.
+    thus share their noise with each other and with the reward
+    quadrature's node 1 at a matching start (node j reads stream j): their
+    z-scores are correlated, and a run of neighbouring failing points is
+    one draw, not independent evidence.  ``moments``, the points' (mean, se)
+    from a run that drew stream 1 already (equilibrium_spike_test's
+    ``rider_moments``), skip this run.  At (mu_Y, rho, e^y) = (0.02, 0.6, 2)
+    on the default grid, 20000 paths x 200 steps, seed 0 gives z = 1.89,
+    1.91, 1.98, 2.18, 2.75, 1.40 at t = 0, 7, ..., 35, and seed 1 is
+    negative at every t up to 21.
     """
     points = [(float(t0), float(y0), float(ybar)) for t0, y0, ybar in points]
-    gammas = [float(np.exp(ybar)) for _t0, _y0, ybar in points]
-    g_pde = [float(h.interp_at(t0, y0, ybar) * x0 ** (1.0 - gamma) / (1.0 - gamma))
-             for (t0, y0, ybar), gamma in zip(points, gammas)]
-    t0s, y0s, ybars = zip(*points)
-    cond = simulate_conditioned(policy, t0s, x0, y0s, ybars, cfg, params,
-                                store="terminal", stream=1)
+    if moments is None:
+        t0s, y0s, ybars = zip(*points)
+        moments = _rider_moments(simulate_conditioned(
+            policy, t0s, x0, y0s, ybars, cfg, params, store="terminal", stream=1), points)
     reports = []
-    for (t0, y0, ybar), gamma, pde, batch in zip(points, gammas, g_pde, cond):
-        u = crra_utility(batch.X[:, -1], gamma)
-        m = float(np.mean(u))
-        se = float(np.std(u, ddof=1) / np.sqrt(u.size))
+    for (t0, y0, ybar), (m, se) in zip(points, moments, strict=True):
+        gamma = float(np.exp(ybar))
+        pde = float(h.interp_at(t0, y0, ybar) * x0 ** (1.0 - gamma) / (1.0 - gamma))
         reports.append(GRepReport(
             t0=t0, x0=float(x0), y0=y0, ybar=ybar, gamma=gamma, pde=pde,
             conditioned=GRepSide(mean=m, se=se, z=z_score(m - pde, se))))
@@ -482,6 +516,7 @@ class SpikeReport:
     j_base: float
     j_base_se: float
     rows: tuple
+    rider_moments: tuple = ()
 
     @property
     def all_passed(self):
@@ -490,7 +525,7 @@ class SpikeReport:
 
 def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelParams,
                            deltas=(0.5, 0.25, 0.125), perturbations=(0.05, 0.1, 0.2),
-                           ybar_quadrature=None, z_gate=3.0) -> SpikeReport:
+                           ybar_quadrature=None, z_gate=3.0, riders=()) -> SpikeReport:
     """Estimate improvement quotients for spike deviations from a policy.
 
     ``perturbations`` are absolute offsets applied both ways around the
@@ -501,7 +536,9 @@ def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelPara
     divide by that held duration.  Every spiked policy is a lane of the
     base policy's simulation at each quadrature node, on the same noise and
     factor paths, so the difference J_base - J_spiked is estimated far
-    more precisely than either level.
+    more precisely than either level.  ``riders`` are (t0, y0, ybar) starts
+    run on node 1's draws (stream 1); ``rider_moments`` holds their
+    verify_g_representation_batch ``moments``.
     """
     if ybar_quadrature is None:
         ybar_quadrature = 11
@@ -516,8 +553,8 @@ def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelPara
     menu = [(delta, spike) for delta in deltas for off in perturbations
             for spike in (base_at - off, base_at + off)]
     spikes = [(spike, float(t0), float(t0) + float(delta)) for delta, spike in menu]
-    estimates, terms = _lane_rewards(pi_hat, t0, x0, y0, cfg, params,
-                                     ybar_quadrature, spikes)
+    estimates, terms, moments = _lane_rewards(pi_hat, t0, x0, y0, cfg, params,
+                                              ybar_quadrature, spikes, riders)
     j_base = estimates[0]
     rows = []
     for (delta, spike), (_spike, start, end), j_sp, sp_terms in zip(
@@ -537,4 +574,5 @@ def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelPara
               "property; passing rows cannot certify it"),
         t0=float(t0), x0=float(x0), y0=float(y0),
         j_base=j_base.value, j_base_se=j_base.se, rows=tuple(rows),
+        rider_moments=tuple(moments),
     )

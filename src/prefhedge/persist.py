@@ -60,12 +60,16 @@ def _read(path, payload, params):
     with open(path, "rb") as fh:
         try:
             with np.load(fh, allow_pickle=False) as z:
-                # numpy stops where a member's .npy header says the array ends,
-                # short of zipfile's CRC check if that header is damaged.
-                bad = z.zip.testzip()
-                if bad is not None:
-                    raise zipfile.BadZipFile(f"bad CRC-32 for member {bad}")
-                arrays = {name: z[name] for name in z.files}
+                arrays = {}
+                for name in z.zip.namelist():
+                    with z.zip.open(name) as member:
+                        try:
+                            arrays[name.removesuffix(".npy")] = np.lib.format.read_array(
+                                member, allow_pickle=False)
+                        finally:
+                            # Read on to EOF, where zipfile checks the CRC-32 that a
+                            # damaged .npy header would stop numpy short of.
+                            member.read()
         # Damaged zip structure (RuntimeError: zipfile's encryption/method flags).
         except (zipfile.BadZipFile, EOFError, OSError, RuntimeError) as exc:
             raise ConfigError(f"{path}: checksum or structure check failed ({exc})") from exc

@@ -318,14 +318,21 @@ def _locate(nodes: np.ndarray, x, clip: bool):
     node spacing and checked with the two gathers the weight needs anyway;
     the points the guess misses (those within rounding of a node on a
     uniform grid, most points on a non-uniform one) are bracketed by
-    searchsorted.
+    searchsorted.  A scalar x is bracketed by searchsorted alone, in
+    Python floats, which skips numpy's per-call cost on 0-d arrays.
     """
     x = np.asarray(x, dtype=float)
     if not clip:
         _check_hull(nodes, x)
+    top = nodes.size - 2
+    if x.ndim == 0:
+        # NaN passes max and min, and searchsorted puts it last.
+        xc = min(max(float(x), nodes[0]), nodes[-1])
+        lo = min(int(np.searchsorted(nodes, xc, side="right")), top + 1) - 1
+        left, right = nodes[lo], nodes[lo + 1]
+        return np.intp(lo), np.float64((xc - left) / (right - left))
     span = nodes[-1] - nodes[0]
     xc = np.minimum(np.maximum(x, nodes[0]), nodes[-1])
-    top = nodes.size - 2
     # fmin sends a NaN guess to the last interval, where searchsorted puts NaN.
     lo = np.asarray(np.fmin(np.floor((xc - nodes[0]) * ((top + 1) / span)), top),
                     dtype=np.intp)
@@ -335,7 +342,7 @@ def _locate(nodes: np.ndarray, x, clip: bool):
         lo[miss] = np.clip(np.searchsorted(nodes, xc[miss], side="right"), 1, top + 1) - 1
         left, right = nodes[lo], nodes[lo + 1]
     w = np.minimum(np.maximum((xc - left) / (right - left), 0.0), 1.0)
-    return lo[()], w
+    return lo, w
 
 
 def bilinear_interp(t_nodes, y_nodes, values, t, y, clip=False):
@@ -360,12 +367,15 @@ def bilinear_interp(t_nodes, y_nodes, values, t, y, clip=False):
     top = y_nodes.size - 2
     u = np.atleast_1d(y - y_nodes[0])
     u *= (top + 1) / (y_nodes[-1] - y_nodes[0])
-    np.clip(u, 0.0, top + 1, out=u)
-    # fmin sends NaN to a valid index before the cast; its weight stays NaN.
-    lo = np.fmin(u, top).astype(np.intp)
+    np.maximum(u, 0.0, out=u)
+    np.minimum(u, top + 1, out=u)
+    # fmin sends NaN to a valid index; its weight stays NaN.  The float
+    # index, not the int one, is subtracted: the same numbers, no cast.
+    lo = np.trunc(np.fmin(u, top))
     u -= lo
-    out = row[lo]
-    step = (row[1:] - row[:-1])[lo]
+    lo = lo.astype(np.intp)
+    out = np.take(row, lo, axis=0)
+    step = np.take(row[1:] - row[:-1], lo, axis=0)
     step *= u.reshape(u.shape + (1,) * (row.ndim - 1))
     out += step
     return out.reshape(y.shape + row.shape[1:])
@@ -390,7 +400,8 @@ class HSurface:
             raise DomainError(
                 f"values shape {v.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
+        # NaN fails both comparisons; the masks are built only to name a bad node.
+        if not (v.min() > 0 and v.max() < np.inf):
             bad = np.argwhere(~(np.isfinite(v) & (v > 0)))[0]
             raise PositivityError(
                 "continuation factor must be finite and strictly positive",
@@ -440,31 +451,27 @@ class _Slope:
     On nodes whose spacings are not all equal, the slope at interior node i
     is a f[i-1] + b f[i] + c f[i+1] (coefficients indexed i - 1); on exactly
     equal spacings numpy takes (f[i+1] - f[i-1]) / (2 dx) instead, and then
-    ``a`` and ``b`` are None and ``c`` is 2 dx.  ``d0``/``dn`` are the edge
-    spacings of the one-sided end slopes.  Every expression is numpy's own,
-    so the slopes equal np.gradient's bit for bit.
+    ``a`` and ``b`` are None and ``c`` is 2 dx.  Every expression is
+    numpy's own, so the slopes equal np.gradient's bit for bit.
     """
 
     a: np.ndarray | None
     b: np.ndarray | None
     c: np.ndarray | float
-    d0: float
-    dn: float
 
     @classmethod
     def on(cls, nodes):
         dx = np.diff(nodes)
         if np.all(dx == dx[0]):
-            return cls(None, None, 2.0 * dx[0], dx[0], dx[0])
+            return cls(None, None, 2.0 * dx[0])
         d1, d2 = dx[:-1], dx[1:]
-        return cls(-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2),
-                   d1 / (d2 * (d1 + d2)), dx[0], dx[-1])
+        return cls(-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2)))
 
     def take(self, at):
         """The stencil with only the coefficients ``at`` selects."""
         if self.a is None:
             return self
-        return _Slope(self.a[at], self.b[at], self.c[at], self.d0, self.dn)
+        return _Slope(self.a[at], self.b[at], self.c[at])
 
     def stencil(self, lo, mid, hi):
         """Slopes from the values at each node (mid) and at its two neighbours."""
@@ -481,14 +488,6 @@ class _Slope:
         if axis == 0:
             return self.take((at, None)).stencil(f[:-2], f[1:-1], f[2:])
         return self.take(at).stencil(f[:, :-2], f[:, 1:-1], f[:, 2:])
-
-    def full(self, f):
-        """np.gradient(f, nodes, axis=1) of a 2-d ``f``."""
-        out = np.empty_like(f)
-        out[:, 1:-1] = self.interior(f, axis=1)
-        out[:, 0] = (f[:, 1] - f[:, 0]) / self.d0
-        out[:, -1] = (f[:, -1] - f[:, -2]) / self.dn
-        return out
 
 
 def _step_matrix(Q, dt, dy, R, first, last):

@@ -518,10 +518,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("n_probes", [3, 6])
     def test_verify_draws_each_stream_once(self, tmp_path, monkeypatch, n_probes):
-        # The g rows share stream 1 whatever their number; the spike test's
-        # nodes draw one stream each, and the default reward row reuses the
-        # spike test's base run.  With 3 probes verify solves the surfaces
-        # itself (no draws).
+        # The spike test's nodes draw one stream each; the g rows, whatever
+        # their number, ride on node 1's run (stream 1), and the default
+        # reward row reuses the spike test's base run.  With 3 probes verify
+        # solves the surfaces itself (no draws).
         import prefhedge.cli as cli
 
         extra = {"params": {**BASE["params"], "rho": 0.6},
@@ -541,13 +541,14 @@ class TestCommands:
         report = json.loads((out / "verify_report.json").read_text())
         assert len(report["g_representation"]) == n_probes
         assert next(iter(report["phase_s"])) == ("load" if n_probes == 6 else "solve")
-        assert len(streams) == 1 + cli._VERIFY_NODES == 12
-        assert sorted(streams) == sorted([1] + list(range(cli._VERIFY_NODES)))
+        assert len(streams) == cli._VERIFY_NODES == 11
+        assert sorted(streams) == list(range(cli._VERIFY_NODES))
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_verify_reports_mc_work(self, tmp_path, monkeypatch, antithetic):
         # Path-steps count every start and lane; normals count the draws,
         # two per path per step of each run (half of them when antithetic).
+        # The g points step in the spike test's node-1 run and draw nothing.
         import prefhedge.cli as cli
 
         extra = {"params": {**BASE["params"], "rho": 0.6},
@@ -561,22 +562,58 @@ class TestCommands:
         runs = []
         simulate = prefhedge.mc._simulate
 
-        def counted(policy, starts, x0, cfg, params, store="full", stream=0, spikes=()):
-            runs.append((len(starts), len(spikes)))
-            return simulate(policy, starts, x0, cfg, params, store, stream, spikes)
+        def counted(policy, starts, x0, cfg, params, store="full", stream=0):
+            runs.append([len(spikes) for *_start, spikes in starts])
+            return simulate(policy, starts, x0, cfg, params, store, stream)
 
         monkeypatch.setattr(prefhedge.mc, "_simulate", counted)
         main(["verify", "--config", str(path), "--out", str(out)])
         work = json.loads((out / "verify_report.json").read_text())["mc_work"]
         drawn = 100 if antithetic else 200
         assert work == {
-            "g_representation": {"path_steps": 3 * 200 * 20, "normals": 2 * drawn * 20},
+            "g_representation": {"path_steps": 3 * 200 * 20, "normals": 0},
             "spike": {"path_steps": cli._VERIFY_NODES * 5 * 200 * 20,
                       "normals": cli._VERIFY_NODES * 2 * drawn * 20},
         }
-        assert runs == [(3, 0)] + [(1, 4)] * cli._VERIFY_NODES
+        assert runs == [[4], [4, 0, 0, 0]] + [[4]] * (cli._VERIFY_NODES - 2)
         assert sum(w["path_steps"] for w in work.values()) == sum(
-            starts * (1 + lanes) * 200 * 20 for starts, lanes in runs)
+            (1 + lanes) * 200 * 20 for run in runs for lanes in run)
+        assert sum(w["normals"] for w in work.values()) == len(runs) * 2 * drawn * 20
+
+    def test_verify_report_equals_separate_checks(self, tmp_path):
+        # verify draws each stream once; its g, spike and reward rows equal
+        # those of the two public checks run apart, each on its own draws.
+        import prefhedge.cli as cli
+        from prefhedge.persist import load_h_surface
+
+        extra = {"params": {**BASE["params"], "rho": 0.6}, "grid": self.GRID,
+                 "probes": [{"t": 7.0 * i, "exp_y": 2.0} for i in range(3)],
+                 "sim": {"n_paths": 500, "n_steps": 20, "seed": 11},
+                 "verify": {"spike_deltas": [0.5, 0.25], "spike_offsets": [0.1]}}
+        path = write_config(tmp_path, extra)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        main(["verify", "--config", str(path), "--out", str(out)])
+        report = json.loads((out / "verify_report.json").read_text())
+        cfg = RunConfig.from_file(path)
+        h = load_h_surface(out / "h_surface.bin", cfg.params)
+        pol = load_policy_surface(out / "policy_surface.bin", cfg.params)
+        points = [(t, y, row["ybar"])
+                  for (t, y), row in zip(cfg.probes, report["g_representation"], strict=True)]
+        g = prefhedge.verify_g_representation_batch(h, pol, points, 1.0, cfg.sim, cfg.params)
+        assert [(r["pde"], r["mc_conditioned"]) for r in report["g_representation"]] == [
+            (x.pde, {"mean": x.conditioned.mean, "se": x.conditioned.se,
+                     "z": x.conditioned.z}) for x in g]
+        spike = prefhedge.equilibrium_spike_test(
+            pol, 0.0, 1.0, cfg.probes[0][1], cfg.sim, cfg.params, deltas=(0.5, 0.25),
+            perturbations=(0.1,), ybar_quadrature=cli._VERIFY_NODES)
+        rep = report["spike_test"]
+        assert (rep["j_base"], rep["j_base_se"]) == (spike.j_base, spike.j_base_se)
+        assert [(r["delta"], r["held"], r["spike"], r["quotient"], r["se"], r["pass"])
+                for r in rep["rows"]] == [
+            (r.delta, r.held, r.spike, r.quotient, r.se, r.passed) for r in spike.rows]
+        (reward,) = report["reward_crosscheck"]
+        assert (reward["j_mc"], reward["se"]) == (spike.j_base, spike.j_base_se)
 
     def test_verify_g_rows_read_pinned_paths_only(self, tmp_path, monkeypatch):
         # Each g row reports the conditioned side alone, and verify runs no

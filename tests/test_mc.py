@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -166,7 +166,7 @@ class TestRewardMC:
         # constant policy, rho = 0: the inner expectation is a lognormal
         # power moment, so J = ln x + tau (r + pi(mu-r) - pi^2 sig^2 E[gamma]/2)
         pi0 = 0.25
-        cfg = SimConfig(n_paths=60_000, n_steps=250, seed=21)
+        cfg = SimConfig(n_paths=60_000, n_steps=10, seed=21)
         est = reward_mc(pi0, 0.0, 1.0, P0.y0, cfg, P0, ybar_quadrature=21)
         Eg = np.exp(P0.y0 + (P0.mu_Y + 0.5 * P0.sigma_Y**2) * P0.T)
         j_exact = P0.T * (P0.r + pi0 * (P0.mu_S - P0.r)
@@ -184,7 +184,7 @@ class TestRewardMC:
         # density-weighted conditioned inner means reproduce the
         # unconditional expectation of the γ(Y_T)-graded utility
         pi0 = 0.3
-        cfg = SimConfig(n_paths=40_000, n_steps=150, seed=17)
+        cfg = SimConfig(n_paths=40_000, n_steps=10, seed=17)
         nodes, weights = gh_terminal_quadrature(0.0, P6.y0, P6, 21)
         left = 0.0
         var_left = 0.0
@@ -361,6 +361,27 @@ class TestSharedStreamGRepresentation:
         with pytest.raises(DomainError):
             verify_g_representation_batch(h, policy, points, 1.0, cfg, self.P)
 
+    def test_riders_on_the_spike_run(self):
+        # The points ride on the spike test's node-1 run (stream 1): the
+        # spike report is the one without riders, and the riders' moments
+        # give the reports of the points' own stream-1 run.
+        grid = default_grid(self.P, probe_y=[self.P.y0], **self.GRID)
+        h, pol = fixed_point_solve(grid, self.P)
+        cfg = SimConfig(n_paths=2_000, n_steps=20, seed=61)
+        points = self._points(h.grid)
+        kw = dict(deltas=(0.5,), perturbations=(0.1,), ybar_quadrature=5)
+        alone = equilibrium_spike_test(pol, 0.0, 1.0, self.P.y0, cfg, self.P, **kw)
+        rode = equilibrium_spike_test(pol, 0.0, 1.0, self.P.y0, cfg, self.P,
+                                      riders=points, **kw)
+        assert alone.rider_moments == () and len(rode.rider_moments) == 4
+        assert replace(rode, rider_moments=()) == alone
+        got = verify_g_representation_batch(h, pol, points, 1.0, cfg, self.P,
+                                            moments=rode.rider_moments)
+        assert got == verify_g_representation_batch(h, pol, points, 1.0, cfg, self.P)
+        with pytest.raises(DomainError, match="two nodes"):
+            equilibrium_spike_test(pol, 0.0, 1.0, self.P.y0, cfg, self.P, deltas=(0.5,),
+                                   ybar_quadrature=1, riders=points)
+
     def test_starts_match_separate_runs_full_store(self):
         cfg = SimConfig(n_paths=300, n_steps=25, seed=83)
         t0s, y0s, ybars = (0.0, 20.0, 39.5), (self.P.y0, 0.9, 0.5), (0.8, 1.0, 0.6)
@@ -383,9 +404,10 @@ class TestSharedStreamGRepresentation:
             simulate_conditioned(0.4, t0s, 1.0, y0s, ybars[:2], cfg, self.P)
 
 
-def reference_simulate(policy, starts, x0, cfg, p, store="full", stream=0, spikes=()):
+def reference_simulate(policy, starts, x0, cfg, p, store="full", stream=0):
     """The unfused path step: (X, Y) arrays per start, X with a lane axis.
 
+    ``starts`` are (t0, y0, ybar, spikes), each with its own spike lanes.
     Draws as the kernel does, reads a PolicySurface by 2-d gathers at its
     searchsorted brackets (clamped to the hull) and steps ln X by the
     model's drift and correlated noise term by term, with the factor's
@@ -406,12 +428,12 @@ def reference_simulate(policy, starts, x0, cfg, p, store="full", stream=0, spike
         hi = v[ti + 1, yi] * (1.0 - yw) + v[ti + 1, yi + 1] * yw
         return lo * (1.0 - tw) + hi * tw
 
-    n, n_lanes = cfg.n_paths, 1 + len(spikes)
+    n = cfg.n_paths
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, stream))))
     rho_c = np.sqrt(1.0 - p.rho * p.rho)
-    grids = [np.linspace(t0, p.T, cfg.n_steps + 1) for t0, _y0, _ybar in starts]
-    lnX = [np.full((n_lanes, n), np.log(x0)) for _start in starts]
-    Y = [np.full(n, float(y0)) for _t0, y0, _ybar in starts]
+    grids = [np.linspace(t0, p.T, cfg.n_steps + 1) for t0, _y0, _ybar, _spikes in starts]
+    lnX = [np.full((1 + len(spikes), n), np.log(x0)) for *_start, spikes in starts]
+    Y = [np.full(n, float(y0)) for _t0, y0, _ybar, _spikes in starts]
     Xs = [[np.exp(x)] for x in lnX]
     Ys = [[y.copy()] for y in Y]
     for k in range(cfg.n_steps):
@@ -420,11 +442,11 @@ def reference_simulate(policy, starts, x0, cfg, p, store="full", stream=0, spike
             Z = np.concatenate([Zh, -Zh], axis=1)
         else:
             Z = rng.standard_normal((2, n))
-        for s, (times, (_t0, _y0, ybar)) in enumerate(zip(grids, starts)):
+        for s, (times, (_t0, _y0, ybar, spikes)) in enumerate(zip(grids, starts)):
             t = times[k]
             dt = times[k + 1] - t
             sdt = np.sqrt(dt)
-            pi = np.repeat(read(t, Y[s])[None], n_lanes, axis=0)
+            pi = np.repeat(read(t, Y[s])[None], 1 + len(spikes), axis=0)
             for lane, (value, start, end) in enumerate(spikes, 1):
                 if start <= t < end:
                     pi[lane] = value
@@ -460,6 +482,9 @@ class TestKernelAgainstReference:
     P = P6
     STARTS = ((0.0, P6.y0, 0.8), (20.0, 0.9, 1.0), (39.5, 0.5, 0.6))
     SPIKES = ((0.9, 20.0, 22.0), (0.1, 0.0, 3.0))
+    # Each start's own lanes: none on the second, and on the third a window
+    # inside its half year to T.
+    LANES = (SPIKES, (), ((0.2, 39.6, 39.8),))
 
     def _policy(self, kind):
         if kind == "surface":
@@ -477,19 +502,45 @@ class TestKernelAgainstReference:
         t0s, y0s, ybars = zip(*self.STARTS)
         runs = [
             (simulate_conditioned(policy, t0s, 1.3, y0s, ybars, cfg, self.P,
+                                  store=store, stream=2, spikes=self.LANES),
+             reference_simulate(policy, [(*start, lanes) for start, lanes
+                                         in zip(self.STARTS, self.LANES)],
+                                1.3, cfg, self.P, store, 2)),
+            (simulate_conditioned(policy, t0s, 1.3, y0s, ybars, cfg, self.P,
                                   store=store, stream=2, spikes=self.SPIKES),
-             reference_simulate(policy, self.STARTS, 1.3, cfg, self.P, store, 2,
-                                self.SPIKES)),
+             reference_simulate(policy, [(*start, self.SPIKES) for start in self.STARTS],
+                                1.3, cfg, self.P, store, 2)),
             (simulate_unconditional(policy, t0s, 1.3, y0s, cfg, self.P,
                                     store=store, stream=2),
-             reference_simulate(policy, [(t0, y0, None) for t0, y0, _ in self.STARTS],
+             reference_simulate(policy, [(t0, y0, None, ()) for t0, y0, _ in self.STARTS],
                                 1.3, cfg, self.P, store, 2)),
         ]
         for batches, reference in runs:
-            for batch, (X, Y) in zip(batches, reference):
+            for batch, (X, Y) in zip(batches, reference, strict=True):
                 np.testing.assert_allclose(batch.X, X if batch.X.ndim == 3 else X[0],
                                            rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(batch.Y, Y, rtol=1e-12, atol=0.0)
+        assert [b.X.ndim for b in runs[0][0]] == [3, 2, 3]
+
+    @pytest.mark.parametrize("store", ["full", "terminal"])
+    def test_rider_equals_its_own_run(self, store):
+        # Starts without lanes riding on a spiked start's run are bit for
+        # bit their runs alone on that stream, and so is the spiked start.
+        policy = smooth_surface(self.P)
+        cfg = SimConfig(n_paths=300, n_steps=25, seed=101)
+        t0s, y0s, ybars = zip(*self.STARTS)
+        lanes = (self.SPIKES, (), ())
+        shared = simulate_conditioned(policy, t0s, 1.3, y0s, ybars, cfg, self.P,
+                                      store=store, stream=1, spikes=lanes)
+        for batch, (t0, y0, ybar), spikes in zip(shared, self.STARTS, lanes, strict=True):
+            alone = simulate_conditioned(policy, t0, 1.3, y0, ybar, cfg, self.P,
+                                         store=store, stream=1, spikes=spikes)
+            assert np.array_equal(batch.times, alone.times)
+            assert np.array_equal(batch.X, alone.X)
+            assert np.array_equal(batch.Y, alone.Y)
+        with pytest.raises(DomainError, match="one entry per start"):
+            simulate_conditioned(policy, t0s, 1.3, y0s, ybars, cfg, self.P,
+                                 spikes=lanes[:2])
 
     @pytest.mark.parametrize("kind", ["surface", "callable", "constant"])
     def test_one_policy_read_per_step_per_start(self, monkeypatch, kind):

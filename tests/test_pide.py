@@ -221,6 +221,17 @@ class TestHSurface:
         with pytest.raises(PositivityError):
             HSurface(grid=g, values=vals)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_names_the_first_bad_node(self, bad):
+        g = default_grid(P06, n_t_steps=5, n_y=21, n_ybar=5)
+        vals = np.ones(g.shape)
+        vals[2, 3, 1] = bad
+        vals[4, 0, 0] = bad
+        with pytest.raises(PositivityError, match="finite and strictly positive") as exc:
+            HSurface(grid=g, values=vals)
+        assert (exc.value.t, exc.value.y, exc.value.ybar) == (
+            g.t_nodes[2], g.y_nodes[3], g.ybar_nodes[1])
+
     def test_interp_constant_surface(self):
         g = default_grid(P06, n_t_steps=5, n_y=21, n_ybar=5)
         h = HSurface(grid=g, values=np.full(g.shape, 2.5))
@@ -286,6 +297,25 @@ class TestLocate:
         inside = bracket_points(nodes)[nodes.size:]
         lo, w = pide._locate(nodes, inside, clip=False)
         assert np.array_equal(lo, searchsorted_locate(nodes, inside, clip=False)[0])
+
+    @pytest.mark.parametrize("nodes", [GRID.y_nodes, GRID.t_nodes, NONUNIFORM],
+                             ids=["y", "t", "nonuniform"])
+    def test_scalar_equals_array_bit_for_bit(self, nodes):
+        # A scalar x takes the Python-float path; each point must bracket
+        # exactly as it does inside an array, NaN and the hull's outside
+        # included.
+        span = nodes[-1] - nodes[0]
+        outside = [nodes[0] - 0.3 * span, nodes[-1] + 1e-13 * span, nodes[-1] + span,
+                   -np.inf, np.inf, np.nan]
+        points = np.concatenate([bracket_points(nodes), outside])
+        for clip, xs in ((True, points), (False, bracket_points(nodes))):
+            lo, w = pide._locate(nodes, xs, clip=clip)
+            for x, want_lo, want_w in zip(xs, lo, w):
+                for scalar in (x, float(x), np.asarray(x)):
+                    got_lo, got_w = pide._locate(nodes, scalar, clip=clip)
+                    assert type(got_lo) is np.intp and got_lo == want_lo, x
+                    assert type(got_w) is np.float64, x
+                    assert np.array_equal(got_w, want_w, equal_nan=True), x
 
     @pytest.mark.parametrize("nodes", [GRID.y_nodes, NONUNIFORM], ids=["uniform", "nonuniform"])
     def test_same_out_of_grid_error_without_clip(self, nodes):
@@ -572,7 +602,7 @@ class TestWindowSlopes:
             level = pide._extend(prep, w)
             (r0, r1), (at_lo, at_hi, w_lo, w_hi), _denom, _fill = _row_map(k, g, p)
             got = pide._window_slopes(prep, g, r0, r1)(w)
-            want = g._y_slope.full(level).T[r0:r1 + 1]
+            want = np.gradient(level, g.y_nodes, axis=1).T[r0:r1 + 1]
             assert got.shape == want.shape
 
             lo, hi = prep.rows[prep.first], prep.rows[prep.last] + 1
@@ -650,7 +680,8 @@ class TestSlope:
         slope = pide._Slope.on(nodes)
         assert (slope.a is None) == (kind == "uniform")
         f = np.exp(np.random.default_rng(0).normal(size=(5, nodes.size)))
-        assert np.array_equal(slope.full(f), np.gradient(f, nodes, axis=1))
+        assert np.array_equal(slope.interior(f, axis=1),
+                              np.gradient(f, nodes, axis=1)[:, 1:-1])
         want = np.gradient(f.T, nodes, axis=0)
         assert np.array_equal(slope.interior(f.T, axis=0), want[1:-1])
         # A run of rows or columns with its halo, as the residual reads a
