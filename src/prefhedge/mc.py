@@ -34,16 +34,17 @@ identical noise regardless of the policy.  Shared noise is drawn once
 would give): a simulation steps several starts (t0, y0, ybar), each on its
 own time grid and with its own wealth lanes (the spike test's base and
 spiked policies), on one draw per step.  Stream layout: reward quadrature
-node j (the spike test's too) reads stream j; every g-representation point
-reads stream 1.  verify runs the points, base lane only, as starts of the
-spike test's node-1 run, so it draws each of its streams once;
-simulation_work counts the draws and path-steps it reports as mc_work, the
-g points' path-steps with no normals of their own.
+node j (the spike test's too) reads stream j.  The g-representation points
+are never run on their own: they ride, base lane only, as starts of the
+spike test's node-1 run (stream 1), so verify draws each of its streams
+once; simulation_work counts the draws and path-steps it reports as
+mc_work, the g points' path-steps with no normals of their own.  Every
+(mean, se) comes from _mean_se, which pairs antithetic paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +59,8 @@ class SimConfig:
 
     The factor steps are exact; ``n_steps`` sets how often the policy is
     re-read along the path.  ``antithetic`` mirrors the second half of the
-    paths against the first.
+    paths against the first; path i and path i + n_paths/2 are then one
+    correlated pair, and every se is taken over the pair means.
     """
 
     n_paths: int = 100_000
@@ -79,21 +81,17 @@ class SimConfig:
 
 @dataclass
 class PathBatch:
-    """Simulated (X, Y) trajectories plus provenance.
+    """Simulated (X, Y) trajectories at ``times``.
 
-    ``measure`` is "unconditional" or "conditioned"; conditioned batches
-    record the pinned terminal state.  With ``store="terminal"`` only the
-    first and last time points are kept (the memory-friendly mode used by
-    the estimators).
+    ``ybar`` is the pinned terminal state, None under the unconditional
+    measure.  A run with ``store="terminal"`` keeps only the first and last
+    time points (the memory-friendly mode used by the estimators).
     """
 
     times: np.ndarray
     X: np.ndarray
     Y: np.ndarray
-    measure: str
-    seed: int
     ybar: float | None = None
-    store: str = "full"
 
     def __post_init__(self):
         if not np.all(self.X > 0):
@@ -209,15 +207,8 @@ def _simulate(policy, starts, x0, cfg: SimConfig, params: ModelParams,
             np.exp(lnX[s], out=X_arr[..., 1])
             lnX[s] = Y[s] = None
             t_arr = np.array([t0, params.T])
-        batches.append(PathBatch(
-            times=t_arr,
-            X=X_arr if spikes else X_arr[0],
-            Y=Y_arr,
-            measure="unconditional" if ybar is None else "conditioned",
-            seed=cfg.seed,
-            ybar=None if ybar is None else float(ybar),
-            store=store,
-        ))
+        batches.append(PathBatch(times=t_arr, X=X_arr if spikes else X_arr[0], Y=Y_arr,
+                                 ybar=None if ybar is None else float(ybar)))
     return batches
 
 
@@ -323,51 +314,48 @@ class RewardEstimate:
 
 
 def reward_mc(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
-              ybar_quadrature=None):
+              ybar_quadrature=21):
     """Monte Carlo estimate of the certainty-equivalent reward at (t0, x0, y0).
 
-    For each terminal-state quadrature node: estimate the inner conditional
-    expectation of terminal CRRA utility from bridge-conditioned paths,
-    apply the log certainty-equivalent transform, then aggregate with the
-    density weights.  The standard error propagates through the transform
-    by the delta method with the analytic derivative.  Nodes whose inner
-    expectation is within 5 standard errors of the sign boundary are
-    flagged; an outright sign violation raises.
+    For each of the ``ybar_quadrature`` Gauss-Hermite terminal-state nodes:
+    estimate the inner conditional expectation of terminal CRRA utility from
+    bridge-conditioned paths, apply the log certainty-equivalent transform,
+    then aggregate with the density weights.  The standard error propagates
+    through the transform by the delta method with the analytic derivative.
+    Nodes whose inner expectation is within 5 standard errors of the sign
+    boundary are flagged; an outright sign violation raises.
     """
     return _lane_rewards(policy, t0, x0, y0, cfg, params, ybar_quadrature)[0][0]
 
 
-def _utility_moments(x_T, gamma):
-    """Terminal CRRA utility per path, its mean and the mean's standard error."""
-    u = crra_utility(x_T, gamma)
-    return u, float(np.mean(u)), float(np.std(u, ddof=1) / np.sqrt(u.size))
+def _mean_se(samples, cfg: SimConfig):
+    """(mean, se of the mean) of one value per path.
 
-
-def _rider_moments(batches, riders):
-    """(mean, se) of each (t0, y0, ybar) start's terminal utility at gamma = e^ybar."""
-    return [_utility_moments(batch.X[:, -1], float(np.exp(ybar)))[1:]
-            for batch, (_t0, _y0, ybar) in zip(batches, riders)]
+    Under antithetic sampling path i and path i + n/2 are mirrored, so the
+    se is that of the n/2 pair means (Glasserman, Monte Carlo Methods in
+    Financial Engineering, 2003, section 4.2); the mean is over all paths.
+    """
+    mean = float(np.mean(samples))
+    if cfg.antithetic:
+        half = samples.size // 2
+        samples = 0.5 * (samples[:half] + samples[half:])
+    return mean, float(np.std(samples, ddof=1) / np.sqrt(samples.size))
 
 
 def _lane_rewards(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
                   ybar_quadrature, spikes=(), riders=()):
     """reward_mc of the base policy and of each spike lane, with per-path terms.
 
-    One conditioned simulation per quadrature node serves every lane (see
-    simulate_conditioned).  Returns the estimates, base first, and for each
+    One conditioned simulation per Gauss-Hermite node (node j reads stream
+    j) serves every lane (see simulate_conditioned).  Returns the estimates, base first, and for each
     lane the per-path sum over nodes of w phi'(E u) u, whose lane-to-lane
     differences carry the common-random-number standard error.
 
-    ``riders`` are (t0, y0, ybar) starts that read stream 1 (the g points):
-    they ride, base lane only, on node 1's run and come back third as their
-    _rider_moments, reduced as soon as that run returns.
+    ``riders`` are (t0, y0, ybar) starts (the g points): they ride, base
+    lane only, on node 1's run and come back third as the _mean_se of their
+    terminal utility at gamma = e^ybar, reduced as soon as that run returns.
     """
-    if ybar_quadrature is None:
-        nodes, weights = gh_terminal_quadrature(t0, y0, params)
-    elif isinstance(ybar_quadrature, int):
-        nodes, weights = gh_terminal_quadrature(t0, y0, params, ybar_quadrature)
-    else:
-        nodes, weights = (np.asarray(v, dtype=float) for v in ybar_quadrature)
+    nodes, weights = gh_terminal_quadrature(t0, y0, params, ybar_quadrature)
 
     if riders and len(nodes) < 2:
         raise DomainError("riders ride on quadrature node 1: give at least two nodes")
@@ -384,9 +372,11 @@ def _lane_rewards(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
         batch, *rode = simulate_conditioned(policy, t0s, x0, y0s, ybars, cfg, params,
                                             store="terminal", stream=idx,
                                             spikes=[spikes] + [()] * len(ride))
-        moments += _rider_moments(rode, ride)
+        moments += [_mean_se(crra_utility(b.X[:, -1], float(np.exp(ybar))), cfg)
+                    for b, (_t0, _y0, ybar) in zip(rode, ride)]
         for lane, x_T in enumerate(np.reshape(batch.X[..., -1], (n_lanes, -1))):
-            u, inner, se = _utility_moments(x_T, gamma)
+            u = crra_utility(x_T, gamma)
+            inner, se = _mean_se(u, cfg)
             if (1.0 - gamma) * inner <= 0.0:
                 raise DomainError(
                     f"inner expectation at node ybar={yb:.4f} violates the sign "
@@ -427,21 +417,14 @@ def z_score(diff, se):
 
 
 @dataclass(frozen=True)
-class GRepSide:
-    mean: float
-    se: float
-    z: float
-
-
-@dataclass(frozen=True)
 class GRepReport:
     """Probabilistic-representation check of the continuation value.
 
     ``pde`` is the factor-based value h(t0, y0, ybar) x0^(1-gamma)/(1-gamma);
-    ``conditioned`` compares it against bridge-pinned paths, the
-    representation the factor equation solves.  Unpinned paths are no
-    check of it: for any policy that reads the preference state, their law
-    differs from the pinned one.
+    ``mean`` and ``se`` estimate it from bridge-pinned paths, the
+    representation the factor equation solves, and ``z`` scores the gap.
+    Unpinned paths are no check of it: for any policy that reads the
+    preference state, their law differs from the pinned one.
     """
 
     t0: float
@@ -450,38 +433,31 @@ class GRepReport:
     ybar: float
     gamma: float
     pde: float
-    conditioned: GRepSide
+    mean: float
+    se: float
+    z: float
 
 
-def verify_g_representation_batch(h: HSurface, policy, points, x0,
-                                  cfg: SimConfig, params: ModelParams,
-                                  moments=None) -> list:
+def verify_g_representation_batch(h: HSurface, points, x0, moments) -> list:
     """A GRepReport at each (t0, y0, ybar) of ``points``, from pinned paths.
 
-    Every point reads stream 1, so one conditioned run, with a start per
-    point, serves them all, bit for bit as separate runs would.  The points
-    thus share their noise with each other and with the reward
-    quadrature's node 1 at a matching start (node j reads stream j): their
-    z-scores are correlated, and a run of neighbouring failing points is
-    one draw, not independent evidence.  ``moments``, the points' (mean, se)
-    from a run that drew stream 1 already (equilibrium_spike_test's
-    ``rider_moments``), skip this run.  At (mu_Y, rho, e^y) = (0.02, 0.6, 2)
-    on the default grid, 20000 paths x 200 steps, seed 0 gives z = 1.89,
-    1.91, 1.98, 2.18, 2.75, 1.40 at t = 0, 7, ..., 35, and seed 1 is
-    negative at every t up to 21.
+    ``moments`` are the points' (mean, se) of terminal utility from the run
+    they rode on: equilibrium_spike_test(..., riders=points).rider_moments,
+    node 1's stream-1 draws, bit for bit what each point's own stream-1 run
+    would give.  The points thus share their noise with each other and with
+    the reward quadrature's node 1: their z-scores are correlated, and a run
+    of neighbouring failing points is one draw, not independent evidence.
+    At (mu_Y, rho, e^y) = (0.02, 0.6, 2) on the default grid, 20000 paths x
+    200 steps, seed 0 gives z = 1.89, 1.91, 1.98, 2.18, 2.75, 1.40 at t = 0,
+    7, ..., 35, and seed 1 is negative at every t up to 21.
     """
-    points = [(float(t0), float(y0), float(ybar)) for t0, y0, ybar in points]
-    if moments is None:
-        t0s, y0s, ybars = zip(*points)
-        moments = _rider_moments(simulate_conditioned(
-            policy, t0s, x0, y0s, ybars, cfg, params, store="terminal", stream=1), points)
     reports = []
     for (t0, y0, ybar), (m, se) in zip(points, moments, strict=True):
+        t0, y0, ybar = float(t0), float(y0), float(ybar)
         gamma = float(np.exp(ybar))
         pde = float(h.interp_at(t0, y0, ybar) * x0 ** (1.0 - gamma) / (1.0 - gamma))
-        reports.append(GRepReport(
-            t0=t0, x0=float(x0), y0=y0, ybar=ybar, gamma=gamma, pde=pde,
-            conditioned=GRepSide(mean=m, se=se, z=z_score(m - pde, se))))
+        reports.append(GRepReport(t0=t0, x0=float(x0), y0=y0, ybar=ybar, gamma=gamma,
+                                  pde=pde, mean=m, se=se, z=z_score(m - pde, se)))
     return reports
 
 
@@ -525,7 +501,7 @@ class SpikeReport:
 
 def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelParams,
                            deltas=(0.5, 0.25, 0.125), perturbations=(0.05, 0.1, 0.2),
-                           ybar_quadrature=None, z_gate=3.0, riders=()) -> SpikeReport:
+                           ybar_quadrature=11, z_gate=3.0, riders=()) -> SpikeReport:
     """Estimate improvement quotients for spike deviations from a policy.
 
     ``perturbations`` are absolute offsets applied both ways around the
@@ -536,12 +512,11 @@ def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelPara
     divide by that held duration.  Every spiked policy is a lane of the
     base policy's simulation at each quadrature node, on the same noise and
     factor paths, so the difference J_base - J_spiked is estimated far
-    more precisely than either level.  ``riders`` are (t0, y0, ybar) starts
-    run on node 1's draws (stream 1); ``rider_moments`` holds their
-    verify_g_representation_batch ``moments``.
+    more precisely than either level; its se is the _mean_se of the
+    per-path differences.  ``riders`` are (t0, y0, ybar) starts run, base
+    lane only, on node 1's draws (stream 1); ``rider_moments`` holds their
+    (mean, se), the ``moments`` of verify_g_representation_batch.
     """
-    if ybar_quadrature is None:
-        ybar_quadrature = 11
     for delta in deltas:
         if not delta > 0:
             raise DomainError("spike deltas must be > 0")
@@ -560,19 +535,13 @@ def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelPara
     for (delta, spike), (_spike, start, end), j_sp, sp_terms in zip(
             menu, spikes, estimates[1:], terms[1:]):
         held = float(np.sum(steps[_held_steps(times, start, end)]))
-        diff = terms[0] - sp_terms
-        se_diff = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
         quotient = (j_base.value - j_sp.value) / held
-        se_q = se_diff / held
-        rows.append(SpikeRow(
-            delta=float(delta), held=held, spike=float(spike),
-            j_spiked=j_sp.value, quotient=float(quotient),
-            se=se_q, passed=bool(quotient >= -z_gate * se_q),
-        ))
+        se_q = _mean_se(terms[0] - sp_terms, cfg)[1] / held
+        rows.append(SpikeRow(delta=float(delta), held=held, spike=float(spike),
+                             j_spiked=j_sp.value, quotient=float(quotient), se=se_q,
+                             passed=bool(quotient >= -z_gate * se_q)))
     return SpikeReport(
         note=("finite spike menu: a failing row falsifies the equilibrium "
               "property; passing rows cannot certify it"),
-        t0=float(t0), x0=float(x0), y0=float(y0),
-        j_base=j_base.value, j_base_se=j_base.se, rows=tuple(rows),
-        rider_moments=tuple(moments),
-    )
+        t0=float(t0), x0=float(x0), y0=float(y0), j_base=j_base.value,
+        j_base_se=j_base.se, rows=tuple(rows), rider_moments=tuple(moments))

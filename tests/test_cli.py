@@ -581,10 +581,12 @@ class TestCommands:
         assert sum(w["normals"] for w in work.values()) == len(runs) * 2 * drawn * 20
 
     def test_verify_report_equals_separate_checks(self, tmp_path):
-        # verify draws each stream once; its g, spike and reward rows equal
-        # those of the two public checks run apart, each on its own draws.
+        # verify draws each stream once; its g rows equal those of each
+        # point's own stream-1 run, and its spike and reward rows those of
+        # the spike test run without riders.
         import prefhedge.cli as cli
         from prefhedge.persist import load_h_surface
+        from test_mc import reference_g_representation
 
         extra = {"params": {**BASE["params"], "rho": 0.6}, "grid": self.GRID,
                  "probes": [{"t": 7.0 * i, "exp_y": 2.0} for i in range(3)],
@@ -600,10 +602,9 @@ class TestCommands:
         pol = load_policy_surface(out / "policy_surface.bin", cfg.params)
         points = [(t, y, row["ybar"])
                   for (t, y), row in zip(cfg.probes, report["g_representation"], strict=True)]
-        g = prefhedge.verify_g_representation_batch(h, pol, points, 1.0, cfg.sim, cfg.params)
+        g = reference_g_representation(h, pol, points, 1.0, cfg.sim, cfg.params)
         assert [(r["pde"], r["mc_conditioned"]) for r in report["g_representation"]] == [
-            (x.pde, {"mean": x.conditioned.mean, "se": x.conditioned.se,
-                     "z": x.conditioned.z}) for x in g]
+            (x.pde, {"mean": x.mean, "se": x.se, "z": x.z}) for x in g]
         spike = prefhedge.equilibrium_spike_test(
             pol, 0.0, 1.0, cfg.probes[0][1], cfg.sim, cfg.params, deltas=(0.5, 0.25),
             perturbations=(0.1,), ybar_quadrature=cli._VERIFY_NODES)
@@ -614,6 +615,38 @@ class TestCommands:
             (r.delta, r.held, r.spike, r.quotient, r.se, r.passed) for r in spike.rows]
         (reward,) = report["reward_crosscheck"]
         assert (reward["j_mc"], reward["se"]) == (spike.j_base, spike.j_base_se)
+
+    def test_reports_carry_the_fields_the_benchmark_reads(self, tmp_path):
+        # perfbench/run.py scores solve and verify by these keys; a renamed
+        # field would show up there only as failed operations.
+        extra = {"params": {**BASE["params"], "rho": 0.6}, "grid": self.GRID,
+                 "probes": [{"t": 0.0, "exp_y": 2.0}, {"t": 14.0, "exp_y": 2.0}],
+                 "sim": {"n_paths": 200, "n_steps": 20, "seed": 7},
+                 "verify": {"spike_deltas": [0.5], "spike_offsets": [0.1],
+                            "reward_probes": [{"t": 0.0, "exp_y": 2.0},
+                                              {"t": 14.0, "exp_y": 2.0}]}}
+        path = write_config(tmp_path, extra)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "solve_summary.json").read_text())
+        assert isinstance(summary["converged"], bool)
+        assert isinstance(summary["residual"]["rms_rel_band"], float)
+        assert [type(p["t"]) for p in summary["probes"]] == [float] * 2
+        assert all(isinstance(p["pi"], float) for p in summary["probes"])
+        main(["verify", "--config", str(path), "--out", str(out)])
+        report = json.loads((out / "verify_report.json").read_text())
+        assert isinstance(report["residual"]["rms_rel_band"], float)
+        rows = [report["residual"], *report["g_representation"],
+                *report["reward_crosscheck"], *report["spike_test"]["rows"]]
+        assert len(rows) == 1 + 2 + 2 + 2
+        assert all(isinstance(row["pass"], bool) for row in rows)
+        for g in report["g_representation"]:
+            assert isinstance(g["t"], float)
+            assert all(isinstance(g["mc_conditioned"][k], float) for k in ("mean", "se", "z"))
+        assert all(isinstance(r["t"], float) and isinstance(r["j_mc"], float)
+                   for r in report["reward_crosscheck"])
+        assert all(isinstance(r[k], float) for r in report["spike_test"]["rows"]
+                   for k in ("delta", "spike", "quotient"))
 
     def test_verify_g_rows_read_pinned_paths_only(self, tmp_path, monkeypatch):
         # Each g row reports the conditioned side alone, and verify runs no

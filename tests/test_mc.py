@@ -21,7 +21,7 @@ from prefhedge import (
     solve_h,
     verify_g_representation_batch,
 )
-from prefhedge.mc import GRepReport, GRepSide, PathBatch, eval_policy, z_score
+from prefhedge.mc import GRepReport, PathBatch, _mean_se, eval_policy, z_score
 from prefhedge.model import crra_utility, phi_prime
 
 P0 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.0,
@@ -33,8 +33,18 @@ FAST = SimConfig(n_paths=20_000, n_steps=100, seed=123)
 
 
 def g_representation(h, policy, t0, x0, y0, ybar, cfg, p):
-    """verify_g_representation_batch at the one point (t0, y0, ybar)."""
-    return verify_g_representation_batch(h, policy, [(t0, y0, ybar)], x0, cfg, p)[0]
+    """The g report at the one point (t0, y0, ybar), as verify makes it.
+
+    The point rides on the node-1 run of a spike test at (t0, y0) with no
+    spikes; the report equals, bit for bit, that of the point's own
+    stream-1 run (reference_g_representation).
+    """
+    point = [(t0, y0, ybar)]
+    spike = equilibrium_spike_test(policy, t0, x0, y0, cfg, p, deltas=((p.T - t0) / 2,),
+                                   perturbations=(), ybar_quadrature=2, riders=point)
+    (got,) = verify_g_representation_batch(h, point, x0, spike.rider_moments)
+    assert [got] == reference_g_representation(h, policy, point, x0, cfg, p)
+    return got
 
 
 @dataclass(frozen=True)
@@ -151,8 +161,7 @@ class TestSimulateConditioned:
     def test_nan_wealth_is_rejected(self):
         X = np.array([[1.0, 1.1], [1.0, np.nan]])
         with pytest.raises(DomainError):
-            PathBatch(times=np.array([0.0, 1.0]), X=X, Y=np.zeros((2, 2)),
-                      measure="unconditional", seed=0)
+            PathBatch(times=np.array([0.0, 1.0]), X=X, Y=np.zeros((2, 2)))
 
 
 class TestRewardMC:
@@ -202,6 +211,36 @@ class TestRewardMC:
         se = np.sqrt(var_left + uu.var(ddof=1) / uu.size)
         assert abs(left - right) < 3 * se
 
+    def test_total_expectation_identity_log_wealth(self):
+        # The same identity on ln X_T.  Under the pin Y_T = ybar the factor's
+        # Brownian increment over [0, T] is w(ybar) = (ybar - y0 - mu_Y T)/sigma_Y,
+        # so at a constant fraction ln X_T is Gaussian with mean a T + pi
+        # sigma_S rho w(ybar) and variance pi^2 sigma_S^2 (1 - rho^2) T
+        # (test_constant_policy_wealth_law_given_pin).  The mean is linear in
+        # ybar, so the Gauss-Hermite sum of the pinned means is exact, and the
+        # pinned side's se is small.
+        pi0, p = 0.3, P6
+        cfg = SimConfig(n_paths=40_000, n_steps=10, seed=17)
+        a = p.r + pi0 * (p.mu_S - p.r) - 0.5 * pi0**2 * p.sigma_S**2
+        nodes, weights = gh_terminal_quadrature(0.0, p.y0, p, 21)
+        left = var_left = exact_left = 0.0
+        for i, (yb, w) in enumerate(zip(nodes, weights)):
+            b = simulate_conditioned(pi0, 0.0, 1.0, p.y0, yb, cfg, p,
+                                     store="terminal", stream=i)
+            lnx = np.log(b.X[:, -1])
+            left += w * lnx.mean()
+            var_left += w**2 * lnx.var(ddof=1) / lnx.size
+            exact_left += w * (a * p.T + pi0 * p.sigma_S * p.rho
+                               * (yb - p.y0 - p.mu_Y * p.T) / p.sigma_Y)
+        bu = simulate_unconditional(pi0, 0.0, 1.0, p.y0, cfg, p,
+                                    store="terminal", stream=101)
+        lnx = np.log(bu.X[:, -1])
+        right, se_right = lnx.mean(), lnx.std(ddof=1) / np.sqrt(lnx.size)
+        assert exact_left == pytest.approx(a * p.T, abs=1e-9)
+        assert abs(left - exact_left) < 3 * np.sqrt(var_left)
+        assert abs(right - a * p.T) < 3 * se_right
+        assert abs(left - right) < 3 * np.sqrt(var_left + se_right**2)
+
     def test_node_diagnostics_benign_case(self):
         # rho = 0, constant policy: ln X_T ~ N(m, v) under every pin, so
         # each inner mean has the closed form E u = exp((1-g) m + (1-g)^2 v/2)
@@ -225,6 +264,34 @@ class TestRewardMC:
                 assert not node.flagged
 
 
+class TestMeanSe:
+    def test_independent_paths(self):
+        x = np.random.default_rng(5).standard_normal(1_000)
+        cfg = SimConfig(n_paths=1_000, n_steps=1)
+        assert _mean_se(x, cfg) == (float(np.mean(x)),
+                                    float(np.std(x, ddof=1) / np.sqrt(x.size)))
+
+    def test_antithetic_se_is_the_se_of_pair_means(self):
+        # Mirrored paths are correlated (strongly, on the short bridge from
+        # t0 = 30): the se is that of the pair means, and the se that treats
+        # the paths as independent is another number.  Each reward node's
+        # inner se is this se.
+        cfg = SimConfig(n_paths=4_000, n_steps=20, seed=3, antithetic=True)
+        est = reward_mc(0.5, 30.0, 1.0, P6.y0, cfg, P6, ybar_quadrature=3)
+        nodes, _weights = gh_terminal_quadrature(30.0, P6.y0, P6, 3)
+        for idx, (yb, node) in enumerate(zip(nodes, est.nodes, strict=True)):
+            b = simulate_conditioned(0.5, 30.0, 1.0, P6.y0, yb, cfg, P6,
+                                     store="terminal", stream=idx)
+            u = crra_utility(b.X[:, -1], node.gamma)
+            pairs = 0.5 * (u[:2_000] + u[2_000:])
+            paired = float(np.std(pairs, ddof=1) / np.sqrt(pairs.size))
+            assert _mean_se(u, cfg) == (float(np.mean(u)), paired)
+            assert (node.inner_mean, node.inner_se) == (float(np.mean(u)), paired)
+            unpaired = float(np.std(u, ddof=1) / np.sqrt(u.size))
+            assert unpaired > 1.5 * paired
+            assert _mean_se(u, replace(cfg, antithetic=False)) == (node.inner_mean, unpaired)
+
+
 class TestGRepresentation:
     def test_zero_policy_limit(self):
         p = P6
@@ -238,7 +305,7 @@ class TestGRepresentation:
         # the path estimate and the factor value collapse to the
         # deterministic payoff's utility
         assert rep.pde == pytest.approx(exact, rel=5e-3)
-        assert rep.conditioned.mean == pytest.approx(exact, rel=1e-9)
+        assert rep.mean == pytest.approx(exact, rel=1e-9)
 
     def test_solved_system_conditioned_representation(self):
         p = P6
@@ -248,7 +315,7 @@ class TestGRepresentation:
         mean = p.y0 + p.mu_Y * p.T
         ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
         rep = g_representation(h, pol, 0.0, 1.0, p.y0, ybar, cfg, p)
-        assert abs(rep.conditioned.z) < 4
+        assert abs(rep.z) < 4
 
 
     def test_fine_steps_stay_finite(self):
@@ -258,8 +325,7 @@ class TestGRepresentation:
         ybar = float(grid.ybar_nodes[5])
         cfg = SimConfig(n_paths=2_000, n_steps=800, seed=13)
         rep = g_representation(h, 0.3, 0.0, 1.0, p.y0, ybar, cfg, p)
-        side = rep.conditioned
-        assert np.isfinite([side.mean, side.se, side.z]).all()
+        assert np.isfinite([rep.mean, rep.se, rep.z]).all()
 
     def test_nan_policy_fails_closed(self):
         p = P6
@@ -284,9 +350,16 @@ class TestGRepresentation:
             assert np.isnan(z_score(diff, se))
 
 
+def paired_se(samples, cfg):
+    """The se of the mean, over antithetic pair means when cfg.antithetic."""
+    if cfg.antithetic:
+        half = samples.size // 2
+        samples = 0.5 * (samples[:half] + samples[half:])
+    return float(np.std(samples, ddof=1) / np.sqrt(samples.size))
+
+
 def reference_g_representation(h, policy, points, x0, cfg, p):
-    """verify_g_representation_batch with one conditioned (stream 1) run per
-    point, no shared draw."""
+    """The g reports from one conditioned (stream 1) run per point, no shared draw."""
     reports = []
     for t0, y0, ybar in points:
         gamma = float(np.exp(ybar))
@@ -294,12 +367,10 @@ def reference_g_representation(h, policy, points, x0, cfg, p):
         batch = simulate_conditioned(policy, t0, x0, y0, ybar, cfg, p,
                                      store="terminal", stream=1)
         u = crra_utility(batch.X[:, -1], gamma)
-        m = float(np.mean(u))
-        se = float(np.std(u, ddof=1) / np.sqrt(u.size))
+        m, se = float(np.mean(u)), paired_se(u, cfg)
         reports.append(GRepReport(t0=float(t0), x0=float(x0), y0=float(y0),
                                   ybar=float(ybar), gamma=gamma, pde=pde,
-                                  conditioned=GRepSide(mean=m, se=se,
-                                                       z=z_score(m - pde, se))))
+                                  mean=m, se=se, z=z_score(m - pde, se)))
     return reports
 
 
@@ -314,11 +385,18 @@ class TestSharedStreamGRepresentation:
         return [(0.0, self.P.y0, float(yb[3])), (14.0, np.log(2.5), float(yb[4])),
                 (28.0, np.log(1.5), float(yb[2])), (39.9, self.P.y0, float(yb[3]))]
 
+    def _rode(self, policy, points, cfg, **kw):
+        """The points' g moments from riding on a spike run at (10, y0)."""
+        kw = {"deltas": (0.5,), "perturbations": (0.1,), "ybar_quadrature": 3, **kw}
+        return equilibrium_spike_test(policy, 10.0, 1.0, self.P.y0, cfg, self.P,
+                                      riders=points, **kw)
+
     def _check(self, policy, cfg, h=None):
         if h is None:
             h = solve_h(0.3, default_grid(self.P, probe_y=[self.P.y0], **self.GRID), self.P)
         points = self._points(h.grid)
-        got = verify_g_representation_batch(h, policy, points, 1.0, cfg, self.P)
+        moments = self._rode(policy, points, cfg).rider_moments
+        got = verify_g_representation_batch(h, points, 1.0, moments)
         want = reference_g_representation(h, policy, points, 1.0, cfg, self.P)
         assert len(got) == len(want) == 4
         for g, w in zip(got, want):
@@ -326,7 +404,7 @@ class TestSharedStreamGRepresentation:
         t0, y0, ybar = points[1]
         assert g_representation(h, policy, t0, 1.0, y0, ybar, cfg, self.P) == want[1]
         # distinct starts on one draw still give distinct estimates
-        assert len({g.conditioned.mean for g in got}) == 4
+        assert len({g.mean for g in got}) == 4
 
     def test_surface_policy(self):
         grid = default_grid(self.P, probe_y=[self.P.y0], **self.GRID)
@@ -353,13 +431,15 @@ class TestSharedStreamGRepresentation:
         cfg = SimConfig(n_paths=500, n_steps=20, seed=79)
 
         def policy(t, y):
-            # NaN before t = 5: only the start at t0 = 0 reads it
+            # NaN before t = 5: of the spike run's starts, only the rider
+            # at t0 = 0 reads it
             return np.full(np.shape(y), np.nan if t < 5.0 else 0.3)
 
         points = self._points(h.grid)
-        verify_g_representation_batch(h, policy, points[1:], 1.0, cfg, self.P)
+        moments = self._rode(policy, points[1:], cfg).rider_moments
+        assert len(verify_g_representation_batch(h, points[1:], 1.0, moments)) == 3
         with pytest.raises(DomainError):
-            verify_g_representation_batch(h, policy, points, 1.0, cfg, self.P)
+            self._rode(policy, points, cfg)
 
     def test_riders_on_the_spike_run(self):
         # The points ride on the spike test's node-1 run (stream 1): the
@@ -375,9 +455,10 @@ class TestSharedStreamGRepresentation:
                                       riders=points, **kw)
         assert alone.rider_moments == () and len(rode.rider_moments) == 4
         assert replace(rode, rider_moments=()) == alone
-        got = verify_g_representation_batch(h, pol, points, 1.0, cfg, self.P,
-                                            moments=rode.rider_moments)
-        assert got == verify_g_representation_batch(h, pol, points, 1.0, cfg, self.P)
+        got = verify_g_representation_batch(h, points, 1.0, rode.rider_moments)
+        assert got == reference_g_representation(h, pol, points, 1.0, cfg, self.P)
+        with pytest.raises(ValueError):
+            verify_g_representation_batch(h, points, 1.0, rode.rider_moments[1:])
         with pytest.raises(DomainError, match="two nodes"):
             equilibrium_spike_test(pol, 0.0, 1.0, self.P.y0, cfg, self.P, deltas=(0.5,),
                                    ybar_quadrature=1, riders=points)
@@ -399,7 +480,7 @@ class TestSharedStreamGRepresentation:
             alone = simulate_unconditional(0.4, t0, 1.0, y0, cfg, self.P, stream=4)
             assert np.array_equal(uncond[i].X, alone.X)
             assert np.array_equal(uncond[i].Y, alone.Y)
-            assert uncond[i].measure == "unconditional"
+            assert uncond[i].ybar is None
         with pytest.raises(DomainError):
             simulate_conditioned(0.4, t0s, 1.0, y0s, ybars[:2], cfg, self.P)
 
@@ -618,7 +699,8 @@ def reference_spike_test(pi_hat, t0, y0, cfg, p, deltas, offsets, n_nodes):
     """The spike test with one reward_mc run per policy (no shared lanes).
 
     Returns (j_base, [(j_spiked, quotient, se)]), the per-path terms of the
-    standard error rebuilt node by node from each run's own streams.  Each
+    standard error rebuilt node by node from each run's own streams (the se
+    over antithetic pair means when the config pairs paths).  Each
     quotient divides by the held duration: the steps of linspace(t0, T,
     n_steps + 1) whose left point lies in [t0, t0 + delta).
     """
@@ -645,8 +727,7 @@ def reference_spike_test(pi_hat, t0, y0, cfg, p, deltas, offsets, n_nodes):
         for off in offsets:
             for spike in (base_at - off, base_at + off):
                 j_sp, sp_terms = run(SpikePolicy(pi_hat, spike, float(t0), float(delta)))
-                diff = base_terms - sp_terms
-                se = float(np.std(diff, ddof=1) / np.sqrt(diff.size)) / held
+                se = paired_se(base_terms - sp_terms, cfg) / held
                 rows.append((j_sp.value, (j_base.value - j_sp.value) / held, se))
     return j_base, rows
 
