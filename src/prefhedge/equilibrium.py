@@ -250,10 +250,11 @@ def _hedging_row(el, row_map, grid: GridSpec, params: ModelParams):
 
     rho sigma_S sigma_Y I / (sigma_S**2 E[gamma_T]), I the terminal-state
     average of the elasticity d w / d y of w = ln h, closed as the level's
-    _row_map says.  ``el`` is np.gradient's stencil on w at the row map's
-    rows r0..r1, shape (r1 - r0 + 1, n_ybar): log space, because on exp(b y)
-    profiles central differences of h overstate the slope by
-    sinh(b dy)/(b dy), which destabilizes the coupling at high |rho|.
+    _row_map says.  ``el`` is the central difference
+    (w[i+1] - w[i-1]) / (2 dy) at the row map's rows r0..r1, shape
+    (r1 - r0 + 1, n_ybar): log space, because on exp(b y) profiles central
+    differences of h overstate the slope by sinh(b dy)/(b dy), which
+    destabilizes the coupling at high |rho|.
     """
     _rows, bracket, denom, fill = row_map
     hedging = (
@@ -270,15 +271,16 @@ def policy_from_h(h: HSurface, grid: GridSpec, params: ModelParams) -> PolicySur
     pi = (mu_S - r + rho sigma_S sigma_Y I(t, y)) / (sigma_S**2 E[gamma_T]),
     stored together with its myopic part and the hedging correction.  Each
     level's hedging row is the one the coupled solve settles: _layer_hedging
-    on the levels _closed_from closes, else _row_map and _hedging_row.
+    on the levels _closed_from closes, else _row_map and _hedging_row, on
+    the central differences of ln h that the sweep reads (_window_slopes).
     """
     myopic = closed_form_policy_rho0(grid.t_nodes[:, None], grid.y_nodes[None, :], params)
     closed, hedging = _closed_from(grid, params)
     for k in range(closed):
         row_map = _row_map(k, grid, params)
         r0, r1 = row_map[0]
-        el = grid._y_slope.interior(np.log(h.values[k, r0 - 1:r1 + 2]), axis=0,
-                                    at=slice(r0 - 1, r1))
+        w = np.log(h.values[k, r0 - 1:r1 + 2])
+        el = (w[2:] - w[:-2]) / (2.0 * grid.dy)
         hedging[k] = _hedging_row(el, row_map, grid, params)
     return PolicySurface(grid=grid, pi=myopic + hedging, myopic=myopic, hedging=hedging)
 

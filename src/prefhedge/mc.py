@@ -299,7 +299,6 @@ class RewardNode:
     weight: float
     inner_mean: float
     inner_se: float
-    ce_log: float
     flagged: bool
 
 
@@ -310,7 +309,6 @@ class RewardEstimate:
     value: float
     se: float
     nodes: tuple
-    n_paths: int
 
 
 def reward_mc(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
@@ -389,14 +387,14 @@ def _lane_rewards(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
             var[lane] += (wt * dphi * se) ** 2
             reports[lane].append(RewardNode(
                 ybar=float(yb), gamma=gamma, weight=float(wt),
-                inner_mean=inner, inner_se=se, ce_log=ce, flagged=flagged,
+                inner_mean=inner, inner_se=se, flagged=flagged,
             ))
             path_terms[lane] += wt * dphi * u
         # Dropped before the next node's run, so two runs' paths never coexist.
         del batch, rode, x_T, u
     estimates = [
         RewardEstimate(value=total[lane], se=float(np.sqrt(var[lane])),
-                       nodes=tuple(reports[lane]), n_paths=cfg.n_paths)
+                       nodes=tuple(reports[lane]))
         for lane in range(n_lanes)
     ]
     return estimates, path_terms, moments

@@ -26,12 +26,16 @@ Numerical scheme: implicit (backward Euler) time stepping of the
 convection-diffusion part with central differences in y, switching to
 first-order upwinding wherever the cell Peclet number |Q| dy / (2R) exceeds
 one (the bridge drift blows up near the terminal time and the y-grid edges,
-and central differencing would oscillate there).  The reaction term P h is
-advanced by an exact exponential factor in a split sub-step, which keeps the
-solution strictly positive no matter how large P grows in far corners of the
-(y, ybar) grid.  The continuous coefficients are singular at t = T, so the
-march starts from t = T - eps_T with h = 1 there.  That flat start is not
-the exact one: for a constant fraction pi the factor is exactly
+and central differencing would oscillate there).  Every y-slope the solver
+reads is the one central difference (f[i+1] - f[i-1]) / (2 dy) on the
+uniform y spacing: the march's squared-gradient term, the sweep's
+elasticities (_window_slopes) and the residual's h_y.  The reaction term
+P h is advanced by an exact exponential factor in a split sub-step, which
+keeps the solution strictly positive no matter how large P grows in far
+corners of the (y, ybar) grid.  The continuous coefficients are singular
+at t = T, so the march starts from t = T - eps_T with h = 1 there.  That
+flat start is not the exact one: for a constant fraction pi the factor is
+exactly
 ln h = K (T - t) + B (y - ybar), B = rho pi (sigma_S/sigma_Y)(gamma - 1),
 so at T - eps_T the flat start is off by B (y - ybar) across each tube,
 which is O(sqrt(eps_T)) inside the band (|y - ybar| is a few
@@ -48,7 +52,6 @@ M-matrix, hence positivity-preserving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -56,13 +59,12 @@ from scipy.linalg.lapack import dgtsv
 from .errors import DegenerateTimeError, DomainError, OutOfGridError, PositivityError
 from .model import EPS_GAMMA, ModelParams, eval_policy
 
-# Abort threshold for the continuation factor inside a slice's bridge tube
-# (values beyond it there mean the solve left the representable regime: at
-# extreme correlations the factor genuinely spans several hundred e-folds
-# across a tube); outside the tube the log factor is extended linearly
-# rather than solved.
+# Abort threshold for the continuation factor and its reciprocal inside a
+# slice's bridge tube (values beyond it there mean the solve left the
+# representable regime: at extreme correlations the factor genuinely spans
+# several hundred e-folds across a tube); outside the tube the log factor is
+# extended linearly rather than solved.
 H_MAX = float(np.exp(690.0))
-H_MIN = float(np.exp(-690.0))
 
 # Half-width, in conditional standard deviations of the terminal state, of
 # the band around each slice's bridge line where the solution is resolved
@@ -88,8 +90,9 @@ class GridSpec:
         eps_T: terminal offset shielding the singular bridge coefficients.
         t_nodes: strictly increasing times, last node at T - eps_T.
         y_nodes: strictly increasing, uniformly spaced preference states
-            (to 1e-10 relative).  The spacing carries every surface read:
-            bilinear_interp, at one time, places y by arithmetic on it.
+            (to 1e-10 relative).  The spacing dy carries every surface read
+            (bilinear_interp, at one time, places y by arithmetic on it) and
+            every y-derivative, a central difference over 2 dy.
         ybar_nodes: fixed terminal-state slices where the factor equations
             are solved; also the knots for cross-slice interpolation.  None
             may sit within EPS_GAMMA of 0 (gamma = 1 is excluded).
@@ -151,14 +154,6 @@ class GridSpec:
     @property
     def shape(self):
         return (self.t_nodes.size, self.y_nodes.size, self.ybar_nodes.size)
-
-    @cached_property
-    def _t_slope(self) -> _Slope:
-        return _Slope.on(self.t_nodes)
-
-    @cached_property
-    def _y_slope(self) -> _Slope:
-        return _Slope.on(self.y_nodes)
 
     def terminal_mean_sd(self, t, y, params: ModelParams):
         """Mean and sd of the terminal preference state seen from (t, y)."""
@@ -444,52 +439,6 @@ def policy_values(policy, t_nodes, y_nodes):
     return eval_policy(policy, t_nodes[:, None], y_nodes[None, :])
 
 
-@dataclass(frozen=True)
-class _Slope:
-    """numpy.gradient's first-order stencil on fixed nodes, computed once.
-
-    On nodes whose spacings are not all equal, the slope at interior node i
-    is a f[i-1] + b f[i] + c f[i+1] (coefficients indexed i - 1); on exactly
-    equal spacings numpy takes (f[i+1] - f[i-1]) / (2 dx) instead, and then
-    ``a`` and ``b`` are None and ``c`` is 2 dx.  Every expression is
-    numpy's own, so the slopes equal np.gradient's bit for bit.
-    """
-
-    a: np.ndarray | None
-    b: np.ndarray | None
-    c: np.ndarray | float
-
-    @classmethod
-    def on(cls, nodes):
-        dx = np.diff(nodes)
-        if np.all(dx == dx[0]):
-            return cls(None, None, 2.0 * dx[0])
-        d1, d2 = dx[:-1], dx[1:]
-        return cls(-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2)))
-
-    def take(self, at):
-        """The stencil with only the coefficients ``at`` selects."""
-        if self.a is None:
-            return self
-        return _Slope(self.a[at], self.b[at], self.c[at])
-
-    def stencil(self, lo, mid, hi):
-        """Slopes from the values at each node (mid) and at its two neighbours."""
-        if self.a is None:
-            return (hi - lo) / self.c
-        return self.a * lo + self.b * mid + self.c * hi
-
-    def interior(self, f, axis, at=slice(None)):
-        """Slopes of 2-d ``f`` along ``axis`` at its inner positions.
-
-        ``at`` selects the coefficients, when ``f`` holds only the nodes
-        from at.start to at.stop + 1 along ``axis``.
-        """
-        if axis == 0:
-            return self.take((at, None)).stencil(f[:-2], f[1:-1], f[2:])
-        return self.take(at).stencil(f[:, :-2], f[:, 1:-1], f[:, 2:])
-
-
 def _step_matrix(Q, dt, dy, R, first, last):
     """Tridiagonal rows of (I - dt L) for L = Q d/dy + R d2/dy2.
 
@@ -691,7 +640,7 @@ def _march_level(prep: _Level, pi_row, grid: GridSpec, params: ModelParams):
         j = seg[np.argmax(bad)]
         band = np.flatnonzero(prep.in_band & (seg == j))
         raise PositivityError(
-            "continuation factor left (H_MIN, H_MAX) inside "
+            "continuation factor left (1/H_MAX, H_MAX) inside "
             "its bridge tube during the march",
             t=grid.t_nodes[prep.k],
             y=y[rows[band[np.argmax(np.abs(w[band]))]]],
@@ -726,33 +675,30 @@ def _window_slopes(prep: _Level, grid: GridSpec, r0, r1):
     """d w / d y at rows r0..r1 of every slice, read off the windows.
 
     Returns a function of the windows' solution w (_march_level), shape
-    (r1 - r0 + 1, n_ybar), 2 <= r0 <= r1 <= n_y - 3: np.gradient's stencil
-    on the level _extend builds, without building it.  The windows are laid
-    out again with a ghost node at each end, _extend's value there, so rows
-    inside a window get the stencil's value bit for bit; rows beyond it
-    take the extension's slope, which the stencil gives to rounding.
+    (r1 - r0 + 1, n_ybar), 2 <= r0 <= r1 <= n_y - 3: the central difference
+    (w[i+1] - w[i-1]) / (2 dy) on the level _extend builds, without building
+    it.  A window's end rows take _extend's value one node beyond them as
+    their outer neighbour, so rows inside a window get the stencil's value
+    bit for bit; rows beyond it take the extension's slope, which the
+    stencil gives to rounding.
     """
-    y, j = grid.y_nodes, np.arange(grid.ybar_nodes.size)
-    lo, hi = prep.rows[prep.first], prep.rows[prep.last] + 1
-    ghost_lo, ghost_hi = prep.first + 2 * j, prep.last + 2 * j + 2
-    pos = np.arange(prep.rows.size) + 2 * prep.seg + 1
-    # Row numbers of the padded layout, lo - 1 to hi per window, kept on the grid.
-    row = np.clip(np.arange(ghost_hi[-1] + 1) - np.repeat(ghost_lo - lo + 1, hi - lo + 2),
-                  0, y.size - 1)
-    off_lo, off_hi = y[row[ghost_lo]] - y[lo], y[row[ghost_hi]] - y[hi - 1]
-    coef = grid._y_slope.take(np.clip(row[1:-1] - 1, 0, y.size - 3))
-    src = np.clip(np.arange(r0, r1 + 1)[:, None] - lo, -1, hi - lo) + ghost_lo + 1
+    y, n, first, last = grid.y_nodes, prep.rows.size, prep.first, prep.last
+    lo, hi = prep.rows[first], prep.rows[last] + 1
+    off_lo = y[np.maximum(lo - 1, 0)] - y[lo]
+    off_hi = y[np.minimum(hi, y.size - 1)] - y[hi - 1]
+    # Rows below a window read its slope_lo, rows above it its slope_hi.
+    r, j = np.arange(r0, r1 + 1)[:, None], np.arange(lo.size)
+    src = np.where(r < lo, n + j, np.where(r < hi, first + r - lo, n + lo.size + j))
 
     def read(w):
         slope_lo, slope_hi = _edge_slopes(prep, w)
-        pad = np.empty(row.size)
-        pad[pos] = w
-        pad[ghost_lo] = np.minimum(np.maximum(w[prep.first] + slope_lo * off_lo, -_W_MAX), _W_MAX)
-        pad[ghost_hi] = np.minimum(np.maximum(w[prep.last] + slope_hi * off_hi, -_W_MAX), _W_MAX)
-        el = np.empty_like(pad)
-        el[1:-1] = coef.stencil(pad[:-2], pad[1:-1], pad[2:])
-        el[ghost_lo], el[ghost_hi] = slope_lo, slope_hi
-        return el[src]
+        diff = np.empty(n)
+        diff[1:-1] = w[2:] - w[:-2]
+        diff[first] = w[first + 1] - np.minimum(np.maximum(w[first] + slope_lo * off_lo,
+                                                           -_W_MAX), _W_MAX)
+        diff[last] = np.minimum(np.maximum(w[last] + slope_hi * off_hi,
+                                           -_W_MAX), _W_MAX) - w[last - 1]
+        return np.concatenate((diff / (2.0 * grid.dy), slope_lo, slope_hi))[src]
 
     return read
 
@@ -846,9 +792,9 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
     terminal-state slice and one block of _RESIDUAL_BLOCK time levels at a
     time, over the block's band hull: the rows from the lowest to the
     highest band node of any of its levels.  The hull, read with a one-node
-    halo on both axes, is differenced with np.gradient's stencils
-    (precomputed per grid) and weighed against its coefficients, and its
-    nodes outside their level's band are dropped.  Every band node's
+    halo on both axes, is differenced centrally, h_t over t[k+1] - t[k-1]
+    and h_y over 2 dy, weighed against its coefficients, and its nodes
+    outside their level's band are dropped.  Every band node's
     residual is the one a whole-array evaluation gives; only the rms sum is
     accumulated in another order.  Raises DomainError when the band holds
     no node.
@@ -863,7 +809,6 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
     yb = grid.ybar_nodes
     PI = policy_values(policy, t, y)
     fn = coefficients if coeff_fn is None else coeff_fn
-    t_slope, y_slope = grid._t_slope, grid._y_slope
     end = min(_terminal_layer_cut(grid, params.rho), t.size - 1)
     tau = (params.T - t)[:, None]
     width = QUAD_SD * params.sigma_Y * np.sqrt(tau)
@@ -883,8 +828,9 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
                 band = band[:, hull[0]:hull[-1] + 1]
                 v = np.ascontiguousarray(h.values[k0 - 1:k1 + 1, lo - 1:hi + 1, j])
                 mid = v[1:-1, 1:-1]
-                ht = t_slope.interior(v[:, 1:-1], axis=0, at=slice(k0 - 1, k1 - 1))
-                hy = y_slope.interior(v[1:-1], axis=1, at=slice(lo - 1, hi - 1))
+                ht = ((v[2:, 1:-1] - v[:-2, 1:-1])
+                      / (t[k0 + 1:k1 + 1] - t[k0 - 1:k1 - 1])[:, None])
+                hy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * grid.dy)
                 hyy = (v[1:-1, 2:] - 2.0 * mid + v[1:-1, :-2]) / grid.dy**2
 
                 P, Q, R = fn(t[k0:k1, None], y[None, lo:hi], yb[j], PI[k0:k1, lo:hi], params)

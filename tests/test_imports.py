@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,28 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Names the benchmark's tracer wraps that the library no longer has; the
+# tracer reports them absent.
+STALE_TRACED = {"prefhedge.equilibrium.solve_h", "prefhedge.equilibrium.coefficients",
+                "prefhedge.cli.policy_to_csv"}
+
+
+def traced_names():
+    """The (module, attribute) pairs of perfbench/tracing.py's WRAPPED, read without running it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]:
+            return [(module, attr) for module, attr, _span, _hook in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/tracing.py defines no WRAPPED")
+
+
+def test_benchmark_traces_names_the_library_has():
+    # A refactor that drops a traced name would leave that layer's metrics
+    # reading 0 in the benchmark; it fails here instead.
+    names = traced_names()
+    assert len(names) > len(STALE_TRACED)
+    missing = {f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(module), attr)}
+    assert sorted(missing - STALE_TRACED) == []

@@ -64,19 +64,16 @@ def reference_residual(h, policy, grid, params, coeff_fn=None):
     agree with it.
     """
     t, y, yb, v = grid.t_nodes, grid.y_nodes, grid.ybar_nodes, h.values
+    mid = v[1:-1, 1:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        ht = np.gradient(v, t, axis=0)
-        hy = np.gradient(v, y, axis=1)
-        hyy = np.empty_like(v)
-        hyy[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / grid.dy**2
-        hyy[:, 0] = hyy[:, 1]
-        hyy[:, -1] = hyy[:, -2]
+        ht = (v[2:, 1:-1] - v[:-2, 1:-1]) / (t[2:] - t[:-2])[:, None, None]
+        hy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * grid.dy)
+        hyy = (v[1:-1, 2:] - 2.0 * mid + v[1:-1, :-2]) / grid.dy**2
         PI = pide.policy_values(policy, t, y)
         fn = coefficients if coeff_fn is None else coeff_fn
-        P, Q, R = fn(t[:, None, None], y[None, :, None], yb[None, None, :],
-                     PI[:, :, None], params)
-        res = ht + Q * hy + R * hyy + P * v
-        rel = np.abs(res[1:-1, 1:-1, :] / v[1:-1, 1:-1, :])
+        P, Q, R = fn(t[1:-1, None, None], y[None, 1:-1, None], yb[None, None, :],
+                     PI[1:-1, 1:-1, None], params)
+        rel = np.abs((ht + Q * hy + R * hyy + P * mid) / mid)
     tau = (params.T - t[1:-1])[:, None, None]
     dev = yb[None, None, :] - y[None, 1:-1, None] - params.mu_Y * tau
     band = np.abs(dev) <= pide.QUAD_SD * params.sigma_Y * np.sqrt(tau)
@@ -569,8 +566,7 @@ class TestWindowSlopes:
 
     @staticmethod
     def _uniform(g):
-        # Exactly equal spacings (a power of two), so _Slope takes numpy's
-        # uniform branch.
+        # Exactly equal spacings (a power of two), so dy is every spacing.
         dy = 2.0**-7
         y = (np.floor(g.y_nodes[0] / dy) + np.arange(g.y_nodes.size)) * dy
         return GridSpec(T=g.T, eps_T=g.eps_T, t_nodes=g.t_nodes, y_nodes=y,
@@ -593,7 +589,6 @@ class TestWindowSlopes:
             g = default_grid(p, n_t_steps=100 if kind == "default" else 40)
             g = self._uniform(g) if kind == "uniform" else g
             pi = fixed_point_solve(g, p)[1].pi
-        assert (g._y_slope.a is None) == (kind == "uniform")
         level = np.zeros((g.ybar_nodes.size, g.y_nodes.size))
         worst, read_beyond = 0.0, 0
         for k in range(g.t_nodes.size - 2, -1, -1):
@@ -602,7 +597,7 @@ class TestWindowSlopes:
             level = pide._extend(prep, w)
             (r0, r1), (at_lo, at_hi, w_lo, w_hi), _denom, _fill = _row_map(k, g, p)
             got = pide._window_slopes(prep, g, r0, r1)(w)
-            want = np.gradient(level, g.y_nodes, axis=1).T[r0:r1 + 1]
+            want = ((level[:, 2:] - level[:, :-2]) / (2.0 * g.dy)).T[r0 - 1:r1]
             assert got.shape == want.shape
 
             lo, hi = prep.rows[prep.first], prep.rows[prep.last] + 1
@@ -669,26 +664,6 @@ class TestSolveBanded:
         g = default_grid(P06, n_t_steps=20, n_y=41, n_ybar=5, n_gh=9)
         solve_h(0.4, g, P06)
         assert len(calls) == g.t_nodes.size - 1
-
-
-class TestSlope:
-    @pytest.mark.parametrize("kind", ["default_y", "default_t", "uniform", "graded"])
-    def test_equals_np_gradient(self, kind):
-        g = default_grid(P06, probe_y=[np.log(0.8)])
-        nodes = {"default_y": g.y_nodes, "default_t": g.t_nodes,
-                 "uniform": np.arange(9) * 0.25, "graded": np.linspace(0, 1, 12)**1.5}[kind]
-        slope = pide._Slope.on(nodes)
-        assert (slope.a is None) == (kind == "uniform")
-        f = np.exp(np.random.default_rng(0).normal(size=(5, nodes.size)))
-        assert np.array_equal(slope.interior(f, axis=1),
-                              np.gradient(f, nodes, axis=1)[:, 1:-1])
-        want = np.gradient(f.T, nodes, axis=0)
-        assert np.array_equal(slope.interior(f.T, axis=0), want[1:-1])
-        # A run of rows or columns with its halo, as the residual reads a
-        # block's band hull.
-        assert np.array_equal(slope.interior(f.T[2:8], axis=0, at=slice(2, 6)), want[3:7])
-        assert np.array_equal(slope.interior(f[:, 2:8], axis=1, at=slice(2, 6)),
-                              want.T[:, 3:7])
 
 
 def _params(mu_Y, rho):
@@ -770,6 +745,28 @@ class TestResidual:
 
         r = residual(h, 0.0, g, P0, coeff_fn=mms_coeffs)
         assert r.max_rel_band < 1e-8
+
+    @pytest.mark.parametrize("c", [1.0, 5.0])
+    @pytest.mark.parametrize("q", [-0.1, 0.1])
+    def test_exponential_profile_reads_the_stencil_error(self, c, q):
+        # h = exp(c (y - ybar)) solves the equation exactly for constant Q,
+        # R = sigma_Y^2 / 2 and P = -(Q c + R c^2); central differences of
+        # h overstate h_y / h and h_yy / h by a known amount at every node.
+        g = default_grid(P0, n_t_steps=20, n_y=41, n_ybar=5)
+        R, dy = 0.5 * P0.sigma_Y**2, g.dy
+        vals = np.exp(c * (g.y_nodes[None, :, None] - g.ybar_nodes[None, None, :]))
+        h = HSurface(grid=g, values=np.broadcast_to(vals, g.shape).copy())
+
+        def exp_coeffs(t, y, yb, pi, params):
+            shape = np.broadcast_shapes(np.shape(t), np.shape(y),
+                                        np.shape(yb), np.shape(pi))
+            return np.full(shape, -(q * c + R * c**2)), np.full(shape, q), np.full(shape, R)
+
+        r = residual(h, 0.0, g, P0, coeff_fn=exp_coeffs)
+        want = abs(q * (np.sinh(c * dy) / dy - c)
+                   + R * ((2.0 * np.cosh(c * dy) - 2.0) / dy**2 - c**2))
+        assert r.max_rel_band == pytest.approx(want, rel=1e-10)
+        assert r.rms_rel_band == pytest.approx(want, rel=1e-10)
 
     def test_solver_self_check_rho0(self):
         from prefhedge import fixed_point_solve
