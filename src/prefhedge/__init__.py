@@ -39,7 +39,6 @@ from .pide import (
     solve_h,
 )
 from .equilibrium import (
-    FixedPointConfig,
     IterationMeta,
     PolicySurface,
     closed_form_policy_rho0,
@@ -85,7 +84,6 @@ __all__ = [
     "coefficients",
     "solve_h",
     "residual",
-    "FixedPointConfig",
     "IterationMeta",
     "PolicySurface",
     "closed_form_policy_rho0",

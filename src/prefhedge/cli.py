@@ -25,10 +25,8 @@ import numpy as np
 
 from . import conditional
 from .equilibrium import (
-    FixedPointConfig,
     _closed_everywhere,
-    _layer_hedging,
-    closed_form_policy_rho0,
+    _layer_policy,
     fixed_point_solve,
     reward_quadrature,
 )
@@ -75,13 +73,11 @@ TABLE_BLOCKS = {
 _PARAM_KEYS = {k: (float, None)
                for k in ("r", "mu_S", "sigma_S", "rho", "mu_Y", "sigma_Y", "T", "y0")}
 _GRID_KEYS = {"n_t_steps": (int, 1), "n_y": (int, 1), "n_ybar": (int, 1),
-              "n_gh": (int, 1), "ybar_pad_sd": (float, 3.0), "eps_T": (float, None)}
-_FP_KEYS = {"max_iters": (int, None), "tol_sup": (float, None)}
+              "n_gh": (int, 1), "ybar_pad_sd": (float, 3.0)}
 _SIM_KEYS = {"n_paths": (int, None), "n_steps": (int, None), "seed": (int, None),
              "antithetic": (bool, None)}
 _PROBE_KEYS = {"t": (float, None), "exp_y": (float, None)}
-_TOP_KEYS = {"params", "grid", "fixed_point", "sim", "probes",
-             "table_block", "out_dir", "verify"}
+_TOP_KEYS = {"params", "grid", "sim", "probes", "table_block", "out_dir", "verify"}
 _VERIFY_KEYS = {"residual_tol", "z_gate", "spike_deltas", "spike_offsets",
                 "reward_probes"}
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
@@ -173,7 +169,6 @@ class RunConfig:
 
     params: ModelParams
     grid_kwargs: dict = field(default_factory=dict)
-    fixed_point: FixedPointConfig = field(default_factory=FixedPointConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     probes: tuple = ()
     table_block: str | None = None
@@ -201,11 +196,6 @@ class RunConfig:
             raise ConfigError(f"params section incomplete: {exc}") from exc
 
         grid_kwargs = _config_section("grid", raw.get("grid", {}), _GRID_KEYS)
-        fp_kwargs = _config_section("fixed_point", raw.get("fixed_point", {}), _FP_KEYS)
-        try:
-            fixed_point = FixedPointConfig(**fp_kwargs)
-        except DomainError as exc:
-            raise ConfigError(f"invalid fixed_point: {exc}") from exc
 
         sim_kwargs = _config_section("sim", raw.get("sim", {}), _SIM_KEYS)
         if seed_override is not None:
@@ -227,9 +217,8 @@ class RunConfig:
         verify = _verify_section(raw.get("verify", {}), params.T)
 
         out_dir = Path(out_override or raw.get("out_dir", "."))
-        return cls(params=params, grid_kwargs=grid_kwargs, fixed_point=fixed_point,
-                   sim=sim, probes=tuple(probes), table_block=block,
-                   out_dir=out_dir, verify=verify)
+        return cls(params=params, grid_kwargs=grid_kwargs, sim=sim, probes=tuple(probes),
+                   table_block=block, out_dir=out_dir, verify=verify)
 
 
 def _block_params(base: ModelParams, block: str) -> ModelParams:
@@ -238,11 +227,6 @@ def _block_params(base: ModelParams, block: str) -> ModelParams:
     return ModelParams(r=base.r, mu_S=base.mu_S, sigma_S=base.sigma_S,
                        rho=rho, mu_Y=mu_Y, sigma_Y=base.sigma_Y,
                        T=base.T, y0=base.y0)
-
-
-def _closed_form(t, y, params):
-    """The equilibrium fraction where it is closed at every level (rho**2 in {0, 1})."""
-    return closed_form_policy_rho0(t, y, params) + _layer_hedging(t, y, params)
 
 
 def _json_dump(path, obj):
@@ -255,7 +239,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     _check_in_hull(grid, [(f"probes[{i}]", t, y) for i, (t, y) in enumerate(cfg.probes)])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     clock = [time.perf_counter()]
-    h, pol = fixed_point_solve(grid, cfg.params, cfg.fixed_point)
+    h, pol = fixed_point_solve(grid, cfg.params)
     clock.append(time.perf_counter())
     res = residual(h, pol.pi, grid, cfg.params)
     clock.append(time.perf_counter())
@@ -275,7 +259,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             "hedging": pol.value(t, y, component="hedging"),
         }
         if closed:
-            cf = _closed_form(t, y, cfg.params)
+            cf = _layer_policy(t, y, cfg.params)
             row["closed_form"] = cf
             closed_ok &= abs(value - cf) < 1e-3
         probe_rows.append(row)
@@ -328,11 +312,11 @@ def cmd_table(cfg: RunConfig) -> int:
     for exp_y in rows:
         y = float(np.log(exp_y))
         if _closed_everywhere(rho):
-            vals = [_closed_form(t, y, params) for t in T_COLUMNS]
+            vals = [_layer_policy(t, y, params) for t in T_COLUMNS]
         else:
             try:
                 grid = default_grid(params, probe_y=[y], **cfg.grid_kwargs)
-                _h, pol = fixed_point_solve(grid, params, cfg.fixed_point)
+                _h, pol = fixed_point_solve(grid, params)
             except (DomainError, PositivityError, ConvergenceError) as exc:
                 exc.args = (f"table block {cfg.table_block}, exp_y = {exp_y!r}: {exc}",)
                 raise
@@ -416,7 +400,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     _check_in_hull(grid, points + reward_points)
     _check_reward_cover(grid, cfg.params, reward_points)
     if not loaded:
-        h, pol = fixed_point_solve(grid, cfg.params, cfg.fixed_point)
+        h, pol = fixed_point_solve(grid, cfg.params)
 
     z_gate = float(vcfg.get("z_gate", 3.0))
     res_tol = float(vcfg.get("residual_tol", 1e-4))
@@ -557,7 +541,7 @@ def cmd_bridge_test(cfg: RunConfig) -> int:
 
     # bridge marginal moments at the midpoint
     ybar = params.y0 + params.mu_Y * params.T
-    batch = simulate_conditioned(0.0, 0.0, 1.0, params.y0, ybar, cfg.sim, params)
+    (batch,) = simulate_conditioned(0.0, [(0.0, params.y0, ybar, ())], 1.0, cfg.sim, params)
     mid = int(np.argmin(np.abs(batch.times - 0.5 * params.T)))
     s = batch.times[mid]
     frac = s / params.T
@@ -579,9 +563,9 @@ def cmd_bridge_test(cfg: RunConfig) -> int:
     p0 = ModelParams(r=params.r, mu_S=params.mu_S, sigma_S=params.sigma_S,
                      rho=0.0, mu_Y=params.mu_Y, sigma_Y=params.sigma_Y,
                      T=params.T, y0=params.y0)
-    bu = simulate_unconditional(0.3, 0.0, 1.0, p0.y0, cfg.sim, p0, store="terminal")
-    bc = simulate_conditioned(0.3, 0.0, 1.0, p0.y0, ybar, cfg.sim, p0,
-                              store="terminal", stream=5)
+    (bu,) = simulate_unconditional(0.3, [(0.0, p0.y0)], 1.0, cfg.sim, p0, store="terminal")
+    (bc,) = simulate_conditioned(0.3, [(0.0, p0.y0, ybar, ())], 1.0, cfg.sim, p0,
+                                 store="terminal", stream=5)
     ks = stats.ks_2samp(np.log(bu.X[:, -1]), np.log(bc.X[:, -1]))
     checks["rho0_wealth_law"] = {"ks_pvalue": float(ks.pvalue),
                                  "pass": bool(ks.pvalue > 0.01)}

@@ -42,25 +42,10 @@ from .pide import (
 
 # History depth of the Anderson mixing that settles each level's policy.
 _ANDERSON_DEPTH = 5
-
-
-@dataclass(frozen=True)
-class FixedPointConfig:
-    """Controls of the per-level policy fixed point in the backward march.
-
-    A level is settled once one more map evaluation moves its hedging row
-    by less than ``tol_sup`` (sup norm); ``max_iters`` caps the map
-    evaluations spent on one level.
-    """
-
-    max_iters: int = 30
-    tol_sup: float = 1e-5
-
-    def __post_init__(self):
-        if not self.tol_sup > 0:
-            raise DomainError("tol_sup must be > 0")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
+# A level is settled once one more map evaluation moves its hedging row by
+# less than _TOL_SUP (sup norm); _MAX_EVALS caps the evaluations per level.
+_TOL_SUP = 1e-5
+_MAX_EVALS = 30
 
 
 @dataclass(frozen=True)
@@ -191,22 +176,29 @@ def _degenerate_cut(t_k, grid: GridSpec, params: ModelParams):
     return lo, hi
 
 
-def _layer_hedging(t, y, params: ModelParams):
-    """Hedging demand of the exact constant-policy solution.
+def _layer_policy(t, y, params: ModelParams):
+    """Fraction of the exact constant-policy solution.
 
     For a constant fraction pi the log factor is exactly affine in y, with
     y-slope pi rho (sigma_S/sigma_Y)(gamma - 1); the hedging demand
     rho**2 pi (1 - 1/E[gamma_T]) then has the fixed point
     pi = M/((1 - rho**2) E[gamma_T] + rho**2), M = (mu_S - r)/sigma_S**2:
-    the equilibrium at rho = 0 (this returns +0.0) and at rho**2 = 1
-    (myopic + hedging is M to rounding; pi = M is self-consistent there).
-    Elsewhere it closes the terminal window (_closed_from).
+    the equilibrium at rho = 0 (closed_form_policy_rho0) and at rho**2 = 1
+    (exactly M; pi = M is self-consistent there).
     """
     Eg = expected_terminal_gamma(t, y, params)
-    pi_layer = (params.mu_S - params.r) / (
+    return (params.mu_S - params.r) / (
         params.sigma_S**2 * ((1.0 - params.rho**2) * Eg + params.rho**2)
     )
-    return pi_layer - closed_form_policy_rho0(t, y, params)
+
+
+def _layer_hedging(t, y, params: ModelParams):
+    """Hedging part of _layer_policy: +0.0 at rho = 0.
+
+    Closes the levels _closed_from names: all of them at rho**2 in {0, 1},
+    else the terminal window.
+    """
+    return _layer_policy(t, y, params) - closed_form_policy_rho0(t, y, params)
 
 
 def _closed_everywhere(rho) -> bool:
@@ -299,8 +291,7 @@ def _anderson_step(us, gs):
     return gs[-1] - gamma @ np.diff(gs, axis=0)
 
 
-def fixed_point_solve(grid: GridSpec, params: ModelParams,
-                      cfg: FixedPointConfig | None = None):
+def fixed_point_solve(grid: GridSpec, params: ModelParams):
     """Coupled solve: one backward march settling the policy level by level.
 
     All terminal-state slices step jointly from t = T - eps_T.  Each level
@@ -315,8 +306,8 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     once.  Every other level's hedging row u solves u = H(march(myopic + u)),
     H the closed hedging quadrature of the marched level.  The row is
     iterated from the previous level's with Anderson acceleration and
-    accepted once one more map evaluation moves it by less than
-    cfg.tol_sup; the accepted iterate, not the map output, is stored, so
+    accepted once one more map evaluation moves it by less than _TOL_SUP
+    (1e-5); the accepted iterate, not the map output, is stored, so
     the returned factors are exactly the march of the returned policy
     (solve_h(pol.pi) reproduces them bit for bit).
 
@@ -324,10 +315,10 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
     iteration_meta counts the map evaluations per iterated level and
     splits the sweep's wall time by phase (IterationMeta.sweep_s).  Raises
     ConvergenceError naming t, with that level's update history, when a
-    level is not settled within cfg.max_iters map evaluations; a
-    PositivityError from the march propagates.
+    level is not settled within _MAX_EVALS (30) map evaluations; a
+    PositivityError from the march propagates.  The answer depends only on
+    the grid and the model.
     """
-    cfg = cfg or FixedPointConfig()
     t = grid.t_nodes
     myopic = closed_form_policy_rho0(t[:, None], grid.y_nodes[None, :], params)
     closed, hedging = _closed_from(grid, params)
@@ -351,11 +342,11 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams,
         row_map = timed("prepare", _row_map, k, grid, params)
         slopes = timed("prepare", _window_slopes, prep, grid, *row_map[0])
         us, gs, history = [hedging[k + 1]], [], []
-        while len(history) < cfg.max_iters:
+        while len(history) < _MAX_EVALS:
             w = timed("march", _march_level, prep, myopic[k] + us[-1], grid, params)
             gs.append(timed("hedging", lambda: _hedging_row(slopes(w), row_map, grid, params)))
             history.append(float(np.max(np.abs(gs[-1] - us[-1]))))
-            if history[-1] < cfg.tol_sup:
+            if history[-1] < _TOL_SUP:
                 hedging[k] = us[-1]
                 evals[len(history)] += 1
                 if len(history) > len(worst):
@@ -410,7 +401,8 @@ def ehjb_supremand(pi_value, t, y, h: HSurface, grid: GridSpec, params: ModelPar
     policy, which the property tests check by finite differences.
 
     ``t`` and ``y`` must be grid nodes (the factor derivatives are taken on
-    the grid).
+    the grid, by np.gradient on the node's three-point neighbourhood, two
+    points at a grid edge).
     """
     k = int(np.argmin(np.abs(grid.t_nodes - t)))
     i = int(np.argmin(np.abs(grid.y_nodes - y)))
@@ -420,8 +412,9 @@ def ehjb_supremand(pi_value, t, y, h: HSurface, grid: GridSpec, params: ModelPar
     yi = grid.y_nodes[i]
 
     v = h.values
-    ht = np.gradient(v, grid.t_nodes, axis=0)[k, i]
-    hy = np.gradient(v, grid.y_nodes, axis=1)[k, i]
+    k0, i0 = max(k - 1, 0), max(i - 1, 0)
+    ht = np.gradient(v[k0:k + 2, i], grid.t_nodes[k0:k + 2], axis=0)[k - k0]
+    hy = np.gradient(v[k, i0:i + 2], grid.y_nodes[i0:i + 2], axis=0)[i - i0]
     dy = grid.dy
     if 0 < i < grid.y_nodes.size - 1:
         hyy = (v[k, i + 1] - 2.0 * v[k, i] + v[k, i - 1]) / dy**2

@@ -31,15 +31,17 @@ configured seed (and a stream index for per-node independence), so runs are
 bit-reproducible and two simulations with the same configuration consume
 identical noise regardless of the policy.  Shared noise is drawn once
 (common random numbers, bit for bit what separate runs with the same stream
-would give): a simulation steps several starts (t0, y0, ybar), each on its
-own time grid and with its own wealth lanes (the spike test's base and
-spiked policies), on one draw per step.  Stream layout: reward quadrature
-node j (the spike test's too) reads stream j.  The g-representation points
-are never run on their own: they ride, base lane only, as starts of the
-spike test's node-1 run (stream 1), so verify draws each of its streams
-once; simulation_work counts the draws and path-steps it reports as
-mc_work, the g points' path-steps with no normals of their own.  Every
-(mean, se) comes from _mean_se, which pairs antithetic paths.
+would give): a simulation takes a sequence of starts, (t0, y0, ybar,
+spikes) pinned or (t0, y0) unconditional, and steps each on its own time
+grid and with its own wealth lanes (the spike test's base and spiked
+policies), on one draw per step; it returns a PathBatch per start.  Stream
+layout: reward quadrature node j (the spike test's too) reads stream j.
+The g-representation points are never run on their own: they ride, base
+lane only, as starts of the spike test's node-1 run (stream 1), so verify
+draws each of its streams once; simulation_work counts the draws and
+path-steps it reports as mc_work, the g points' path-steps with no normals
+of their own.  Every (mean, se) comes from _mean_se, which pairs
+antithetic paths.
 """
 
 from __future__ import annotations
@@ -224,55 +226,35 @@ def simulation_work(cfg: SimConfig, n_runs=1, n_starts=1, n_lanes=1):
             "normals": n_runs * 2 * drawn * cfg.n_steps}
 
 
-def _run(policy, t0, x0, y0, ybar, cfg, params, store, stream, spikes=()):
-    """_simulate on one start, or on several given as equal-length sequences.
-
-    Scalars in give a PathBatch out; sequences give a list, one per start.
-    ``spikes`` is one list of (value, start, end) lanes for every start, or,
-    with several starts, a list of such lists, one per start.
-    """
-    if np.ndim(t0) == 0:
-        return _run(policy, [t0], x0, [y0], [ybar], cfg, params, store, stream, [spikes])[0]
-    ybars = [None] * len(t0) if ybar is None else ybar
-    if all(np.ndim(lane) == 1 and len(lane) == 3 for lane in spikes):
-        spikes = [spikes] * len(t0)
-    if not len(t0) == len(y0) == len(ybars) == len(spikes):
-        raise DomainError("t0, y0, ybar and per-start spikes need one entry per start")
-    return _simulate(policy, list(zip(t0, y0, ybars, map(tuple, spikes))), x0, cfg, params,
-                     store, stream)
-
-
-def simulate_unconditional(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
+def simulate_unconditional(policy, starts, x0, cfg: SimConfig, params: ModelParams,
                            store="full", stream=0):
-    """Paths of (X, Y) under the unconditional measure.
+    """Paths of (X, Y) under the unconditional measure, a PathBatch per (t0, y0) start.
 
     The factor takes exact arithmetic-Brownian steps mu_Y dt + sigma_Y dW1;
     correlated increments rho dW1 + sqrt(1-rho^2) dW2 drive ln X.
-    Deterministic given the seed.  Equal-length sequences ``t0`` and ``y0``
-    run several starts on the stream's one draw and return a PathBatch per
-    start, each bit for bit the batch of its own run.
+    Deterministic given the seed.  The starts share the stream's one draw,
+    each batch bit for bit the batch of its start's own run.
     """
-    return _run(policy, t0, x0, y0, None, cfg, params, store, stream)
+    return _simulate(policy, [(t0, y0, None, ()) for t0, y0 in starts], x0, cfg, params,
+                     store, stream)
 
 
-def simulate_conditioned(policy, t0, x0, y0, ybar, cfg: SimConfig, params: ModelParams,
-                         store="full", stream=0, spikes=()):
-    """Paths pinned to Y_T = ybar.
+def simulate_conditioned(policy, starts, x0, cfg: SimConfig, params: ModelParams,
+                         store="full", stream=0):
+    """Paths pinned to Y_T = ybar, a PathBatch per (t0, y0, ybar, spikes) start.
 
     The factor takes exact Brownian-bridge steps, N(Y + (dt/tau)(ybar - Y),
     sigma_Y^2 dt (tau - dt)/tau) with tau = T - s, so every path ends on
     ybar.  The wealth's correlated noise is the realized factor increment
     (dY - mu_Y dt)/sigma_Y, which carries the conditioning into ln X.
 
-    ``spikes`` adds wealth lanes on the same noise and factor paths: a
+    A start's ``spikes`` add wealth lanes on its noise and factor paths: a
     (value, start, end) lane follows ``policy`` except on [start, end),
-    where it holds the fraction ``value``.  With spikes, ``X`` has a
-    leading lane axis, the base policy's lane first.
-    Equal-length sequences ``t0``, ``y0`` and ``ybar`` run several starts,
-    as in simulate_unconditional; ``spikes`` then gives every start the
-    same lanes, or is a list of lane lists, one per start.
+    where it holds the fraction ``value``.  With spikes, the batch's ``X``
+    has a leading lane axis, the base policy's lane first.  The starts
+    share the stream's one draw, as in simulate_unconditional.
     """
-    return _run(policy, t0, x0, y0, ybar, cfg, params, store, stream, spikes)
+    return _simulate(policy, list(starts), x0, cfg, params, store, stream)
 
 
 def gh_terminal_quadrature(t0, y0, params: ModelParams, n_nodes=21):
@@ -345,8 +327,8 @@ def _lane_rewards(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
     """reward_mc of the base policy and of each spike lane, with per-path terms.
 
     One conditioned simulation per Gauss-Hermite node (node j reads stream
-    j) serves every lane (see simulate_conditioned).  Returns the estimates, base first, and for each
-    lane the per-path sum over nodes of w phi'(E u) u, whose lane-to-lane
+    j) serves every lane (see simulate_conditioned).  Returns the
+    estimates, base first, and for each lane the per-path sum over nodes of w phi'(E u) u, whose lane-to-lane
     differences carry the common-random-number standard error.
 
     ``riders`` are (t0, y0, ybar) starts (the g points): they ride, base
@@ -366,10 +348,9 @@ def _lane_rewards(policy, t0, x0, y0, cfg: SimConfig, params: ModelParams,
     for idx, (yb, wt) in enumerate(zip(nodes, weights)):
         gamma = float(np.exp(yb))
         ride = riders if idx == 1 else ()
-        t0s, y0s, ybars = zip((t0, y0, yb), *ride)
-        batch, *rode = simulate_conditioned(policy, t0s, x0, y0s, ybars, cfg, params,
-                                            store="terminal", stream=idx,
-                                            spikes=[spikes] + [()] * len(ride))
+        starts = [(t0, y0, yb, spikes)] + [(*rider, ()) for rider in ride]
+        batch, *rode = simulate_conditioned(policy, starts, x0, cfg, params,
+                                            store="terminal", stream=idx)
         moments += [_mean_se(crra_utility(b.X[:, -1], float(np.exp(ybar))), cfg)
                     for b, (_t0, _y0, ybar) in zip(rode, ride)]
         for lane, x_T in enumerate(np.reshape(batch.X[..., -1], (n_lanes, -1))):
@@ -418,7 +399,8 @@ def z_score(diff, se):
 class GRepReport:
     """Probabilistic-representation check of the continuation value.
 
-    ``pde`` is the factor-based value h(t0, y0, ybar) x0^(1-gamma)/(1-gamma);
+    ``pde`` is the factor-based value h(t0, y0, ybar) x0^(1-gamma)/(1-gamma),
+    gamma = e^ybar at the wealth x0 verify_g_representation_batch was given;
     ``mean`` and ``se`` estimate it from bridge-pinned paths, the
     representation the factor equation solves, and ``z`` scores the gap.
     Unpinned paths are no check of it: for any policy that reads the
@@ -426,10 +408,8 @@ class GRepReport:
     """
 
     t0: float
-    x0: float
     y0: float
     ybar: float
-    gamma: float
     pde: float
     mean: float
     se: float
@@ -454,8 +434,8 @@ def verify_g_representation_batch(h: HSurface, points, x0, moments) -> list:
         t0, y0, ybar = float(t0), float(y0), float(ybar)
         gamma = float(np.exp(ybar))
         pde = float(h.interp_at(t0, y0, ybar) * x0 ** (1.0 - gamma) / (1.0 - gamma))
-        reports.append(GRepReport(t0=t0, x0=float(x0), y0=y0, ybar=ybar, gamma=gamma,
-                                  pde=pde, mean=m, se=se, z=z_score(m - pde, se)))
+        reports.append(GRepReport(t0=t0, y0=y0, ybar=ybar, pde=pde, mean=m, se=se,
+                                  z=z_score(m - pde, se)))
     return reports
 
 
@@ -485,7 +465,6 @@ class SpikeReport:
 
     note: str
     t0: float
-    x0: float
     y0: float
     j_base: float
     j_base_se: float
@@ -541,5 +520,5 @@ def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelPara
     return SpikeReport(
         note=("finite spike menu: a failing row falsifies the equilibrium "
               "property; passing rows cannot certify it"),
-        t0=float(t0), x0=float(x0), y0=float(y0), j_base=j_base.value,
+        t0=float(t0), y0=float(y0), j_base=j_base.value,
         j_base_se=j_base.se, rows=tuple(rows), rider_moments=tuple(moments))

@@ -172,7 +172,6 @@ def default_grid(
     n_gh: int = 21,
     ybar_pad_sd: float = 5.0,
     probe_y=None,
-    eps_T: float | None = None,
 ) -> GridSpec:
     """Build the default solve grid for a parameter set.
 
@@ -186,7 +185,8 @@ def default_grid(
     truncated tube would put a boundary row in the singular near-terminal
     pin zone.  ``n_y`` sets the resolution as nodes per 12 terminal
     standard deviations; the node count scales up with the domain so the
-    spacing never coarsens below that reference.
+    spacing never coarsens below that reference.  The time grid ends at
+    T - eps_T, eps_T = 1e-3 T.
 
     ``ybar_pad_sd`` must be at least 3, and a crude estimate of the steepest
     slice's |ln h| (worst-case slope times tube width plus the reaction
@@ -196,8 +196,7 @@ def default_grid(
     """
     if not ybar_pad_sd >= 3.0:
         raise DomainError(f"ybar_pad_sd must be >= 3.0, got {ybar_pad_sd!r}")
-    if eps_T is None:
-        eps_T = 1e-3 * params.T
+    eps_T = 1e-3 * params.T
     sT = params.sigma_Y * np.sqrt(params.T)
     drift = params.mu_Y * params.T
 
@@ -383,7 +382,8 @@ class HSurface:
     ``values[k, i, j]`` is the factor at time t_nodes[k], state y_nodes[i],
     for the slice pinned to ybar_nodes[j].  All values are strictly
     positive; interpolation is bilinear in (t, y) within a slice and linear
-    in log h across slices.
+    in log h across slices.  Reads are unclipped: a (t, y) outside the
+    grid's hull raises OutOfGridError.
     """
 
     grid: GridSpec
@@ -406,15 +406,13 @@ class HSurface:
             )
         self.values = v
 
-    def interp(self, t, y, clip=False):
+    def interp(self, t, y):
         """All-slice values at one time t and points y: shape y.shape + (n_ybar,)."""
-        return bilinear_interp(
-            self.grid.t_nodes, self.grid.y_nodes, self.values, t, y, clip=clip
-        )
+        return bilinear_interp(self.grid.t_nodes, self.grid.y_nodes, self.values, t, y)
 
-    def interp_at(self, t, y, ybar, clip=False):
+    def interp_at(self, t, y, ybar):
         """Value at (t, y, ybar), log-linear between the bracketing slices."""
-        slices = self.interp(t, y, clip=clip)
+        slices = self.interp(t, y)
         ji, jw = _locate(self.grid.ybar_nodes, ybar, clip=True)
         lo = np.log(slices[..., ji])
         hi = np.log(slices[..., ji + 1])

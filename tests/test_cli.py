@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -8,9 +10,12 @@ import numpy as np
 import pytest
 
 import prefhedge
-from prefhedge.cli import RunConfig, TABLE_BLOCKS, main
+from prefhedge.cli import _GRID_KEYS, _PARAM_KEYS, _SIM_KEYS, RunConfig, TABLE_BLOCKS, main
 from prefhedge.errors import ConfigError
+from prefhedge.mc import SimConfig
+from prefhedge.model import ModelParams
 from prefhedge.persist import load_policy_surface
+from prefhedge.pide import default_grid
 
 BASE = {
     "params": {"r": 0.02, "mu_S": 0.07, "sigma_S": 0.2, "rho": 0.0,
@@ -81,15 +86,26 @@ class TestConfigParsing:
         assert cfg.sim.seed == 99
 
     def test_unknown_fixed_point_key_rejected(self, tmp_path):
+        # The fixed-point tolerance and cap are constants of the solver, so
+        # a fixed_point section is an unknown top-level key, whatever it holds.
         path = write_config(tmp_path, {"fixed_point": {"damping": 0.5}})
-        with pytest.raises(ConfigError, match="damping"):
+        with pytest.raises(ConfigError, match=r"in top level: \['fixed_point'\]"):
             RunConfig.from_file(path)
+
+    def test_config_keys_match_what_they_feed(self):
+        # Each section's keys are the keyword parameters of what it feeds, so
+        # a setting dropped in one place and left in the other fails here.
+        grid = inspect.signature(default_grid).parameters
+        assert set(_GRID_KEYS) == set(grid) - {"params", "probe_y"}
+        assert set(_SIM_KEYS) == {f.name for f in dataclasses.fields(SimConfig)}
+        assert set(_PARAM_KEYS) == {f.name for f in dataclasses.fields(ModelParams)}
 
     @pytest.mark.parametrize("extra,key", [
         ({"grid": {"n_gh": 0}}, "grid.n_gh"),
         ({"grid": {"n_y": "abc"}}, "grid.n_y"),
         ({"grid": {"n_ybar": True}}, "grid.n_ybar"),
-        ({"fixed_point": {"max_iters": "x"}}, "fixed_point.max_iters"),
+        # Settings that are constants of the solver are unknown keys.
+        ({"fixed_point": {"max_iters": 30}}, "fixed_point"),
         ({"sim": {"n_paths": "x"}}, "sim.n_paths"),
         ({"sim": {"seed": -1}}, "seed"),
         ({"probes": [{"t": "0", "exp_y": 2.0}]}, "probes[0].t"),
@@ -97,8 +113,8 @@ class TestConfigParsing:
         # json reads the literals NaN and Infinity; they are no valid values.
         ({"params": {**BASE["params"], "T": float("inf")}}, "params.T"),
         ({"grid": {"ybar_pad_sd": float("inf")}}, "grid.ybar_pad_sd"),
-        ({"grid": {"eps_T": float("nan")}}, "grid.eps_T"),
-        ({"grid": {"eps_T": float("-inf")}}, "grid.eps_T"),
+        # The grid's terminal offset is fixed at 1e-3 T: an unknown key.
+        ({"grid": {"eps_T": 0.04}}, "eps_T"),
     ])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, extra, key):
         path = write_config(tmp_path, extra)
@@ -408,8 +424,8 @@ class TestCommands:
         assert row[5] == pytest.approx(0.161, abs=1e-3)
 
     def test_every_table_block_finite(self, tmp_path):
-        # Each row holds six finite cells; at |rho| = 1 every cell is the
-        # closed form M = (mu_S - r)/sigma_S**2.
+        # Each row holds six finite cells; at |rho| = 1 every cell is exactly
+        # the closed form M = (mu_S - r)/sigma_S**2.
         M = (0.07 - 0.02) / 0.2**2
         grid = {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9}
         for block, (_mu, rho, rows) in TABLE_BLOCKS.items():
@@ -423,7 +439,7 @@ class TestCommands:
             for key, cells in data["rows"].items():
                 assert len(cells) == 6 and np.all(np.isfinite(cells)), (block, key)
                 if abs(rho) == 1.0:
-                    assert np.max(np.abs(np.subtract(cells, M))) <= 1e-15, (block, key)
+                    assert cells == [M] * 6, (block, key)
 
     def test_failing_table_row_names_block_and_exp_y(self, tmp_path, monkeypatch, capsys):
         import prefhedge.cli as cli

@@ -3,7 +3,6 @@ import pytest
 
 from prefhedge import (
     ConvergenceError,
-    FixedPointConfig,
     ModelParams,
     closed_form_policy_rho0,
     default_grid,
@@ -244,13 +243,12 @@ class TestFixedPoint:
     def test_fixed_point_residual_after_convergence(self):
         p = params_with(0.02, 0.6)
         g = default_grid(p, n_t_steps=100, n_y=121, n_ybar=11)
-        cfg = FixedPointConfig(tol_sup=1e-5)
-        h, pol = fixed_point_solve(g, p, cfg)
+        h, pol = fixed_point_solve(g, p)
         remap = policy_from_h(solve_h(pol.pi, g, p), g, p)
         # one extra application of the map moves the policy less than tol
         # wherever the map is freely iterated (away from closed rows)
         core = np.abs(remap.pi - pol.pi)[:-20, 30:-30]
-        assert core.max() < 5 * cfg.tol_sup
+        assert core.max() < 5 * equilibrium._TOL_SUP
 
     @pytest.mark.parametrize("mu_Y,rho", [(0.02, 0.6), (-0.02, -0.6), (0.02, 0.0)])
     def test_solve_h_reproduces_returned_surface(self, mu_Y, rho):
@@ -268,17 +266,17 @@ class TestFixedPoint:
         p = params_with(-0.02, -0.6)
         y = np.log(0.8)
         g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9, probe_y=[y])
-        cfg = FixedPointConfig()
-        h, pol = fixed_point_solve(g, p, cfg)
-        assert pol.iteration_meta.sup_changes[-1] < cfg.tol_sup
+        h, pol = fixed_point_solve(g, p)
+        assert pol.iteration_meta.sup_changes[-1] < equilibrium._TOL_SUP
         remap = policy_from_h(solve_h(pol.pi, g, p), g, p)
-        assert np.abs(remap.pi - pol.pi)[:-2, 2:-2].max() < cfg.tol_sup
+        assert np.abs(remap.pi - pol.pi)[:-2, 2:-2].max() < equilibrium._TOL_SUP
 
-    def test_unsettled_level_raises_naming_t(self):
+    def test_unsettled_level_raises_naming_t(self, monkeypatch):
         p = params_with(0.02, 0.6)
         g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
+        monkeypatch.setattr(equilibrium, "_MAX_EVALS", 1)
         with pytest.raises(ConvergenceError) as exc:
-            fixed_point_solve(g, p, FixedPointConfig(max_iters=1))
+            fixed_point_solve(g, p)
         # the first level below the analytic terminal window
         t_first = float(g.t_nodes[_terminal_layer_cut(g, p.rho) - 1])
         assert f"t = {t_first!r}" in str(exc.value)
@@ -533,8 +531,9 @@ class TestMapEvals:
 
         # The first level in march order that needs the most evaluations is
         # the one at t_worst.
+        monkeypatch.setattr(equilibrium, "_MAX_EVALS", meta.iterations - 1)
         with pytest.raises(ConvergenceError) as exc:
-            fixed_point_solve(g, p, FixedPointConfig(max_iters=meta.iterations - 1))
+            fixed_point_solve(g, p)
         assert f"t = {meta.t_worst!r}" in str(exc.value)
 
     def test_rho0_has_no_iterated_level(self):

@@ -68,11 +68,11 @@ class SpikePolicy:
 
 class TestSimulateUnconditional:
     def test_zero_policy_is_risk_free_rollup(self):
-        batch = simulate_unconditional(0.0, 0.0, 1.5, P0.y0, FAST, P0)
+        (batch,) = simulate_unconditional(0.0, [(0.0, P0.y0)], 1.5, FAST, P0)
         assert np.allclose(batch.X[:, -1], 1.5 * np.exp(P0.r * P0.T), rtol=1e-12)
 
     def test_preference_factor_moments(self):
-        batch = simulate_unconditional(0.0, 0.0, 1.0, P0.y0, FAST, P0)
+        (batch,) = simulate_unconditional(0.0, [(0.0, P0.y0)], 1.0, FAST, P0)
         yT = batch.Y[:, -1]
         mean_th = P0.y0 + P0.mu_Y * P0.T
         var_th = P0.sigma_Y**2 * P0.T
@@ -84,21 +84,21 @@ class TestSimulateUnconditional:
 
     def test_log_wealth_moments_constant_policy(self):
         pi0 = 1.0
-        batch = simulate_unconditional(pi0, 0.0, 1.0, P0.y0, FAST, P0)
+        (batch,) = simulate_unconditional(pi0, [(0.0, P0.y0)], 1.0, FAST, P0)
         lnx = np.log(batch.X[:, -1])
         mean_th = (P0.r + pi0 * (P0.mu_S - P0.r) - 0.5 * pi0**2 * P0.sigma_S**2) * P0.T
         z = (lnx.mean() - mean_th) / (lnx.std(ddof=1) / np.sqrt(lnx.size))
         assert abs(z) < 3
 
     def test_determinism(self):
-        b1 = simulate_unconditional(0.5, 0.0, 1.0, P0.y0, FAST, P0)
-        b2 = simulate_unconditional(0.5, 0.0, 1.0, P0.y0, FAST, P0)
+        (b1,) = simulate_unconditional(0.5, [(0.0, P0.y0)], 1.0, FAST, P0)
+        (b2,) = simulate_unconditional(0.5, [(0.0, P0.y0)], 1.0, FAST, P0)
         assert np.array_equal(b1.X, b2.X)
         assert np.array_equal(b1.Y, b2.Y)
 
     def test_antithetic_pairs(self):
         cfg = SimConfig(n_paths=1000, n_steps=10, seed=9, antithetic=True)
-        batch = simulate_unconditional(0.0, 0.0, 1.0, P0.y0, cfg, P0)
+        (batch,) = simulate_unconditional(0.0, [(0.0, P0.y0)], 1.0, cfg, P0)
         yT = batch.Y[:, -1]
         drift = P0.y0 + P0.mu_Y * P0.T
         assert np.allclose(yT[:500] + yT[500:], 2 * drift, atol=1e-10)
@@ -109,14 +109,14 @@ class TestSimulateConditioned:
         ybar = P6.y0 + 0.5
         for n_steps in (5, 100, 1600):
             cfg = SimConfig(n_paths=2_000, n_steps=n_steps, seed=123)
-            batch = simulate_conditioned(0.3, 0.0, 1.0, P6.y0, ybar, cfg, P6)
+            (batch,) = simulate_conditioned(0.3, [(0.0, P6.y0, ybar, ())], 1.0, cfg, P6)
             assert np.max(np.abs(batch.Y[:, -1] - ybar)) <= 1e-12
 
     def test_bridge_midpoint_moments(self):
         ybar = P6.y0 + P6.mu_Y * P6.T
         for n_steps in (5, 400):
             cfg = SimConfig(n_paths=20_000, n_steps=n_steps, seed=123)
-            batch = simulate_conditioned(0.3, 0.0, 1.0, P6.y0, ybar, cfg, P6)
+            (batch,) = simulate_conditioned(0.3, [(0.0, P6.y0, ybar, ())], 1.0, cfg, P6)
             mid = int(np.argmin(np.abs(batch.times - 0.5 * P6.T)))
             s = batch.times[mid]
             ym = batch.Y[:, mid]
@@ -141,8 +141,8 @@ class TestSimulateConditioned:
         var_th = pi0**2 * P6.sigma_S**2 * (1.0 - P6.rho**2) * P6.T
         for n_steps in (5, 1600):
             cfg = SimConfig(n_paths=20_000, n_steps=n_steps, seed=7)
-            batch = simulate_conditioned(pi0, 0.0, 1.0, P6.y0, ybar, cfg, P6,
-                                         store="terminal")
+            (batch,) = simulate_conditioned(pi0, [(0.0, P6.y0, ybar, ())], 1.0, cfg, P6,
+                                            store="terminal")
             lnx = np.log(batch.X[:, -1])
             z_mean = (lnx.mean() - mean_th) / np.sqrt(var_th / lnx.size)
             var_se = var_th * np.sqrt(2.0 / (lnx.size - 1))
@@ -152,9 +152,9 @@ class TestSimulateConditioned:
 
     def test_rho0_wealth_law_unchanged_for_constant_policy(self):
         ybar = P0.y0 + P0.mu_Y * P0.T + 0.3
-        bu = simulate_unconditional(0.4, 0.0, 1.0, P0.y0, FAST, P0, store="terminal")
-        bc = simulate_conditioned(0.4, 0.0, 1.0, P0.y0, ybar, FAST, P0,
-                                  store="terminal", stream=7)
+        (bu,) = simulate_unconditional(0.4, [(0.0, P0.y0)], 1.0, FAST, P0, store="terminal")
+        (bc,) = simulate_conditioned(0.4, [(0.0, P0.y0, ybar, ())], 1.0, FAST, P0,
+                                     store="terminal", stream=7)
         ks = stats.ks_2samp(np.log(bu.X[:, -1]), np.log(bc.X[:, -1]))
         assert ks.pvalue > 0.01
 
@@ -198,13 +198,13 @@ class TestRewardMC:
         left = 0.0
         var_left = 0.0
         for i, (yb, w) in enumerate(zip(nodes, weights)):
-            b = simulate_conditioned(pi0, 0.0, 1.0, P6.y0, yb, cfg, P6,
-                                     store="terminal", stream=i)
+            (b,) = simulate_conditioned(pi0, [(0.0, P6.y0, yb, ())], 1.0, cfg, P6,
+                                        store="terminal", stream=i)
             u = b.X[:, -1] ** (1 - np.exp(yb)) / (1 - np.exp(yb))
             left += w * u.mean()
             var_left += (w * u.std(ddof=1)) ** 2 / u.size
-        bu = simulate_unconditional(pi0, 0.0, 1.0, P6.y0, cfg, P6,
-                                    store="terminal", stream=101)
+        (bu,) = simulate_unconditional(pi0, [(0.0, P6.y0)], 1.0, cfg, P6,
+                                       store="terminal", stream=101)
         gT = np.exp(bu.Y[:, -1])
         uu = bu.X[:, -1] ** (1 - gT) / (1 - gT)
         right = uu.mean()
@@ -225,15 +225,15 @@ class TestRewardMC:
         nodes, weights = gh_terminal_quadrature(0.0, p.y0, p, 21)
         left = var_left = exact_left = 0.0
         for i, (yb, w) in enumerate(zip(nodes, weights)):
-            b = simulate_conditioned(pi0, 0.0, 1.0, p.y0, yb, cfg, p,
-                                     store="terminal", stream=i)
+            (b,) = simulate_conditioned(pi0, [(0.0, p.y0, yb, ())], 1.0, cfg, p,
+                                        store="terminal", stream=i)
             lnx = np.log(b.X[:, -1])
             left += w * lnx.mean()
             var_left += w**2 * lnx.var(ddof=1) / lnx.size
             exact_left += w * (a * p.T + pi0 * p.sigma_S * p.rho
                                * (yb - p.y0 - p.mu_Y * p.T) / p.sigma_Y)
-        bu = simulate_unconditional(pi0, 0.0, 1.0, p.y0, cfg, p,
-                                    store="terminal", stream=101)
+        (bu,) = simulate_unconditional(pi0, [(0.0, p.y0)], 1.0, cfg, p,
+                                       store="terminal", stream=101)
         lnx = np.log(bu.X[:, -1])
         right, se_right = lnx.mean(), lnx.std(ddof=1) / np.sqrt(lnx.size)
         assert exact_left == pytest.approx(a * p.T, abs=1e-9)
@@ -280,8 +280,8 @@ class TestMeanSe:
         est = reward_mc(0.5, 30.0, 1.0, P6.y0, cfg, P6, ybar_quadrature=3)
         nodes, _weights = gh_terminal_quadrature(30.0, P6.y0, P6, 3)
         for idx, (yb, node) in enumerate(zip(nodes, est.nodes, strict=True)):
-            b = simulate_conditioned(0.5, 30.0, 1.0, P6.y0, yb, cfg, P6,
-                                     store="terminal", stream=idx)
+            (b,) = simulate_conditioned(0.5, [(30.0, P6.y0, yb, ())], 1.0, cfg, P6,
+                                        store="terminal", stream=idx)
             u = crra_utility(b.X[:, -1], node.gamma)
             pairs = 0.5 * (u[:2_000] + u[2_000:])
             paired = float(np.std(pairs, ddof=1) / np.sqrt(pairs.size))
@@ -364,12 +364,11 @@ def reference_g_representation(h, policy, points, x0, cfg, p):
     for t0, y0, ybar in points:
         gamma = float(np.exp(ybar))
         pde = float(h.interp_at(t0, y0, ybar) * x0 ** (1.0 - gamma) / (1.0 - gamma))
-        batch = simulate_conditioned(policy, t0, x0, y0, ybar, cfg, p,
-                                     store="terminal", stream=1)
+        (batch,) = simulate_conditioned(policy, [(t0, y0, ybar, ())], x0, cfg, p,
+                                        store="terminal", stream=1)
         u = crra_utility(batch.X[:, -1], gamma)
         m, se = float(np.mean(u)), paired_se(u, cfg)
-        reports.append(GRepReport(t0=float(t0), x0=float(x0), y0=float(y0),
-                                  ybar=float(ybar), gamma=gamma, pde=pde,
+        reports.append(GRepReport(t0=float(t0), y0=float(y0), ybar=float(ybar), pde=pde,
                                   mean=m, se=se, z=z_score(m - pde, se)))
     return reports
 
@@ -465,24 +464,23 @@ class TestSharedStreamGRepresentation:
 
     def test_starts_match_separate_runs_full_store(self):
         cfg = SimConfig(n_paths=300, n_steps=25, seed=83)
-        t0s, y0s, ybars = (0.0, 20.0, 39.5), (self.P.y0, 0.9, 0.5), (0.8, 1.0, 0.6)
+        starts = ((0.0, self.P.y0, 0.8), (20.0, 0.9, 1.0), (39.5, 0.5, 0.6))
         spikes = [(0.9, 20.0, 21.0)]
-        cond = simulate_conditioned(0.4, t0s, 1.0, y0s, ybars, cfg, self.P,
-                                    stream=4, spikes=spikes)
-        uncond = simulate_unconditional(0.4, t0s, 1.0, y0s, cfg, self.P, stream=4)
-        for i, (t0, y0, ybar) in enumerate(zip(t0s, y0s, ybars)):
-            alone = simulate_conditioned(0.4, t0, 1.0, y0, ybar, cfg, self.P,
-                                         stream=4, spikes=spikes)
+        cond = simulate_conditioned(0.4, [(*start, spikes) for start in starts], 1.0, cfg,
+                                    self.P, stream=4)
+        uncond = simulate_unconditional(0.4, [start[:2] for start in starts], 1.0, cfg,
+                                        self.P, stream=4)
+        for i, (t0, y0, ybar) in enumerate(starts):
+            (alone,) = simulate_conditioned(0.4, [(t0, y0, ybar, spikes)], 1.0, cfg,
+                                            self.P, stream=4)
             assert np.array_equal(cond[i].times, alone.times)
             assert np.array_equal(cond[i].X, alone.X)
             assert np.array_equal(cond[i].Y, alone.Y)
             assert cond[i].ybar == alone.ybar
-            alone = simulate_unconditional(0.4, t0, 1.0, y0, cfg, self.P, stream=4)
+            (alone,) = simulate_unconditional(0.4, [(t0, y0)], 1.0, cfg, self.P, stream=4)
             assert np.array_equal(uncond[i].X, alone.X)
             assert np.array_equal(uncond[i].Y, alone.Y)
             assert uncond[i].ybar is None
-        with pytest.raises(DomainError):
-            simulate_conditioned(0.4, t0s, 1.0, y0s, ybars[:2], cfg, self.P)
 
 
 def reference_simulate(policy, starts, x0, cfg, p, store="full", stream=0):
@@ -580,20 +578,17 @@ class TestKernelAgainstReference:
     def test_matches_unfused_step(self, kind, store, antithetic):
         policy = self._policy(kind)
         cfg = SimConfig(n_paths=300, n_steps=25, seed=89, antithetic=antithetic)
-        t0s, y0s, ybars = zip(*self.STARTS)
+        own = [(*start, lanes) for start, lanes in zip(self.STARTS, self.LANES)]
+        same = [(*start, self.SPIKES) for start in self.STARTS]
+        unpinned = [(t0, y0) for t0, y0, _ybar in self.STARTS]
         runs = [
-            (simulate_conditioned(policy, t0s, 1.3, y0s, ybars, cfg, self.P,
-                                  store=store, stream=2, spikes=self.LANES),
-             reference_simulate(policy, [(*start, lanes) for start, lanes
-                                         in zip(self.STARTS, self.LANES)],
-                                1.3, cfg, self.P, store, 2)),
-            (simulate_conditioned(policy, t0s, 1.3, y0s, ybars, cfg, self.P,
-                                  store=store, stream=2, spikes=self.SPIKES),
-             reference_simulate(policy, [(*start, self.SPIKES) for start in self.STARTS],
-                                1.3, cfg, self.P, store, 2)),
-            (simulate_unconditional(policy, t0s, 1.3, y0s, cfg, self.P,
-                                    store=store, stream=2),
-             reference_simulate(policy, [(t0, y0, None, ()) for t0, y0, _ in self.STARTS],
+            (simulate_conditioned(policy, own, 1.3, cfg, self.P, store=store, stream=2),
+             reference_simulate(policy, own, 1.3, cfg, self.P, store, 2)),
+            (simulate_conditioned(policy, same, 1.3, cfg, self.P, store=store, stream=2),
+             reference_simulate(policy, same, 1.3, cfg, self.P, store, 2)),
+            (simulate_unconditional(policy, unpinned, 1.3, cfg, self.P, store=store,
+                                    stream=2),
+             reference_simulate(policy, [(t0, y0, None, ()) for t0, y0 in unpinned],
                                 1.3, cfg, self.P, store, 2)),
         ]
         for batches, reference in runs:
@@ -609,19 +604,16 @@ class TestKernelAgainstReference:
         # bit their runs alone on that stream, and so is the spiked start.
         policy = smooth_surface(self.P)
         cfg = SimConfig(n_paths=300, n_steps=25, seed=101)
-        t0s, y0s, ybars = zip(*self.STARTS)
-        lanes = (self.SPIKES, (), ())
-        shared = simulate_conditioned(policy, t0s, 1.3, y0s, ybars, cfg, self.P,
-                                      store=store, stream=1, spikes=lanes)
-        for batch, (t0, y0, ybar), spikes in zip(shared, self.STARTS, lanes, strict=True):
-            alone = simulate_conditioned(policy, t0, 1.3, y0, ybar, cfg, self.P,
-                                         store=store, stream=1, spikes=spikes)
+        starts = [(*start, lanes) for start, lanes
+                  in zip(self.STARTS, (self.SPIKES, (), ()))]
+        shared = simulate_conditioned(policy, starts, 1.3, cfg, self.P, store=store,
+                                      stream=1)
+        for batch, start in zip(shared, starts, strict=True):
+            (alone,) = simulate_conditioned(policy, [start], 1.3, cfg, self.P, store=store,
+                                            stream=1)
             assert np.array_equal(batch.times, alone.times)
             assert np.array_equal(batch.X, alone.X)
             assert np.array_equal(batch.Y, alone.Y)
-        with pytest.raises(DomainError, match="one entry per start"):
-            simulate_conditioned(policy, t0s, 1.3, y0s, ybars, cfg, self.P,
-                                 spikes=lanes[:2])
 
     @pytest.mark.parametrize("kind", ["surface", "callable", "constant"])
     def test_one_policy_read_per_step_per_start(self, monkeypatch, kind):
@@ -633,14 +625,13 @@ class TestKernelAgainstReference:
         monkeypatch.setattr(prefhedge.mc, "eval_policy",
                             lambda pol, t, y: calls.append(t) or read(pol, t, y))
         cfg = SimConfig(n_paths=200, n_steps=15, seed=97)
-        t0s, y0s, ybars = zip(*self.STARTS)
-        grids = [np.linspace(t0, self.P.T, cfg.n_steps + 1) for t0 in t0s]
+        grids = [np.linspace(t0, self.P.T, cfg.n_steps + 1) for t0, _y0, _ybar in self.STARTS]
         want = [grid[k] for k in range(cfg.n_steps) for grid in grids]
-        simulate_conditioned(policy, t0s, 1.0, y0s, ybars, cfg, self.P,
-                             store="terminal", spikes=self.SPIKES)
+        simulate_conditioned(policy, [(*start, self.SPIKES) for start in self.STARTS], 1.0,
+                             cfg, self.P, store="terminal")
         assert calls == want
         calls.clear()
-        simulate_unconditional(policy, t0s, 1.0, y0s, cfg, self.P)
+        simulate_unconditional(policy, [start[:2] for start in self.STARTS], 1.0, cfg, self.P)
         assert calls == want
 
 
@@ -711,8 +702,8 @@ def reference_spike_test(pi_hat, t0, y0, cfg, p, deltas, offsets, n_nodes):
         est = reward_mc(policy, t0, 1.0, y0, cfg, p, ybar_quadrature=n_nodes)
         terms = []
         for idx, (yb, wt, node) in enumerate(zip(nodes, weights, est.nodes)):
-            b = simulate_conditioned(policy, t0, 1.0, y0, yb, cfg, p,
-                                     store="terminal", stream=idx)
+            (b,) = simulate_conditioned(policy, [(t0, y0, yb, ())], 1.0, cfg, p,
+                                        store="terminal", stream=idx)
             u = crra_utility(b.X[:, -1], node.gamma)
             terms.append(wt * float(phi_prime(node.inner_mean, node.gamma)) * u)
         return est, np.sum(terms, axis=0)
@@ -771,13 +762,13 @@ class TestSpikeLanes:
         cfg = SimConfig(n_paths=500, n_steps=30, seed=53)
         ybar = self.P.y0 + 0.1
         spikes = [(0.9, 10.0, 10.5), (0.1, 10.0, 14.0)]
-        lanes = simulate_conditioned(0.4, 10.0, 1.0, self.P.y0, ybar, cfg, self.P,
-                                     spikes=spikes, stream=3)
+        (lanes,) = simulate_conditioned(0.4, [(10.0, self.P.y0, ybar, spikes)], 1.0, cfg,
+                                        self.P, stream=3)
         assert lanes.X.shape == (3, 500, 31)
         runs = [0.4] + [SpikePolicy(0.4, v, a, b - a) for v, a, b in spikes]
         for lane, policy in enumerate(runs):
-            alone = simulate_conditioned(policy, 10.0, 1.0, self.P.y0, ybar, cfg,
-                                         self.P, stream=3)
+            (alone,) = simulate_conditioned(policy, [(10.0, self.P.y0, ybar, ())], 1.0,
+                                            cfg, self.P, stream=3)
             assert np.array_equal(lanes.X[lane], alone.X)
             assert np.array_equal(lanes.Y, alone.Y)
         assert not np.array_equal(lanes.X[1], lanes.X[0])
