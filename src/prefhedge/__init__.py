@@ -63,6 +63,7 @@ from .mc import (
 from .persist import (
     load_h_surface,
     load_policy_surface,
+    read_h_surface,
     save_h_surface,
     save_policy_surface,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "gh_terminal_quadrature",
     "save_h_surface",
     "load_h_surface",
+    "read_h_surface",
     "save_policy_surface",
     "load_policy_surface",
     "ConfigError",

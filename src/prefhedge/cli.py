@@ -48,7 +48,7 @@ from .persist import (
     save_h_surface,
     save_policy_surface,
 )
-from .pide import QUAD_SD, default_grid, residual
+from .pide import QUAD_SD, bilinear_interp, default_grid, residual, ybar_blend
 
 T_COLUMNS = (0.0, 7.0, 14.0, 21.0, 28.0, 35.0)
 
@@ -241,7 +241,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     clock = [time.perf_counter()]
     h, pol = fixed_point_solve(grid, cfg.params)
     clock.append(time.perf_counter())
-    res = residual(h, pol.pi, grid, cfg.params)
+    res = residual(h.slices, pol.pi, grid, cfg.params)
     clock.append(time.perf_counter())
     save_h_surface(cfg.out_dir / "h_surface.bin", h, cfg.params)
     save_policy_surface(cfg.out_dir / "policy_surface.bin", pol, cfg.params)
@@ -369,6 +369,18 @@ def _check_reward_cover(grid, params, points):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    """Check solved surfaces (from ``out_dir``, else solved here) and write verify_report.json.
+
+    The factor is read once, slice by slice, by the residual's pass, which
+    also records the factor at the g points and reward probes; the g rows
+    and the reward quadrature are built from those reads.  A surface from
+    disk thus never sits in memory whole, and an archive that fails a check
+    (its CRC-32 is checked as the last slice is read) ends the command
+    before a report is written.  ``phase_s`` times ``load`` (opening the
+    archives: the grid, the hash and the policy surface; ``solve`` when
+    solved here), ``residual`` (including the factor read),
+    ``g_representation``, ``spike`` and ``reward``.
+    """
     vcfg = cfg.verify
     probes = cfg.probes or ((0.0, cfg.params.y0),)
     # The spike windows [t_spike, t_spike + delta) start at the first probe,
@@ -391,9 +403,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     clock = [time.perf_counter()]
     loaded = h_path.exists() and p_path.exists()
     if loaded:
-        h = load_h_surface(h_path, cfg.params)
+        grid, slices = load_h_surface(h_path, cfg.params)
         pol = load_policy_surface(p_path, cfg.params)
-        grid = h.grid
     else:
         probe_ys = sorted({y for _t, y in probes} | {y for _n, _t, y in reward_points})
         grid = default_grid(cfg.params, probe_y=probe_ys, **cfg.grid_kwargs)
@@ -401,15 +412,34 @@ def cmd_verify(cfg: RunConfig) -> int:
     _check_reward_cover(grid, cfg.params, reward_points)
     if not loaded:
         h, pol = fixed_point_solve(grid, cfg.params)
+        slices = h.slices
 
     z_gate = float(vcfg.get("z_gate", 3.0))
     res_tol = float(vcfg.get("residual_tol", 1e-4))
     bundle = {}
     hard_fail = False
 
+    g_points = []
+    for t0, y0 in probes:
+        mean = grid.terminal_mean_sd(t0, y0, cfg.params)[0]
+        ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
+        g_points.append((t0, y0, ybar))
+    # The residual's one pass over the slices also reads the factor at the
+    # g points and the reward probes: after it, h_at[n] is the factor on
+    # every slice at the n-th of ``reads``.
+    reads = [(t0, y0) for t0, y0, _yb in g_points] + [(t0, y0) for _n, t0, y0 in reward_points]
+    h_at = []
+
+    def reading(slices):
+        for s in slices:
+            h_at.append([bilinear_interp(grid.t_nodes, grid.y_nodes, s, t0, y0)
+                         for t0, y0 in reads])
+            yield s
+
     clock.append(time.perf_counter())
-    res = residual(h, pol.pi, grid, cfg.params)
+    res = residual(reading(slices), pol.pi, grid, cfg.params)
     clock.append(time.perf_counter())
+    h_at = np.array(h_at).T
     res_pass = res.rms_rel_band < res_tol
     bundle["residual"] = {
         "rms_rel_band": res.rms_rel_band, "max_rel_band": res.max_rel_band,
@@ -417,11 +447,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     }
     hard_fail |= not res_pass
 
-    g_points = []
-    for t0, y0 in probes:
-        mean = grid.terminal_mean_sd(t0, y0, cfg.params)[0]
-        ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
-        g_points.append((t0, y0, ybar))
     # The g points ride on the spike test's node-1 run, which draws stream 1.
     spike = equilibrium_spike_test(
         pol, t_spike, 1.0, probes[0][1], cfg.sim, cfg.params, deltas=deltas,
@@ -431,7 +456,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     clock.append(time.perf_counter())
 
     g_rows = []
-    for rep in verify_g_representation_batch(h, g_points, 1.0, spike.rider_moments):
+    g_h = [ybar_blend(grid.ybar_nodes, at, ybar) for at, (_t, _y, ybar) in zip(h_at, g_points)]
+    for rep in verify_g_representation_batch(g_h, g_points, 1.0, spike.rider_moments):
         ok = abs(rep.z) < z_gate
         g_rows.append({
             "t": rep.t0, "exp_y": float(np.exp(rep.y0)), "ybar": rep.ybar,
@@ -444,7 +470,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     clock.append(time.perf_counter())
 
     reward_rows = []
-    for probe in reward_probes:
+    for probe, at in zip(reward_probes, h_at[len(g_points):], strict=True):
         t0 = float(probe["t"])
         y0 = float(np.log(probe["exp_y"]))
         if (t0, y0) == (spike.t0, spike.y0):
@@ -455,7 +481,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             est = reward_mc(pol, t0, 1.0, y0, cfg.sim, cfg.params,
                             ybar_quadrature=_VERIFY_NODES)
             j_mc, se = est.value, est.se
-        j_qd = reward_quadrature(h, t0, 1.0, y0, cfg.params, n_nodes=_VERIFY_NODES)
+        j_qd = reward_quadrature(at, grid, t0, 1.0, y0, cfg.params, n_nodes=_VERIFY_NODES)
         z = z_score(j_mc - j_qd, se)
         ok = abs(z) < z_gate
         reward_rows.append({"t": t0, "exp_y": probe["exp_y"], "j_mc": j_mc,

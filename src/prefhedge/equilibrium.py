@@ -38,6 +38,7 @@ from .pide import (
     _terminal_layer_cut,
     _window_slopes,
     bilinear_interp,
+    ybar_blend,
 )
 
 # History depth of the Anderson mixing that settles each level's policy.
@@ -371,22 +372,25 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams):
                             hedging=hedging, iteration_meta=meta)
 
 
-def reward_quadrature(h: HSurface, t0, x0, y0, params: ModelParams, n_nodes=21):
+def reward_quadrature(h_at, grid: GridSpec, t0, x0, y0, params: ModelParams, n_nodes=21):
     """Factor-side value of the certainty-equivalent reward at (t0, x0, y0).
 
-    Aggregates the log certainty equivalents of the continuation values
-    h(t0, y0, ybar) x0^(1-gamma)/(1-gamma) over Gauss-Hermite terminal-state
-    nodes; the Monte Carlo reward estimate converges to this number when
-    the factor surface solves its equations under the same policy.
+    ``h_at`` is the factor at (t0, y0) on every ybar slice of ``grid``:
+    HSurface.interp(t0, y0), or what verify records from each slice as it
+    streams past.  Aggregates the log certainty equivalents of the
+    continuation values h(t0, y0, ybar) x0^(1-gamma)/(1-gamma) over
+    Gauss-Hermite terminal-state nodes, h blended across slices by
+    pide.ybar_blend; the Monte Carlo reward estimate converges to this
+    number when the factor surface solves its equations under the same
+    policy.
     """
-    grid = h.grid
     xi, w = np.polynomial.hermite.hermgauss(n_nodes)
     mean, sd = grid.terminal_mean_sd(t0, y0, params)
     cap = QUAD_SD * sd
     yb = np.clip(mean + np.clip(np.sqrt(2.0) * sd * xi, -cap, cap),
                  grid.ybar_nodes[0], grid.ybar_nodes[-1])
     yb[np.abs(yb) <= EPS_GAMMA] = 2.0 * EPS_GAMMA
-    hval = h.interp_at(t0, y0, yb)
+    hval = ybar_blend(grid.ybar_nodes, h_at, yb)
     # log certainty equivalent of g = h x^(1-gamma)/(1-gamma)
     return float((w / np.sqrt(np.pi)) @ (np.log(hval) / (1.0 - np.exp(yb)) + np.log(x0)))
 

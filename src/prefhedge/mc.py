@@ -1,6 +1,8 @@
 """Monte Carlo oracles: path simulation, reward evaluation, verification.
 
-Everything here is deliberately independent of the PDE solver: paths follow
+Everything here is deliberately independent of the PDE solver, down to the
+imports (nothing from pide or equilibrium; the factor values the
+g-representation check scores come in as numbers): paths follow
 the model dynamics directly (under the unconditional measure, or pinned to a
 terminal preference state, where the factor becomes a Brownian bridge), and
 the reward functional is assembled exactly as defined — inner conditional
@@ -52,7 +54,6 @@ import numpy as np
 
 from .errors import DomainError
 from .model import EPS_GAMMA, ModelParams, crra_utility, eval_policy, phi, phi_prime
-from .pide import HSurface
 
 
 @dataclass(frozen=True)
@@ -416,8 +417,12 @@ class GRepReport:
     z: float
 
 
-def verify_g_representation_batch(h: HSurface, points, x0, moments) -> list:
+def verify_g_representation_batch(h_values, points, x0, moments) -> list:
     """A GRepReport at each (t0, y0, ybar) of ``points``, from pinned paths.
+
+    ``h_values`` are the PDE's factor values h(t0, y0, ybar) at the points
+    (HSurface.interp_at, or verify's reads off the streamed slices), so
+    this module needs nothing of the solver.
 
     ``moments`` are the points' (mean, se) of terminal utility from the run
     they rode on: equilibrium_spike_test(..., riders=points).rider_moments,
@@ -430,10 +435,10 @@ def verify_g_representation_batch(h: HSurface, points, x0, moments) -> list:
     7, ..., 35, and seed 1 is negative at every t up to 21.
     """
     reports = []
-    for (t0, y0, ybar), (m, se) in zip(points, moments, strict=True):
+    for (t0, y0, ybar), h, (m, se) in zip(points, h_values, moments, strict=True):
         t0, y0, ybar = float(t0), float(y0), float(ybar)
         gamma = float(np.exp(ybar))
-        pde = float(h.interp_at(t0, y0, ybar) * x0 ** (1.0 - gamma) / (1.0 - gamma))
+        pde = float(h * x0 ** (1.0 - gamma) / (1.0 - gamma))
         reports.append(GRepReport(t0=t0, y0=y0, ybar=ybar, pde=pde, mean=m, se=se,
                                   z=z_score(m - pde, se)))
     return reports

@@ -4,9 +4,16 @@ An archive holds one member per :class:`GridSpec` field (scalars 0-d, read
 back as Python floats), ``params_hash`` (uint8[16]: the leading half of the
 SHA-256 of the packed parameter tuple) and the payload: ``h``, the factor
 in slice-major (ybar, t, y) order, or ``pi``, ``myopic`` and ``hedging``.
-Floats are stored raw.  Loading checks every member's zip CRC-32, the
-member set and, when the caller passes the parameters, the hash; each
-failure raises :class:`ConfigError`.
+Floats are stored raw.
+
+One reader, _stream, reads an archive in one pass: the grid, then the
+payload one (t, y) array at a time, so the factor comes one ybar slice
+after another.  It checks the member set, the parameter hash when the
+caller passes the parameters, each payload member's shape and each
+member's zip CRC-32; each failure raises :class:`ConfigError`.
+load_h_surface hands the slices on as they are read, which lets verify's
+residual walk a surface that never sits in memory whole; read_h_surface
+and load_policy_surface gather them.
 
 To plot, plain numpy reads an archive: ``np.load("policy_surface.bin")``
 gives members ``t_nodes``, ``y_nodes`` and the (t, y) arrays ``pi``,
@@ -17,14 +24,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import struct
 import zipfile
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, PositivityError
 from .model import ModelParams
-from .pide import GridSpec, HSurface
+from .pide import GridSpec, HSurface, checked_factor
 from .equilibrium import PolicySurface
 
 _GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridSpec))
@@ -55,44 +63,118 @@ def _write(path, params, grid, **payload):
                 fid.write(memoryview(arr).cast("B"))
 
 
-def _read(path, payload, params):
-    """The grid and the payload arrays (in ``payload`` order) of a checked archive."""
+def _member(zf, name, shape=None):
+    """Yield the array of member ``name``, then read the member to its end.
+
+    Given ``shape``, the member must have it and comes as its (n_t, n_y)
+    pieces in file order, one at a time.  zipfile checks the member's
+    CRC-32 at the end, which a damaged .npy header would stop numpy short
+    of: a header that fails to parse or check reads on to the end, so a
+    damaged one raises the checksum error.
+    """
+    fmt = np.lib.format
+    with zf.open(name + ".npy") as member:
+        try:
+            # _write and np.savez write format 1.0 headers.
+            version = fmt.read_magic(member)
+            if version != (1, 0):
+                raise ValueError(f"{name}: .npy format version {version}")
+            got, fortran_order, dtype = fmt.read_array_header_1_0(member)
+            if fortran_order or dtype.hasobject or shape not in (None, got):
+                raise ValueError(f"{name}: {dtype} array of shape {got}, expected {shape}")
+        except Exception:
+            member.read()
+            raise
+        piece = got if shape is None else got[-2:]
+        for _ in range(math.prod(got[:len(got) - len(piece)])):
+            arr = np.empty(piece, dtype)
+            if member.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise ValueError(f"{name}: data ends early")
+            yield arr
+        member.read()
+
+
+def _stream(path, payload, params):
+    """Yield a checked archive's grid, then its ``payload`` members' (t, y) arrays.
+
+    The payload members are read in the order named: the factor ``h``,
+    shape (n_ybar, n_t, n_y), as its ybar slices; the policy members,
+    shape (n_t, n_y), whole.  Each failure raises ConfigError when the
+    stream reaches it: the member set and the hash before the grid is
+    yielded, a payload member's shape and CRC-32 as it is read.
+    """
     with open(path, "rb") as fh:
         try:
             with np.load(fh, allow_pickle=False) as z:
+                names = sorted(name.removesuffix(".npy") for name in z.zip.namelist())
+                if names != sorted((*_GRID_FIELDS, "params_hash", *payload)):
+                    raise ValueError(f"members {names}")
                 arrays = {}
-                for name in z.zip.namelist():
-                    with z.zip.open(name) as member:
-                        try:
-                            arrays[name.removesuffix(".npy")] = np.lib.format.read_array(
-                                member, allow_pickle=False)
-                        finally:
-                            # Read on to EOF, where zipfile checks the CRC-32 that a
-                            # damaged .npy header would stop numpy short of.
-                            member.read()
+                for name in ("params_hash", *_GRID_FIELDS):
+                    (arrays[name],) = _member(z.zip, name)
+                if params is not None and arrays["params_hash"].tobytes() != params_hash(params):
+                    raise ConfigError(f"{path}: parameter hash mismatch")
+                grid = GridSpec(**{name: arrays[name].item() if arrays[name].ndim == 0
+                                   else arrays[name] for name in _GRID_FIELDS})
+                yield grid
+                n_t, n_y, n_s = grid.shape
+                for name in payload:
+                    yield from _member(z.zip, name, (n_s, n_t, n_y) if name == "h" else (n_t, n_y))
+        except ConfigError:
+            raise
         # Damaged zip structure (RuntimeError: zipfile's encryption/method flags).
         except (zipfile.BadZipFile, EOFError, OSError, RuntimeError) as exc:
             raise ConfigError(f"{path}: checksum or structure check failed ({exc})") from exc
         except ValueError as exc:
             # A file that is no archive at all reaches numpy's pickle branch.
             raise ConfigError(f"{path}: not a {'/'.join(payload)} container ({exc})") from exc
-    if sorted(arrays) != sorted((*_GRID_FIELDS, "params_hash", *payload)):
-        raise ConfigError(f"{path}: not a {'/'.join(payload)} container: {sorted(arrays)}")
-    if params is not None and arrays["params_hash"].tobytes() != params_hash(params):
-        raise ConfigError(f"{path}: parameter hash mismatch")
-    grid = GridSpec(**{name: arrays[name].item() if arrays[name].ndim == 0 else arrays[name]
-                       for name in _GRID_FIELDS})
-    return grid, [arrays[name] for name in payload]
 
 
 def save_h_surface(path, h: HSurface, params: ModelParams):
-    _write(path, params, h.grid, h=np.moveaxis(h.values, 2, 0))
+    _write(path, params, h.grid, h=h.slices)
 
 
-def load_h_surface(path, params: ModelParams | None = None) -> HSurface:
-    grid, (h,) = _read(path, ("h",), params)
-    # Keep the march's slice-major layout: values is a (t, y, ybar) view.
-    return HSurface(grid=grid, values=np.moveaxis(h, 0, 2))
+def load_h_surface(path, params: ModelParams | None = None):
+    """Open a factor archive: ``(grid, slices)``, the slices read as they are used.
+
+    The member set and the parameter hash (when ``params`` is given) are
+    checked before this returns.  ``slices`` is a one-pass iterator of the
+    (n_t, n_y) factor on each ybar slice in order; reading it checks the
+    factor's shape, each slice finite and strictly positive
+    (PositivityError naming the first bad node's (t, y, ybar), raised once
+    the rest of the member has passed its CRC-32) and, as the last slice is
+    read, the member's CRC-32 (ConfigError).  One slice is in
+    memory at a time, and the archive stays open until the iterator ends.
+    verify passes it to pide.residual; read_h_surface gathers it.
+    """
+    stream = _stream(path, ("h",), params)
+    grid = next(stream)
+
+    def slices():
+        for j, s in enumerate(stream):
+            try:
+                checked_factor(s, grid, j)
+            except PositivityError:
+                # Read on to the CRC-32 first: a damaged file is named as such.
+                for _ in stream:
+                    pass
+                raise
+            yield s
+
+    return grid, slices()
+
+
+def read_h_surface(path, params: ModelParams | None = None) -> HSurface:
+    """The whole factor surface of an archive, gathered from load_h_surface.
+
+    For callers that read the surface at will (tests, plots); ``values``
+    keeps the march's slice-major layout, a (t, y, ybar) view.
+    """
+    grid, slices = load_h_surface(path, params)
+    values = np.empty((grid.ybar_nodes.size, *grid.shape[:2]))
+    for j, s in enumerate(slices):
+        values[j] = s
+    return HSurface(grid=grid, values=np.moveaxis(values, 0, 2))
 
 
 def save_policy_surface(path, pol: PolicySurface, params: ModelParams):
@@ -100,5 +182,6 @@ def save_policy_surface(path, pol: PolicySurface, params: ModelParams):
 
 
 def load_policy_surface(path, params: ModelParams | None = None) -> PolicySurface:
-    grid, (pi, myopic, hedging) = _read(path, ("pi", "myopic", "hedging"), params)
+    """The checked policy archive, read whole (see _stream)."""
+    grid, pi, myopic, hedging = _stream(path, ("pi", "myopic", "hedging"), params)
     return PolicySurface(grid=grid, pi=pi, myopic=myopic, hedging=hedging)

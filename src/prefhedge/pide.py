@@ -375,15 +375,47 @@ def bilinear_interp(t_nodes, y_nodes, values, t, y, clip=False):
     return out.reshape(y.shape + row.shape[1:])
 
 
+def checked_factor(values, grid: GridSpec, j=None):
+    """``values`` if every node is finite and strictly positive, else PositivityError.
+
+    ``values`` is a whole (t, y, ybar) surface, or with ``j`` the (t, y)
+    slice pinned to ybar_nodes[j].  The error names the (t, y, ybar) of the
+    first bad node in C order; NaN counts as bad.
+    """
+    # NaN fails both comparisons; the masks are built only to name a bad node.
+    if not (values.min() > 0 and values.max() < np.inf):
+        k, i, *rest = np.argwhere(~(np.isfinite(values) & (values > 0)))[0]
+        raise PositivityError(
+            "continuation factor must be finite and strictly positive",
+            t=grid.t_nodes[k], y=grid.y_nodes[i],
+            ybar=grid.ybar_nodes[rest[0] if j is None else j],
+        )
+    return values
+
+
+def ybar_blend(ybar_nodes, values, ybar):
+    """Factor at terminal state(s) ``ybar`` from its values on every slice.
+
+    ``values[..., j]`` is the factor on slice ybar_nodes[j] at one (t, y);
+    the blend is linear in log h between the bracketing slices, and ybar
+    outside the slices is clamped to the edge slice.
+    """
+    ji, jw = _locate(ybar_nodes, ybar, clip=True)
+    lo = np.log(values[..., ji])
+    hi = np.log(values[..., ji + 1])
+    out = np.exp(lo * (1.0 - jw) + hi * jw)
+    return out if np.ndim(out) else float(out)
+
+
 @dataclass
 class HSurface:
     """Continuation factors on the (t, y, ybar) grid.
 
     ``values[k, i, j]`` is the factor at time t_nodes[k], state y_nodes[i],
     for the slice pinned to ybar_nodes[j].  All values are strictly
-    positive; interpolation is bilinear in (t, y) within a slice and linear
-    in log h across slices.  Reads are unclipped: a (t, y) outside the
-    grid's hull raises OutOfGridError.
+    positive (checked_factor); interpolation is bilinear in (t, y) within a
+    slice and linear in log h across slices (ybar_blend).  Reads are
+    unclipped: a (t, y) outside the grid's hull raises OutOfGridError.
     """
 
     grid: GridSpec
@@ -395,16 +427,12 @@ class HSurface:
             raise DomainError(
                 f"values shape {v.shape} does not match grid {self.grid.shape}"
             )
-        # NaN fails both comparisons; the masks are built only to name a bad node.
-        if not (v.min() > 0 and v.max() < np.inf):
-            bad = np.argwhere(~(np.isfinite(v) & (v > 0)))[0]
-            raise PositivityError(
-                "continuation factor must be finite and strictly positive",
-                t=self.grid.t_nodes[bad[0]],
-                y=self.grid.y_nodes[bad[1]],
-                ybar=self.grid.ybar_nodes[bad[2]],
-            )
-        self.values = v
+        self.values = checked_factor(v, self.grid)
+
+    @property
+    def slices(self):
+        """The (n_t, n_y) slices in ybar order, views of ``values``: what residual reads."""
+        return np.moveaxis(self.values, 2, 0)
 
     def interp(self, t, y):
         """All-slice values at one time t and points y: shape y.shape + (n_ybar,)."""
@@ -412,12 +440,7 @@ class HSurface:
 
     def interp_at(self, t, y, ybar):
         """Value at (t, y, ybar), log-linear between the bracketing slices."""
-        slices = self.interp(t, y)
-        ji, jw = _locate(self.grid.ybar_nodes, ybar, clip=True)
-        lo = np.log(slices[..., ji])
-        hi = np.log(slices[..., ji + 1])
-        out = np.exp(lo * (1.0 - jw) + hi * jw)
-        return out if np.ndim(out) else float(out)
+        return ybar_blend(self.grid.ybar_nodes, self.interp(t, y), ybar)
 
 
 def policy_values(policy, t_nodes, y_nodes):
@@ -781,8 +804,14 @@ class ResidualNorms:
 _RESIDUAL_BLOCK = 24
 
 
-def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=None) -> ResidualNorms:
+def residual(slices, policy, grid: GridSpec, params: ModelParams, coeff_fn=None) -> ResidualNorms:
     """Relative residual (h_t + Q h_y + R h_yy + P h) / h on the band of ResidualNorms.
+
+    ``slices`` yields the factor's (n_t, n_y) slices in ybar order, one
+    pass: HSurface.slices, or persist.load_h_surface's stream, so a surface
+    read from disk never has to sit in memory whole.  Exactly n_ybar slices
+    must come (ValueError otherwise), and the stream is run to its end: the
+    archive reader checks the member's CRC-32 as it reads the last slice.
 
     Outside the band (the far corners, where the factor is a linear
     log-extension, and the terminal window) pointwise central differences
@@ -814,7 +843,7 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
     worst_at, band_max = [], []
     sq_band, n_band = 0.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(yb.size):
+        for j, hj in zip(range(yb.size), slices, strict=True):
             for k0 in range(1, end, _RESIDUAL_BLOCK):
                 k1 = min(k0 + _RESIDUAL_BLOCK, end)
                 dev = yb[j] - y[None, 1:-1] - params.mu_Y * tau[k0:k1]
@@ -824,7 +853,7 @@ def residual(h: HSurface, policy, grid: GridSpec, params: ModelParams, coeff_fn=
                     continue
                 lo, hi = hull[0] + 1, hull[-1] + 2    # the hull's node rows
                 band = band[:, hull[0]:hull[-1] + 1]
-                v = np.ascontiguousarray(h.values[k0 - 1:k1 + 1, lo - 1:hi + 1, j])
+                v = np.ascontiguousarray(hj[k0 - 1:k1 + 1, lo - 1:hi + 1])
                 mid = v[1:-1, 1:-1]
                 ht = ((v[2:, 1:-1] - v[:-2, 1:-1])
                       / (t[k0 + 1:k1 + 1] - t[k0 - 1:k1 - 1])[:, None])

@@ -596,13 +596,19 @@ class TestCommands:
             (1 + lanes) * 200 * 20 for run in runs for lanes in run)
         assert sum(w["normals"] for w in work.values()) == len(runs) * 2 * drawn * 20
 
-    def test_verify_report_equals_separate_checks(self, tmp_path):
+    def test_verify_report_equals_separate_checks(self, tmp_path, monkeypatch):
         # verify draws each stream once; its g rows equal those of each
         # point's own stream-1 run, and its spike and reward rows those of
-        # the spike test run without riders.
+        # the spike test run without riders.  It streams the factor from
+        # disk: the whole-surface load and HSurface itself may not run.
         import prefhedge.cli as cli
-        from prefhedge.persist import load_h_surface
+        import prefhedge.persist
+        import prefhedge.pide
+        from prefhedge.persist import read_h_surface
         from test_mc import reference_g_representation
+
+        def refuse(*a, **k):
+            raise AssertionError("verify built the whole factor surface")
 
         extra = {"params": {**BASE["params"], "rho": 0.6}, "grid": self.GRID,
                  "probes": [{"t": 7.0 * i, "exp_y": 2.0} for i in range(3)],
@@ -611,10 +617,13 @@ class TestCommands:
         path = write_config(tmp_path, extra)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
-        main(["verify", "--config", str(path), "--out", str(out)])
+        with monkeypatch.context() as m:
+            m.setattr(prefhedge.persist, "read_h_surface", refuse)
+            m.setattr(prefhedge.pide.HSurface, "__post_init__", refuse)
+            main(["verify", "--config", str(path), "--out", str(out)])
         report = json.loads((out / "verify_report.json").read_text())
         cfg = RunConfig.from_file(path)
-        h = load_h_surface(out / "h_surface.bin", cfg.params)
+        h = read_h_surface(out / "h_surface.bin", cfg.params)
         pol = load_policy_surface(out / "policy_surface.bin", cfg.params)
         points = [(t, y, row["ybar"])
                   for (t, y), row in zip(cfg.probes, report["g_representation"], strict=True)]
@@ -631,6 +640,31 @@ class TestCommands:
             (r.delta, r.held, r.spike, r.quotient, r.se, r.passed) for r in spike.rows]
         (reward,) = report["reward_crosscheck"]
         assert (reward["j_mc"], reward["se"]) == (spike.j_base, spike.j_base_se)
+        # The residual and reward rows, read off the streamed slices, equal
+        # those of the whole surface bit for bit.
+        res = prefhedge.residual(h.slices, pol.pi, h.grid, cfg.params)
+        assert (report["residual"]["rms_rel_band"], report["residual"]["max_rel_band"]) == (
+            res.rms_rel_band, res.max_rel_band)
+        t0, y0 = reward["t"], float(np.log(reward["exp_y"]))
+        assert reward["j_quadrature"] == prefhedge.reward_quadrature(
+            h.interp(t0, y0), h.grid, t0, 1.0, y0, cfg.params, n_nodes=cli._VERIFY_NODES)
+
+    def test_verify_same_on_loaded_and_solved_surfaces(self, tmp_path):
+        # One consumer for both: the factor streamed from disk and the
+        # slices of the surface verify solves itself give the same report.
+        extra = {"params": {**BASE["params"], "rho": 0.6}, "grid": self.GRID,
+                 "probes": [{"t": 7.0 * i, "exp_y": 2.0} for i in range(3)],
+                 "sim": {"n_paths": 500, "n_steps": 20, "seed": 11},
+                 "verify": {"spike_deltas": [0.5], "spike_offsets": [0.1],
+                            "reward_probes": [{"t": 0.0, "exp_y": 2.0},
+                                              {"t": 14.0, "exp_y": 2.0}]}}
+        path = write_config(tmp_path, extra)
+        solved = tmp_path / "solved"
+        main(["verify", "--config", str(path), "--out", str(solved)])
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        main(["verify", "--config", str(path), "--out", str(out)])
+        assert report_without_timings(out) == report_without_timings(solved)
 
     def test_reports_carry_the_fields_the_benchmark_reads(self, tmp_path):
         # perfbench/run.py scores solve and verify by these keys; a renamed
@@ -703,6 +737,50 @@ class TestCommands:
         target.write_bytes(bytes(blob))
         rc = main(["verify", "--config", str(path), "--out", str(out)])
         assert rc == 2
+
+    TAMPER = {"grid": {"n_t_steps": 40, "n_y": 61, "n_ybar": 7},
+              "probes": [{"t": 0.0, "exp_y": 2.0}],
+              "sim": {"n_paths": 200, "n_steps": 20, "seed": 7},
+              "verify": {"spike_deltas": [0.5], "spike_offsets": [0.1]}}
+
+    def test_verify_checks_the_crc_after_the_last_slice(self, tmp_path, capsys):
+        # One flipped low mantissa byte of the last slice's last node keeps
+        # every node positive: the residual reads the whole stream, and only
+        # the member's CRC-32 at its end catches the damage, before a report
+        # is written.
+        import struct
+        import zipfile
+
+        out = tmp_path / "out"
+        path = write_config(tmp_path, self.TAMPER)
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        target = out / "h_surface.bin"
+        blob = bytearray(target.read_bytes())
+        with zipfile.ZipFile(target) as zf:
+            info = zf.getinfo("h.npy")
+        name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+        blob[info.header_offset + 30 + name_len + extra_len + info.file_size - 8] ^= 0x01
+        target.write_bytes(bytes(blob))
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+        assert "checksum" in capsys.readouterr().err
+        assert not (out / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_verify_refuses_a_non_positive_slice(self, tmp_path, capsys, bad):
+        from prefhedge.persist import _write, read_h_surface
+
+        out = tmp_path / "out"
+        path = write_config(tmp_path, self.TAMPER)
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        cfg = RunConfig.from_file(path)
+        h = read_h_surface(out / "h_surface.bin", cfg.params)
+        slices = h.slices.copy()
+        slices[4, 10, 20] = bad
+        _write(out / "h_surface.bin", cfg.params, h.grid, h=slices)
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "PositivityError" in err and "strictly positive" in err
+        assert not (out / "verify_report.json").exists()
 
     def test_bridge_test(self, tmp_path):
         path = write_config(tmp_path, {

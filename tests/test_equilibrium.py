@@ -355,7 +355,7 @@ def test_reward_quadrature_constant_policy_oracle():
     Eg = np.exp(p.y0 + (p.mu_Y + 0.5 * p.sigma_Y**2) * p.T)
     geff = (1 - p.rho**2) * Eg + p.rho**2
     j_exact = p.T * (p.r + pi0 * (p.mu_S - p.r) - 0.5 * pi0**2 * p.sigma_S**2 * geff)
-    got = reward_quadrature(h, 0.0, 1.0, p.y0, p)
+    got = reward_quadrature(h.interp(0.0, p.y0), g, 0.0, 1.0, p.y0, p)
     assert got == pytest.approx(j_exact, abs=5e-3)
 
 
@@ -387,7 +387,7 @@ def test_reward_quadrature_matches_per_node_loop(mu_Y, rho):
               (30.0, p.y0 - 0.5, 0.7, 11), (0.0, -p.mu_Y * p.T, 1.0, 11)]
     for t0, y0, x0, n_nodes in points:
         want = reference_reward_quadrature(h, t0, x0, y0, p, n_nodes)
-        got = reward_quadrature(h, t0, x0, y0, p, n_nodes)
+        got = reward_quadrature(h.interp(t0, y0), g, t0, x0, y0, p, n_nodes)
         assert abs(got - want) <= 1e-15 * abs(want)
 
 

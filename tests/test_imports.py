@@ -36,6 +36,34 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def solver_imports(source):
+    """The solver modules (pide, equilibrium) a module's source imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + (
+                [alias.name for alias in node.names] if not node.module else [])
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {name.rsplit(".", 1)[-1] for name in names} & {"pide", "equilibrium"}
+    return sorted(found)
+
+
+def test_guard_sees_a_solver_import():
+    assert solver_imports("from .pide import HSurface\nimport numpy\n") == ["pide"]
+    assert solver_imports("from . import equilibrium\n") == ["equilibrium"]
+    assert solver_imports("import prefhedge.pide as p\n") == ["pide"]
+    assert solver_imports("from .model import eval_policy\n") == []
+
+
+def test_monte_carlo_imports_nothing_from_the_solver():
+    # The Monte Carlo oracles referee the solver: mc.py takes the solver's
+    # values as numbers and imports none of its code.
+    assert solver_imports((Path(prefhedge.__file__).parent / "mc.py").read_text()) == []
+
+
 # Names the benchmark's tracer wraps that the library no longer has; the
 # tracer reports them absent.
 STALE_TRACED = {"prefhedge.equilibrium.solve_h", "prefhedge.equilibrium.coefficients",

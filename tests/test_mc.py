@@ -42,7 +42,8 @@ def g_representation(h, policy, t0, x0, y0, ybar, cfg, p):
     point = [(t0, y0, ybar)]
     spike = equilibrium_spike_test(policy, t0, x0, y0, cfg, p, deltas=((p.T - t0) / 2,),
                                    perturbations=(), ybar_quadrature=2, riders=point)
-    (got,) = verify_g_representation_batch(h, point, x0, spike.rider_moments)
+    (got,) = verify_g_representation_batch([h.interp_at(t0, y0, ybar)], point, x0,
+                                            spike.rider_moments)
     assert [got] == reference_g_representation(h, policy, point, x0, cfg, p)
     return got
 
@@ -395,7 +396,8 @@ class TestSharedStreamGRepresentation:
             h = solve_h(0.3, default_grid(self.P, probe_y=[self.P.y0], **self.GRID), self.P)
         points = self._points(h.grid)
         moments = self._rode(policy, points, cfg).rider_moments
-        got = verify_g_representation_batch(h, points, 1.0, moments)
+        got = verify_g_representation_batch([h.interp_at(*p) for p in points], points, 1.0,
+                                            moments)
         want = reference_g_representation(h, policy, points, 1.0, cfg, self.P)
         assert len(got) == len(want) == 4
         for g, w in zip(got, want):
@@ -436,7 +438,8 @@ class TestSharedStreamGRepresentation:
 
         points = self._points(h.grid)
         moments = self._rode(policy, points[1:], cfg).rider_moments
-        assert len(verify_g_representation_batch(h, points[1:], 1.0, moments)) == 3
+        h_values = [h.interp_at(*p) for p in points[1:]]
+        assert len(verify_g_representation_batch(h_values, points[1:], 1.0, moments)) == 3
         with pytest.raises(DomainError):
             self._rode(policy, points, cfg)
 
@@ -454,10 +457,11 @@ class TestSharedStreamGRepresentation:
                                       riders=points, **kw)
         assert alone.rider_moments == () and len(rode.rider_moments) == 4
         assert replace(rode, rider_moments=()) == alone
-        got = verify_g_representation_batch(h, points, 1.0, rode.rider_moments)
+        h_values = [h.interp_at(*p) for p in points]
+        got = verify_g_representation_batch(h_values, points, 1.0, rode.rider_moments)
         assert got == reference_g_representation(h, pol, points, 1.0, cfg, self.P)
         with pytest.raises(ValueError):
-            verify_g_representation_batch(h, points, 1.0, rode.rider_moments[1:])
+            verify_g_representation_batch(h_values, points, 1.0, rode.rider_moments[1:])
         with pytest.raises(DomainError, match="two nodes"):
             equilibrium_spike_test(pol, 0.0, 1.0, self.P.y0, cfg, self.P, deltas=(0.5,),
                                    ybar_quadrature=1, riders=points)

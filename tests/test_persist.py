@@ -12,12 +12,14 @@ from prefhedge import (
     default_grid,
     load_h_surface,
     load_policy_surface,
+    read_h_surface,
     save_h_surface,
     save_policy_surface,
     solve_h,
 )
 from prefhedge.equilibrium import policy_from_h
-from prefhedge.persist import params_hash
+from prefhedge.errors import PositivityError
+from prefhedge.persist import _write, params_hash
 from prefhedge.pide import BAND_SD, QUAD_SD, HSurface
 
 P = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.6,
@@ -36,7 +38,7 @@ def test_h_surface_round_trip(tmp_path, solved):
     grid, h, _ = solved
     path = tmp_path / "h.bin"
     save_h_surface(path, h, P)
-    back = load_h_surface(path, P)
+    back = read_h_surface(path, P)
     assert np.array_equal(back.values, h.values)
     assert np.array_equal(back.grid.t_nodes, grid.t_nodes)
     assert np.array_equal(back.grid.ybar_nodes, grid.ybar_nodes)
@@ -44,6 +46,80 @@ def test_h_surface_round_trip(tmp_path, solved):
     assert type(back.grid.T) is float and type(back.grid.eps_T) is float
     # the loaded values keep the march's slice-major (ybar, t, y) layout
     assert np.moveaxis(back.values, 2, 0).flags.c_contiguous
+
+
+def test_h_surface_streams_its_slices(tmp_path, solved):
+    # The grid comes first and the slices one at a time, in ybar order.
+    grid, h, _ = solved
+    path = tmp_path / "h.bin"
+    save_h_surface(path, h, P)
+    back, slices = load_h_surface(path, P)
+    assert np.array_equal(back.ybar_nodes, grid.ybar_nodes)
+    got = list(slices)
+    assert len(got) == grid.ybar_nodes.size
+    for j, s in enumerate(got):
+        assert s.shape == grid.shape[:2] and np.array_equal(s, h.values[:, :, j])
+
+
+def test_stream_checks_the_crc_with_the_last_slice(tmp_path, solved):
+    grid, h, _ = solved
+    path = tmp_path / "h.bin"
+    save_h_surface(path, h, P)
+    blob = bytearray(path.read_bytes())
+    # The low mantissa byte of the last slice's last node: still positive.
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("h.npy")
+    name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+    end = info.header_offset + 30 + name_len + extra_len + info.file_size
+    blob[end - 8] ^= 0x01
+    path.write_bytes(bytes(blob))
+    _grid, slices = load_h_surface(path, P)
+    # zipfile checks the CRC-32 as the member's last byte is read.
+    for _ in range(grid.ybar_nodes.size - 1):
+        next(slices)
+    with pytest.raises(ConfigError, match="checksum"):
+        next(slices)
+
+
+def test_damaged_slice_is_named_by_its_checksum(tmp_path, solved):
+    # A flipped sign bit makes a node negative; the damage, not the
+    # factor, is reported, as when the archive was read whole.
+    grid, h, _ = solved
+    path = tmp_path / "h.bin"
+    save_h_surface(path, h, P)
+    blob = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("h.npy")
+    name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+    end = info.header_offset + 30 + name_len + extra_len + info.file_size
+    n_t, n_y, n_s = grid.shape
+    blob[end - (n_s - 3) * n_t * n_y * 8 - 1] ^= 0x80
+    path.write_bytes(bytes(blob))
+    _grid, slices = load_h_surface(path, P)
+    for _ in range(2):
+        next(slices)
+    with pytest.raises(ConfigError, match="checksum"):
+        next(slices)
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.0, np.inf, np.nan])
+def test_stream_refuses_a_non_positive_slice(tmp_path, solved, bad):
+    # A node that is not finite and positive raises where its slice is
+    # read, naming its (t, y, ybar); the earlier slices have gone out.
+    grid, h, _ = solved
+    values = h.slices.copy()
+    values[3, 7, 11] = bad
+    path = tmp_path / "h.bin"
+    _write(path, P, grid, h=values)
+    _grid, slices = load_h_surface(path, P)
+    for _ in range(3):
+        next(slices)
+    with pytest.raises(PositivityError) as exc:
+        next(slices)
+    assert (exc.value.t, exc.value.y, exc.value.ybar) == (
+        grid.t_nodes[7], grid.y_nodes[11], grid.ybar_nodes[3])
+    with pytest.raises(PositivityError):
+        read_h_surface(path, P)
 
 
 def test_policy_surface_round_trip(tmp_path, solved):
@@ -92,7 +168,7 @@ def test_bit_flip_is_detected(tmp_path, solved):
     blob[len(blob) // 2] ^= 0x40
     path.write_bytes(bytes(blob))
     with pytest.raises(ConfigError, match="checksum"):
-        load_h_surface(path, P)
+        read_h_surface(path, P)
 
 
 def test_wrong_params_hash_is_detected(tmp_path, solved):
@@ -159,7 +235,7 @@ def _same_surface(a, b):
 @pytest.mark.parametrize("kind", ["h", "policy"])
 def test_damaged_archive_fails_closed(tmp_path, solved, kind):
     _, h, pol = solved
-    save, load, surface = {"h": (save_h_surface, load_h_surface, h),
+    save, load, surface = {"h": (save_h_surface, read_h_surface, h),
                            "policy": (save_policy_surface, load_policy_surface, pol)}[kind]
     path = tmp_path / "s.bin"
     save(path, surface, P)

@@ -728,7 +728,7 @@ class TestResidual:
                                              np.shape(yb), np.shape(pi)))
             return z, z, z
 
-        r = residual(h, 0.0, g, P0, coeff_fn=zero_coeffs)
+        r = residual(h.slices, 0.0, g, P0, coeff_fn=zero_coeffs)
         assert (r.max_rel_band, r.rms_rel_band) == (0.0, 0.0)
 
     def test_manufactured_solution(self):
@@ -743,7 +743,7 @@ class TestResidual:
                                         np.shape(yb), np.shape(pi))
             return np.full(shape, a), np.zeros(shape), np.zeros(shape)
 
-        r = residual(h, 0.0, g, P0, coeff_fn=mms_coeffs)
+        r = residual(h.slices, 0.0, g, P0, coeff_fn=mms_coeffs)
         assert r.max_rel_band < 1e-8
 
     @pytest.mark.parametrize("c", [1.0, 5.0])
@@ -762,7 +762,7 @@ class TestResidual:
                                         np.shape(yb), np.shape(pi))
             return np.full(shape, -(q * c + R * c**2)), np.full(shape, q), np.full(shape, R)
 
-        r = residual(h, 0.0, g, P0, coeff_fn=exp_coeffs)
+        r = residual(h.slices, 0.0, g, P0, coeff_fn=exp_coeffs)
         want = abs(q * (np.sinh(c * dy) / dy - c)
                    + R * ((2.0 * np.cosh(c * dy) - 2.0) / dy**2 - c**2))
         assert r.max_rel_band == pytest.approx(want, rel=1e-10)
@@ -772,7 +772,7 @@ class TestResidual:
         from prefhedge import fixed_point_solve
         g = default_grid(P0)
         h, pol = fixed_point_solve(g, P0)
-        r = residual(h, pol.pi, g, P0)
+        r = residual(h.slices, pol.pi, g, P0)
         # tolerance pinned by the grid-refinement study: halving dt halves
         # both band norms (first-order march)
         assert r.max_rel_band < 1e-4
@@ -780,20 +780,20 @@ class TestResidual:
 
     @pytest.fixture(scope="class")
     def solved(self, tmp_path_factory):
-        from prefhedge import fixed_point_solve, load_h_surface, save_h_surface
+        from prefhedge import fixed_point_solve, read_h_surface, save_h_surface
         g = default_grid(P06, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
         h, pol = fixed_point_solve(g, P06)
         path = tmp_path_factory.mktemp("residual") / "h.bin"
         save_h_surface(path, h, P06)
-        loaded = load_h_surface(path, P06)
+        loaded = read_h_surface(path, P06)
         contiguous = HSurface(grid=g, values=np.ascontiguousarray(loaded.values))
-        return g, pol, {"fresh": h, "loaded": loaded, "contiguous": contiguous}
+        return g, pol, {"fresh": h, "loaded": loaded, "contiguous": contiguous}, path
 
     @pytest.mark.parametrize("source", ["fresh", "loaded", "contiguous"])
     @pytest.mark.parametrize("case", ["model", "overflowing_coeffs", "empty_band",
                                       "nan_late_block", "late_worst"])
     def test_streamed_matches_whole_array_reference(self, solved, source, case, monkeypatch):
-        g, pol, surfaces = solved
+        g, pol, surfaces, _path = solved
         h = surfaces[source]
         # 39 core time levels: a full block and a shorter last one.
         n_core = g.t_nodes.size - 2
@@ -826,10 +826,10 @@ class TestResidual:
                 return np.where(t == late, P * 1e60, P), Q, R
         if case == "empty_band":
             with pytest.raises(DomainError, match="band holds no"):
-                residual(h, pol.pi, g, P06)
+                residual(h.slices, pol.pi, g, P06)
             return
         want = reference_residual(h, pol.pi, g, P06, coeff_fn=coeff_fn)
-        got = residual(h, pol.pi, g, P06, coeff_fn=coeff_fn)
+        got = residual(h.slices, pol.pi, g, P06, coeff_fn=coeff_fn)
         if case == "overflowing_coeffs":
             assert np.isinf(want.max_rel_band)
             assert want.worst[::2] == (g.t_nodes[1], g.ybar_nodes[-1])
@@ -844,7 +844,7 @@ class TestResidual:
     def test_evaluates_only_band_hulls(self, solved):
         # Each coefficient call covers the levels of one block before the
         # terminal cut and exactly the rows of that block's band hull.
-        g, pol, surfaces = solved
+        g, pol, surfaces, _path = solved
         t, y, yb = g.t_nodes, g.y_nodes, g.ybar_nodes
         calls = []
 
@@ -852,8 +852,8 @@ class TestResidual:
             calls.append((t_[:, 0], y_[0], yb_))
             return coefficients(t_, y_, yb_, pi, params)
 
-        got = residual(surfaces["fresh"], pol.pi, g, P06, coeff_fn=recording)
-        assert got == residual(surfaces["fresh"], pol.pi, g, P06)
+        got = residual(surfaces["fresh"].slices, pol.pi, g, P06, coeff_fn=recording)
+        assert got == residual(surfaces["fresh"].slices, pol.pi, g, P06)
         cut = pide._terminal_layer_cut(g, P06.rho)
         assert 1 < cut < t.size - 1
         n_nodes = 0
