@@ -481,13 +481,14 @@ class SpikeReport:
         return all(r.passed for r in self.rows)
 
 
-def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelParams,
-                           deltas=(0.5, 0.25, 0.125), perturbations=(0.05, 0.1, 0.2),
-                           ybar_quadrature=11, z_gate=3.0, riders=()) -> SpikeReport:
+def equilibrium_spike_test(pi_hat, t0, x0, y0, cfg: SimConfig, params: ModelParams, *,
+                           deltas, perturbations, z_gate, ybar_quadrature=11,
+                           riders=()) -> SpikeReport:
     """Estimate improvement quotients for spike deviations from a policy.
 
     ``perturbations`` are absolute offsets applied both ways around the
-    candidate's value at (t0, y0).  A spiked policy holds its constant
+    candidate's value at (t0, y0); a row passes unless its quotient lies
+    more than ``z_gate`` se below zero.  A spiked policy holds its constant
     fraction on every step whose left point lies in [t0, t0 + delta) and
     follows the candidate afterwards, so it is held for a whole number of
     steps (0.6 for delta = 0.5 on 0.2-year steps); each quotient and its se

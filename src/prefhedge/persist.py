@@ -2,9 +2,9 @@
 
 An archive holds one member per :class:`GridSpec` field (scalars 0-d, read
 back as Python floats), ``params_hash`` (uint8[16]: the leading half of the
-SHA-256 of the packed parameter tuple) and the payload: ``h``, the factor
-in slice-major (ybar, t, y) order, or ``pi``, ``myopic`` and ``hedging``.
-Floats are stored raw.
+SHA-256 of the ModelParams fields in field order, packed as little-endian
+doubles) and the payload: ``h``, the factor in slice-major (ybar, t, y)
+order, or ``pi``, ``myopic`` and ``hedging``.  Floats are stored raw.
 
 One reader, _stream, reads an archive in one pass: the grid, then the
 payload one (t, y) array at a time, so the factor comes one ybar slice
@@ -39,11 +39,8 @@ _GRID_FIELDS = tuple(f.name for f in dataclasses.fields(GridSpec))
 
 
 def params_hash(params: ModelParams) -> bytes:
-    packed = struct.pack(
-        "<8d", params.r, params.mu_S, params.sigma_S, params.rho,
-        params.mu_Y, params.sigma_Y, params.T, params.y0,
-    )
-    return hashlib.sha256(packed).digest()[:16]
+    values = dataclasses.astuple(params)
+    return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).digest()[:16]
 
 
 def _write(path, params, grid, **payload):

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import prefhedge
-from prefhedge.cli import _GRID_KEYS, _PARAM_KEYS, _SIM_KEYS, RunConfig, TABLE_BLOCKS, main
+from prefhedge.cli import RunConfig, TABLE_BLOCKS, VerifyConfig, main
 from prefhedge.errors import ConfigError
 from prefhedge.mc import SimConfig
 from prefhedge.model import ModelParams
@@ -92,13 +93,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"in top level: \['fixed_point'\]"):
             RunConfig.from_file(path)
 
-    def test_config_keys_match_what_they_feed(self):
-        # Each section's keys are the keyword parameters of what it feeds, so
-        # a setting dropped in one place and left in the other fails here.
-        grid = inspect.signature(default_grid).parameters
-        assert set(_GRID_KEYS) == set(grid) - {"params", "probe_y"}
-        assert set(_SIM_KEYS) == {f.name for f in dataclasses.fields(SimConfig)}
-        assert set(_PARAM_KEYS) == {f.name for f in dataclasses.fields(ModelParams)}
+    def test_every_field_and_keyword_round_trips(self, tmp_path):
+        # Each section takes its keys from the type it feeds: every field of
+        # ModelParams and SimConfig and every annotated keyword of
+        # default_grid is read from the config and arrives as written.
+        def moved(value):
+            if isinstance(value, bool):
+                return not value
+            return value + (2 if isinstance(value, int) else 0.5)
+
+        base = ModelParams(**BASE["params"])
+        params = {f.name: getattr(base, f.name) + 0.01 for f in dataclasses.fields(ModelParams)}
+        grid = {name: moved(p.default)
+                for name, p in inspect.signature(default_grid).parameters.items()
+                if p.annotation in ("int", "float", "bool")}
+        sim = {f.name: moved(f.default) for f in dataclasses.fields(SimConfig)}
+        assert set(grid) == set(inspect.signature(default_grid).parameters) - {"params", "probe_y"}
+        cfg = RunConfig.from_file(write_config(
+            tmp_path, {"params": params, "grid": grid, "sim": sim}))
+        assert dataclasses.asdict(cfg.params) == params
+        assert cfg.grid_kwargs == grid
+        assert dataclasses.asdict(cfg.sim) == sim
 
     @pytest.mark.parametrize("extra,key", [
         ({"grid": {"n_gh": 0}}, "grid.n_gh"),
@@ -115,6 +130,9 @@ class TestConfigParsing:
         ({"grid": {"ybar_pad_sd": float("inf")}}, "grid.ybar_pad_sd"),
         # The grid's terminal offset is fixed at 1e-3 T: an unknown key.
         ({"grid": {"eps_T": 0.04}}, "eps_T"),
+        # default_grid's y spacing divides by n_y - 1; the slices must increase.
+        ({"grid": {"n_y": 1}}, "grid.n_y"),
+        ({"grid": {"n_ybar": 1}}, "grid.n_ybar"),
     ])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, extra, key):
         path = write_config(tmp_path, extra)
@@ -150,7 +168,14 @@ class TestConfigParsing:
         verify = {"z_gate": 3, "residual_tol": 1e-3, "spike_deltas": [1, 0.5],
                   "spike_offsets": [0.1], "reward_probes": [{"t": 40, "exp_y": 1}]}
         cfg = RunConfig.from_file(write_config(tmp_path, {"verify": verify}))
-        assert cfg.verify == verify
+        assert cfg.verify == VerifyConfig(
+            reward_probes=((40.0, 0.0),), residual_tol=1e-3, z_gate=3.0,
+            spike_deltas=(1.0, 0.5), spike_offsets=(0.1,))
+        # Left out, each takes its default; the one reward probe is (0, y0).
+        cfg = RunConfig.from_file(write_config(tmp_path))
+        assert cfg.verify == VerifyConfig(
+            reward_probes=((0.0, BASE["params"]["y0"]),), residual_tol=1e-4, z_gate=3.0,
+            spike_deltas=(0.5, 0.25, 0.125), spike_offsets=(0.05, 0.1, 0.2))
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
@@ -514,6 +539,52 @@ class TestCommands:
         assert calls == simulated
         assert report_without_timings(out) == reused
 
+    def test_default_reward_probe_is_the_spike_point(self, tmp_path, monkeypatch):
+        # exp and log do not round-trip y0 = 0.7, yet the default reward
+        # probe is (0, y0) itself: verify makes one run per quadrature node,
+        # and the reward row is the spike test's base estimate.
+        import prefhedge.cli as cli
+
+        assert float(np.log(float(np.exp(0.7)))) != 0.7
+        path = write_config(tmp_path, {
+            "params": {**BASE["params"], "y0": 0.7}, "grid": self.GRID,
+            "sim": {"n_paths": 200, "n_steps": 20, "seed": 7},
+            "verify": {"spike_deltas": [0.5], "spike_offsets": [0.1]}})
+        out = tmp_path / "out"
+        runs = []
+        simulate = prefhedge.mc._simulate
+        monkeypatch.setattr(prefhedge.mc, "_simulate",
+                            lambda *a, **k: runs.append(a) or simulate(*a, **k))
+        main(["verify", "--config", str(path), "--out", str(out)])
+        report = json.loads((out / "verify_report.json").read_text())
+        assert len(runs) == cli._VERIFY_NODES
+        (row,) = report["reward_crosscheck"]
+        assert (row["t"], row["j_mc"], row["se"]) == (
+            0.0, report["spike_test"]["j_base"], report["spike_test"]["j_base_se"])
+
+    def test_verify_refuses_archives_of_two_grids(self, tmp_path, capsys):
+        # Two solves whose probes differ give archives of one shape on
+        # different y and ybar nodes; verify refuses the pair before any check.
+        from prefhedge.persist import load_h_surface
+
+        for exp_y in (2.0, 2.05):
+            path = write_config(tmp_path, {"grid": self.GRID,
+                                           "probes": [{"t": 0.0, "exp_y": exp_y}]})
+            assert main(["solve", "--config", str(path),
+                         "--out", str(tmp_path / str(exp_y))]) == 0
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        shutil.copy(tmp_path / "2.0" / "h_surface.bin", mixed)
+        shutil.copy(tmp_path / "2.05" / "policy_surface.bin", mixed)
+        h_grid, _slices = load_h_surface(mixed / "h_surface.bin")
+        pol = load_policy_surface(mixed / "policy_surface.bin")
+        assert h_grid.shape == pol.grid.shape
+        assert not np.array_equal(h_grid.y_nodes, pol.grid.y_nodes)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(path), "--out", str(mixed)]) == 2
+        assert "different grids" in capsys.readouterr().err
+        assert not (mixed / "verify_report.json").exists()
+
     @pytest.mark.parametrize("z_gate", [None, 2.5])
     def test_verify_spike_rows_use_configured_z_gate(self, tmp_path, monkeypatch, z_gate):
         import prefhedge.cli as cli
@@ -632,7 +703,7 @@ class TestCommands:
             (x.pde, {"mean": x.mean, "se": x.se, "z": x.z}) for x in g]
         spike = prefhedge.equilibrium_spike_test(
             pol, 0.0, 1.0, cfg.probes[0][1], cfg.sim, cfg.params, deltas=(0.5, 0.25),
-            perturbations=(0.1,), ybar_quadrature=cli._VERIFY_NODES)
+            perturbations=(0.1,), z_gate=3.0, ybar_quadrature=cli._VERIFY_NODES)
         rep = report["spike_test"]
         assert (rep["j_base"], rep["j_base_se"]) == (spike.j_base, spike.j_base_se)
         assert [(r["delta"], r["held"], r["spike"], r["quotient"], r["se"], r["pass"])

@@ -41,7 +41,8 @@ def g_representation(h, policy, t0, x0, y0, ybar, cfg, p):
     """
     point = [(t0, y0, ybar)]
     spike = equilibrium_spike_test(policy, t0, x0, y0, cfg, p, deltas=((p.T - t0) / 2,),
-                                   perturbations=(), ybar_quadrature=2, riders=point)
+                                   perturbations=(), z_gate=3.0, ybar_quadrature=2,
+                                   riders=point)
     (got,) = verify_g_representation_batch([h.interp_at(t0, y0, ybar)], point, x0,
                                             spike.rider_moments)
     assert [got] == reference_g_representation(h, policy, point, x0, cfg, p)
@@ -387,7 +388,8 @@ class TestSharedStreamGRepresentation:
 
     def _rode(self, policy, points, cfg, **kw):
         """The points' g moments from riding on a spike run at (10, y0)."""
-        kw = {"deltas": (0.5,), "perturbations": (0.1,), "ybar_quadrature": 3, **kw}
+        kw = {"deltas": (0.5,), "perturbations": (0.1,), "z_gate": 3.0,
+              "ybar_quadrature": 3, **kw}
         return equilibrium_spike_test(policy, 10.0, 1.0, self.P.y0, cfg, self.P,
                                       riders=points, **kw)
 
@@ -451,7 +453,7 @@ class TestSharedStreamGRepresentation:
         h, pol = fixed_point_solve(grid, self.P)
         cfg = SimConfig(n_paths=2_000, n_steps=20, seed=61)
         points = self._points(h.grid)
-        kw = dict(deltas=(0.5,), perturbations=(0.1,), ybar_quadrature=5)
+        kw = dict(deltas=(0.5,), perturbations=(0.1,), z_gate=3.0, ybar_quadrature=5)
         alone = equilibrium_spike_test(pol, 0.0, 1.0, self.P.y0, cfg, self.P, **kw)
         rode = equilibrium_spike_test(pol, 0.0, 1.0, self.P.y0, cfg, self.P,
                                       riders=points, **kw)
@@ -464,7 +466,9 @@ class TestSharedStreamGRepresentation:
             verify_g_representation_batch(h_values, points, 1.0, rode.rider_moments[1:])
         with pytest.raises(DomainError, match="two nodes"):
             equilibrium_spike_test(pol, 0.0, 1.0, self.P.y0, cfg, self.P, deltas=(0.5,),
-                                   ybar_quadrature=1, riders=points)
+                                   perturbations=(0.05, 0.1, 0.2), z_gate=3.0,
+                                   ybar_quadrature=1,
+                                   riders=points)
 
     def test_starts_match_separate_runs_full_store(self):
         cfg = SimConfig(n_paths=300, n_steps=25, seed=83)
@@ -654,7 +658,7 @@ class TestSpike:
                         mu_Y=-0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
         cfg = SimConfig(n_paths=20_000, n_steps=120, seed=31)
         rep = equilibrium_spike_test(self._policy(p), 30.0, 1.0, p.y0, cfg, p,
-                                     deltas=(0.5,), perturbations=(0.1,),
+                                     deltas=(0.5,), perturbations=(0.1,), z_gate=3.0,
                                      ybar_quadrature=9)
         assert rep.all_passed
         # CRN: quotient SE far below the scale of either estimate's own SE
@@ -665,7 +669,7 @@ class TestSpike:
         # at 0, 0.2 and 0.4, for 0.6.
         cfg = SimConfig(n_paths=500, n_steps=200, seed=59)
         rep = equilibrium_spike_test(0.3, 0.0, 1.0, P6.y0, cfg, P6, deltas=(0.5,),
-                                     perturbations=(0.1,), ybar_quadrature=3)
+                                     perturbations=(0.1,), z_gate=3.0, ybar_quadrature=3)
         assert len(rep.rows) == 2
         for row in rep.rows:
             assert row.delta == 0.5
@@ -679,7 +683,7 @@ class TestSpike:
         frozen = (p.mu_S - p.r) / (p.sigma_S**2 * np.exp(p.y0))
         cfg = SimConfig(n_paths=20_000, n_steps=120, seed=37)
         rep = equilibrium_spike_test(frozen, 30.0, 1.0, p.y0, cfg, p,
-                                     deltas=(0.5,), perturbations=(0.1, 0.2),
+                                     deltas=(0.5,), perturbations=(0.1, 0.2), z_gate=3.0,
                                      ybar_quadrature=9)
         improvements = [(-r.quotient, r.se, r.spike) for r in rep.rows]
         assert any(impr > 3 * se for impr, se, _sp in improvements)
@@ -734,7 +738,7 @@ class TestSpikeLanes:
     def _check(self, policy, cfg, t0=30.0):
         deltas, offsets = (0.5, 0.25), (0.05, 0.2)
         rep = equilibrium_spike_test(policy, t0, 1.0, self.P.y0, cfg, self.P,
-                                     deltas=deltas, perturbations=offsets,
+                                     deltas=deltas, perturbations=offsets, z_gate=3.0,
                                      ybar_quadrature=5)
         j_base, rows = reference_spike_test(policy, t0, self.P.y0, cfg, self.P,
                                             deltas, offsets, 5)

@@ -183,6 +183,12 @@ def test_wrong_params_hash_is_detected(tmp_path, solved):
     assert load_h_surface(path) is not None
 
 
+def test_params_hash_is_pinned():
+    # Every saved archive carries this hash of the sweep point; a change to
+    # the packing or to the order of ModelParams's fields would orphan them.
+    assert params_hash(P) == bytes.fromhex("c6d9d7f7dc22463bacd3cf00006d12e9")
+
+
 def test_wrong_magic_is_rejected(tmp_path, solved):
     _, h, pol = solved
     hp = tmp_path / "h.bin"
