@@ -32,6 +32,7 @@ from .conditional import (
 from .pide import (
     GridSpec,
     HSurface,
+    LevelResidual,
     ResidualNorms,
     coefficients,
     default_grid,
@@ -61,10 +62,10 @@ from .mc import (
     verify_g_representation_batch,
 )
 from .persist import (
+    h_surface_writer,
     load_h_surface,
     load_policy_surface,
     read_h_surface,
-    save_h_surface,
     save_policy_surface,
 )
 
@@ -80,6 +81,7 @@ __all__ = [
     "bridge_drift_y",
     "GridSpec",
     "HSurface",
+    "LevelResidual",
     "ResidualNorms",
     "default_grid",
     "coefficients",
@@ -103,7 +105,7 @@ __all__ = [
     "verify_g_representation_batch",
     "equilibrium_spike_test",
     "gh_terminal_quadrature",
-    "save_h_surface",
+    "h_surface_writer",
     "load_h_surface",
     "read_h_surface",
     "save_policy_surface",

@@ -8,6 +8,14 @@ number the tool emits is reproducible, except the wall-clock phase times
 precision (shortest round-trip representation); console summaries are
 rounded for reading.
 
+Every command that solves streams the solve: each marched level goes
+straight to its consumers (the residual, the factor archive, verify's
+reads) and the factor surface is never held whole.  So ``phase_s.solve``
+includes the residual's work and the factor archive's write, and
+``phase_s.residual`` only adds up the residual's norms (see cmd_solve and
+cmd_verify); ``sweep_s`` leaves both out.  ``table`` reports each solved
+row's residual beside its cells.
+
 Parsing is fail-closed: unknown keys and invalid values are rejected with
 the violated invariant named.  Each section's keys come from what it feeds:
 ``params`` from the fields of ModelParams, ``grid`` from the annotated
@@ -49,12 +57,21 @@ from .mc import (
 )
 from .model import ModelParams
 from .persist import (
+    h_surface_writer,
     load_h_surface,
     load_policy_surface,
-    save_h_surface,
     save_policy_surface,
+    staged,
 )
-from .pide import QUAD_SD, bilinear_interp, default_grid, residual, ybar_blend
+from .pide import (
+    QUAD_SD,
+    LevelResidual,
+    _locate,
+    bilinear_interp,
+    default_grid,
+    residual,
+    ybar_blend,
+)
 
 T_COLUMNS = (0.0, 7.0, 14.0, 21.0, 28.0, 35.0)
 
@@ -249,18 +266,41 @@ def _json_dump(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, default=float) + "\n")
 
 
+def _residual_json(res):
+    return {"max_rel_band": res.max_rel_band, "rms_rel_band": res.rms_rel_band,
+            "worst": dict(zip(("t", "y", "ybar"), res.worst))}
+
+
 def cmd_solve(cfg: RunConfig) -> int:
+    """Solve at the config's point, writing both archives and solve_summary.json.
+
+    Each level goes to the residual and to the factor archive as it is
+    marched.  Both archives are written under staged names and moved onto
+    h_surface.bin and policy_surface.bin only once the march and the
+    residual have succeeded: a failed solve leaves ``out_dir`` as it found
+    it.  ``phase_s`` times ``solve`` (the march, the residual's blocks and
+    the factor write), ``residual`` (its norms) and ``save`` (the policy
+    archive and the moves).
+    """
     probe_ys = sorted({y for _t, y in cfg.probes}) or [cfg.params.y0]
     grid = default_grid(cfg.params, probe_y=probe_ys, **cfg.grid_kwargs)
     _check_in_hull(grid, [(f"probes[{i}]", t, y) for i, (t, y) in enumerate(cfg.probes)])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     clock = [time.perf_counter()]
-    h, pol = fixed_point_solve(grid, cfg.params)
-    clock.append(time.perf_counter())
-    res = residual(h.slices, pol.pi, grid, cfg.params)
-    clock.append(time.perf_counter())
-    save_h_surface(cfg.out_dir / "h_surface.bin", h, cfg.params)
-    save_policy_surface(cfg.out_dir / "policy_surface.bin", pol, cfg.params)
+    acc = LevelResidual(grid, cfg.params)
+    with staged(cfg.out_dir / "h_surface.bin", cfg.out_dir / "policy_surface.bin") as (
+            h_path, p_path):
+        with h_surface_writer(h_path, grid, cfg.params) as write:
+
+            def take(level, pi_row):
+                acc.take(level, pi_row)
+                write(level)
+
+            _h0, pol = fixed_point_solve(grid, cfg.params, take)
+        clock.append(time.perf_counter())
+        res = acc.norms()
+        clock.append(time.perf_counter())
+        save_policy_surface(p_path, pol, cfg.params)
     clock.append(time.perf_counter())
     phase_s = dict(zip(("solve", "residual", "save"), np.diff(clock).tolist()))
 
@@ -288,10 +328,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "map_evals": {"histogram": {str(n): count for n, count in meta.evals_histogram},
                       "total": meta.map_evals, "t_worst": meta.t_worst},
         "converged": True,
-        "residual": {
-            "max_rel_band": res.max_rel_band, "rms_rel_band": res.rms_rel_band,
-            "worst": dict(zip(("t", "y", "ybar"), res.worst)),
-        },
+        "residual": _residual_json(res),
         "grid": {"n_t": int(grid.t_nodes.size), "n_y": int(grid.y_nodes.size),
                  "n_ybar": int(grid.ybar_nodes.size),
                  "ybar_range": [float(grid.ybar_nodes[0]), float(grid.ybar_nodes[-1])]},
@@ -315,7 +352,9 @@ def cmd_table(cfg: RunConfig) -> int:
     """pi at T_COLUMNS per exp_y row: the closed form at rho**2 in {0, 1}, else a solve.
 
     A row that cannot be solved ends the command, naming the block and the
-    exp_y, and no table is written.
+    exp_y, and no table is written.  Each solved row reports its residual
+    (the solve's levels go straight to it), null on the closed rows and
+    where the band holds no node; no gate reads it.
     """
     if cfg.table_block is None:
         raise ConfigError("cmd_table needs 'table_block' in the config")
@@ -324,32 +363,41 @@ def cmd_table(cfg: RunConfig) -> int:
     _mu, rho, rows = TABLE_BLOCKS[cfg.table_block]
 
     lines = ["exp_y," + ",".join(f"t={t:g}" for t in T_COLUMNS)]
-    table = {}
+    table, residuals = {}, {}
     for exp_y in rows:
         y = float(np.log(exp_y))
+        res = None
         if _closed_everywhere(rho):
             vals = [_layer_policy(t, y, params) for t in T_COLUMNS]
         else:
             try:
                 grid = default_grid(params, probe_y=[y], **cfg.grid_kwargs)
-                _h, pol = fixed_point_solve(grid, params)
+                acc = LevelResidual(grid, params)
+                _h0, pol = fixed_point_solve(grid, params, acc.take)
             except (DomainError, PositivityError, ConvergenceError) as exc:
                 exc.args = (f"table block {cfg.table_block}, exp_y = {exp_y!r}: {exc}",)
                 raise
             vals = [float(pol.value(t, y)) for t in T_COLUMNS]
-        table[exp_y] = vals
+            try:
+                res = _residual_json(acc.norms())
+            except DomainError:
+                pass
+        table[exp_y], residuals[str(exp_y)] = vals, res
         lines.append(f"{exp_y!r}," + ",".join(repr(v) for v in vals))
 
     csv_path = cfg.out_dir / f"table_{cfg.table_block.replace(',', '_')}.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     _json_dump(cfg.out_dir / f"table_{cfg.table_block.replace(',', '_')}.json",
                {"block": cfg.table_block, "t_columns": list(T_COLUMNS),
-                "rows": {str(k): v for k, v in table.items()}})
+                "rows": {str(k): v for k, v in table.items()}, "residual": residuals})
 
     print(f"block {cfg.table_block}:")
     for exp_y in rows:
         cells = "  ".join(f"{v:7.3f}" for v in table[exp_y])
-        print(f"  exp_y={exp_y!r:>5}: {cells}")
+        res = residuals[str(exp_y)]
+        note = "" if res is None else (f"  (residual rms {res['rms_rel_band']:.3g}, "
+                                       f"max {res['max_rel_band']:.3g})")
+        print(f"  exp_y={exp_y!r:>5}: {cells}{note}")
     return 0
 
 
@@ -384,18 +432,49 @@ def _check_reward_cover(grid, params, points):
                 f"[{float(yb[0])!r}, {float(yb[-1])!r}]")
 
 
+def _level_reads(grid, points):
+    """A level consumer that reads the factor at each (t, y) of ``points``.
+
+    Returns (at, read): ``read`` takes the factor's levels in march order
+    and fills at[n] with the factor on every slice at the n-th point.  A
+    point is read when the lower of the two levels that bracket its t
+    passes, by bilinear_interp on that pair alone: the bracket and weights
+    of a read of the whole surface, so the same numbers bit for bit.
+    """
+    t = grid.t_nodes
+    at = np.empty((len(points), grid.ybar_nodes.size))
+    brackets = [int(_locate(t, t0, clip=False)[0]) for t0, _y0 in points]
+    above, k = None, t.size
+
+    def read(level):
+        nonlocal above, k
+        k -= 1
+        for n, (t0, y0) in enumerate(points):
+            if brackets[n] == k:
+                pair = np.stack((level, above)).transpose(0, 2, 1)
+                at[n] = bilinear_interp(t[k:k + 2], grid.y_nodes, pair, t0, y0)
+        # Kept only while a read below still needs it.
+        above = level if k - 1 in brackets else None
+
+    return at, read
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     """Check solved surfaces (from ``out_dir``, else solved here) and write verify_report.json.
 
-    The factor is read once, slice by slice, by the residual's pass, which
-    also records the factor at the g points and reward probes; the g rows
-    and the reward quadrature are built from those reads.  A surface from
-    disk thus never sits in memory whole, and an archive that fails a check
-    (its CRC-32 is checked as the last slice is read) ends the command
-    before a report is written.  ``phase_s`` times ``load`` (opening the
-    archives: the grid, the hash and the policy surface; ``solve`` when
-    solved here), ``residual`` (including the factor read),
-    ``g_representation``, ``spike`` and ``reward``.
+    The factor passes once, level by level in march order: read from the
+    archive into pide.residual, or, when verify solves the surfaces itself,
+    straight from the march into the same residual (LevelResidual).  As
+    the levels pass, the factor is recorded at the g points and reward
+    probes (_level_reads); the g rows and the reward quadrature are built
+    from those reads.  The surface thus never sits in memory whole, and an
+    archive that fails a check (its CRC-32 is checked as the last level is
+    read) ends the command before a report is written.  ``phase_s`` times
+    ``load`` (opening the archives: the grid, the hash and the policy
+    surface) or ``solve`` (the march, with the residual's blocks and the
+    reads), ``residual`` (the factor read and the whole residual when
+    loaded, its norms when solved here), ``g_representation``, ``spike``
+    and ``reward``.
     """
     vcfg = cfg.verify
     probes = cfg.probes or ((0.0, cfg.params.y0),)
@@ -417,7 +496,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     clock = [time.perf_counter()]
     loaded = h_path.exists() and p_path.exists()
     if loaded:
-        grid, slices = load_h_surface(h_path, cfg.params)
+        grid, levels = load_h_surface(h_path, cfg.params)
         pol = load_policy_surface(p_path, cfg.params)
         if not all(np.array_equal(getattr(grid, f.name), getattr(pol.grid, f.name))
                    for f in fields(grid)):
@@ -427,37 +506,41 @@ def cmd_verify(cfg: RunConfig) -> int:
         grid = default_grid(cfg.params, probe_y=probe_ys, **cfg.grid_kwargs)
     _check_in_hull(grid, points + reward_points)
     _check_reward_cover(grid, cfg.params, reward_points)
-    if not loaded:
-        h, pol = fixed_point_solve(grid, cfg.params)
-        slices = h.slices
-
-    bundle = {}
 
     g_points = []
     for t0, y0 in probes:
         mean = grid.terminal_mean_sd(t0, y0, cfg.params)[0]
         ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
         g_points.append((t0, y0, ybar))
-    # The residual's one pass over the slices also reads the factor at the
-    # g points and the reward probes: after it, h_at[n] is the factor on
-    # every slice at the n-th of ``reads``.
-    reads = [(t0, y0) for t0, y0, _yb in g_points] + list(vcfg.reward_probes)
-    h_at = []
+    # The factor's one pass also reads it at the g points and the reward
+    # probes: after it, h_at[n] is the factor on every slice at the n-th of
+    # these points.
+    h_at, read = _level_reads(grid, [(t0, y0) for t0, y0, _yb in g_points]
+                              + list(vcfg.reward_probes))
+    if loaded:
+        def reading(levels):
+            for level in levels:
+                read(level)
+                yield level
 
-    def reading(slices):
-        for s in slices:
-            h_at.append([bilinear_interp(grid.t_nodes, grid.y_nodes, s, t0, y0)
-                         for t0, y0 in reads])
-            yield s
+        clock.append(time.perf_counter())
+        res = residual(reading(levels), pol.pi, grid, cfg.params)
+    else:
+        acc = LevelResidual(grid, cfg.params)
 
+        def take(level, pi_row):
+            read(level)
+            acc.take(level, pi_row)
+
+        _h0, pol = fixed_point_solve(grid, cfg.params, take)
+        clock.append(time.perf_counter())
+        res = acc.norms()
     clock.append(time.perf_counter())
-    res = residual(reading(slices), pol.pi, grid, cfg.params)
-    clock.append(time.perf_counter())
-    h_at = np.array(h_at).T
-    bundle["residual"] = {
+
+    bundle = {"residual": {
         "rms_rel_band": res.rms_rel_band, "max_rel_band": res.max_rel_band,
         "tol": vcfg.residual_tol, "pass": bool(res.rms_rel_band < vcfg.residual_tol),
-    }
+    }}
 
     # The g points ride on the spike test's node-1 run, which draws stream 1.
     spike = equilibrium_spike_test(

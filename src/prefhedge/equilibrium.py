@@ -292,7 +292,7 @@ def _anderson_step(us, gs):
     return gs[-1] - gamma @ np.diff(gs, axis=0)
 
 
-def fixed_point_solve(grid: GridSpec, params: ModelParams):
+def fixed_point_solve(grid: GridSpec, params: ModelParams, take=None):
     """Coupled solve: one backward march settling the policy level by level.
 
     All terminal-state slices step jointly from t = T - eps_T.  Each level
@@ -309,20 +309,27 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams):
     iterated from the previous level's with Anderson acceleration and
     accepted once one more map evaluation moves it by less than _TOL_SUP
     (1e-5); the accepted iterate, not the map output, is stored, so
-    the returned factors are exactly the march of the returned policy
+    the marched factors are exactly the march of the returned policy
     (solve_h(pol.pi) reproduces them bit for bit).
 
-    Returns the (factor surface, policy surface) pair; the policy's
-    iteration_meta counts the map evaluations per iterated level and
-    splits the sweep's wall time by phase (IterationMeta.sweep_s).  Raises
-    ConvergenceError naming t, with that level's update history, when a
-    level is not settled within _MAX_EVALS (30) map evaluations; a
+    No level is stored: each accepted level of the factor goes to
+    ``take(level, pi_row)`` as soon as it is marched, in march order
+    (t_nodes[-1] first; see pide._march), with its settled policy row, so a
+    consumer (pide.LevelResidual, the archive writer) can use it at once.
+    Returns the pair (factor at t_nodes[0], shape (n_ybar, n_y); policy
+    surface); the policy's iteration_meta counts the map evaluations per
+    iterated level and splits the sweep's wall time by phase
+    (IterationMeta.sweep_s, which leaves out the time ``take`` spends).
+    Raises ConvergenceError naming t, with that level's update history,
+    when a level is not settled within _MAX_EVALS (30) map evaluations; a
     PositivityError from the march propagates.  The answer depends only on
     the grid and the model.
     """
     t = grid.t_nodes
     myopic = closed_form_policy_rho0(t[:, None], grid.y_nodes[None, :], params)
     closed, hedging = _closed_from(grid, params)
+    # Row k is final once level k is settled: the closed rows from the start.
+    pi = myopic + hedging
     worst: list[float] = []
     t_worst = None
     evals = Counter()
@@ -338,7 +345,7 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams):
         nonlocal worst, t_worst
         prep = timed("prepare", _prepare_level, level, k, grid, params)
         if k >= closed:
-            w = timed("march", _march_level, prep, myopic[k] + hedging[k], grid, params)
+            w = timed("march", _march_level, prep, pi[k], grid, params)
             return timed("march", _extend, prep, w)
         row_map = timed("prepare", _row_map, k, grid, params)
         slopes = timed("prepare", _window_slopes, prep, grid, *row_map[0])
@@ -349,6 +356,7 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams):
             history.append(float(np.max(np.abs(gs[-1] - us[-1]))))
             if history[-1] < _TOL_SUP:
                 hedging[k] = us[-1]
+                pi[k] = myopic[k] + us[-1]
                 evals[len(history)] += 1
                 if len(history) > len(worst):
                     worst, t_worst = history, float(t[k])
@@ -361,23 +369,23 @@ def fixed_point_solve(grid: GridSpec, params: ModelParams):
             history=history,
         )
 
-    h = _march(grid, advance)
+    h0 = _march(grid, advance, pi, take)
     meta = IterationMeta(
         iterations=len(worst), sup_changes=tuple(worst),
         evals_histogram=tuple(sorted(evals.items())),
         map_evals=sum(n * count for n, count in evals.items()),
         t_worst=t_worst, sweep_s=sweep_s,
     )
-    return h, PolicySurface(grid=grid, pi=myopic + hedging, myopic=myopic,
-                            hedging=hedging, iteration_meta=meta)
+    return h0, PolicySurface(grid=grid, pi=pi, myopic=myopic,
+                             hedging=hedging, iteration_meta=meta)
 
 
 def reward_quadrature(h_at, grid: GridSpec, t0, x0, y0, params: ModelParams, n_nodes=21):
     """Factor-side value of the certainty-equivalent reward at (t0, x0, y0).
 
     ``h_at`` is the factor at (t0, y0) on every ybar slice of ``grid``:
-    HSurface.interp(t0, y0), or what verify records from each slice as it
-    streams past.  Aggregates the log certainty equivalents of the
+    HSurface.interp(t0, y0), or what verify records as the two levels
+    that bracket t0 stream past.  Aggregates the log certainty equivalents of the
     continuation values h(t0, y0, ybar) x0^(1-gamma)/(1-gamma) over
     Gauss-Hermite terminal-state nodes, h blended across slices by
     pide.ybar_blend; the Monte Carlo reward estimate converges to this

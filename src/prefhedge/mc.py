@@ -421,7 +421,7 @@ def verify_g_representation_batch(h_values, points, x0, moments) -> list:
     """A GRepReport at each (t0, y0, ybar) of ``points``, from pinned paths.
 
     ``h_values`` are the PDE's factor values h(t0, y0, ybar) at the points
-    (HSurface.interp_at, or verify's reads off the streamed slices), so
+    (HSurface.interp_at, or verify's reads off the streamed levels), so
     this module needs nothing of the solver.
 
     ``moments`` are the points' (mean, se) of terminal utility from the run

@@ -3,30 +3,42 @@
 An archive holds one member per :class:`GridSpec` field (scalars 0-d, read
 back as Python floats), ``params_hash`` (uint8[16]: the leading half of the
 SHA-256 of the ModelParams fields in field order, packed as little-endian
-doubles) and the payload: ``h``, the factor in slice-major (ybar, t, y)
-order, or ``pi``, ``myopic`` and ``hedging``.  Floats are stored raw.
+doubles) and the payload: ``h``, the factor, or ``pi``, ``myopic`` and
+``hedging``.  Floats are stored raw.
+
+``h`` is level-major and in march order, the order the solve makes its
+levels in: shape (n_t, n_ybar, n_y), and ``h[m]`` is the level at
+t_nodes[n_t - 1 - m], so the last time node comes first.  h_surface_writer
+writes it one level at a time as the march hands the levels on (zipfile
+computes the member's CRC-32 as the bytes go in), and the solve never holds
+the whole surface.
 
 One reader, _stream, reads an archive in one pass: the grid, then the
-payload one (t, y) array at a time, so the factor comes one ybar slice
-after another.  It checks the member set, the parameter hash when the
-caller passes the parameters, each payload member's shape and each
-member's zip CRC-32; each failure raises :class:`ConfigError`.
-load_h_surface hands the slices on as they are read, which lets verify's
-residual walk a surface that never sits in memory whole; read_h_surface
-and load_policy_surface gather them.
+payload one array at a time, so the factor comes one level after another.
+It checks the member set, the parameter hash when the caller passes the
+parameters, each payload member's shape and each member's zip CRC-32;
+each failure raises :class:`ConfigError`.  load_h_surface hands the levels
+on as they are read, which lets verify's residual walk a surface that
+never sits in memory whole; read_h_surface and load_policy_surface gather
+them.
 
 To plot, plain numpy reads an archive: ``np.load("policy_surface.bin")``
 gives members ``t_nodes``, ``y_nodes`` and the (t, y) arrays ``pi``,
-``myopic`` and ``hedging``, with ``pi == myopic + hedging`` exactly.
+``myopic`` and ``hedging``, with ``pi == myopic + hedging`` exactly, and
+``np.load("h_surface.bin")["h"][m]`` is the factor at
+``t_nodes[n_t - 1 - m]``, shape (n_ybar, n_y).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import math
+import os
 import struct
 import zipfile
+from pathlib import Path
 
 import numpy as np
 
@@ -43,21 +55,27 @@ def params_hash(params: ModelParams) -> bytes:
     return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).digest()[:16]
 
 
-def _write(path, params, grid, **payload):
-    """np.savez's archive, each member written from its own buffer.
+def _write_members(zf, params, grid, **payload):
+    """np.savez's members: the parameter hash, the grid and ``payload``.
 
-    np.savez copies members out in 16 MiB chunks, which set the solve's peak
-    memory.  np.asarray keeps 0-d members 0-d; np.ascontiguousarray would not.
+    Each is written from its own buffer: np.savez copies members out in
+    16 MiB chunks, which set the solve's peak memory.  np.asarray keeps 0-d
+    members 0-d; np.ascontiguousarray would not.
     """
     members = {"params_hash": np.frombuffer(params_hash(params), dtype=np.uint8),
                **{name: getattr(grid, name) for name in _GRID_FIELDS}, **payload}
+    fmt = np.lib.format
+    for name, arr in members.items():
+        arr = np.asarray(arr, order="C")
+        with zf.open(name + ".npy", "w", force_zip64=True) as fid:
+            fmt.write_array_header_1_0(fid, fmt.header_data_from_array_1_0(arr))
+            fid.write(memoryview(arr).cast("B"))
+
+
+def _write(path, params, grid, **payload):
+    """np.savez's archive of the grid and ``payload``, written member by member."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-        for name, arr in members.items():
-            arr = np.asarray(arr, order="C")
-            with zf.open(name + ".npy", "w", force_zip64=True) as fid:
-                fmt = np.lib.format
-                fmt.write_array_header_1_0(fid, fmt.header_data_from_array_1_0(arr))
-                fid.write(memoryview(arr).cast("B"))
+        _write_members(zf, params, grid, **payload)
 
 
 def _member(zf, name, shape=None):
@@ -92,13 +110,14 @@ def _member(zf, name, shape=None):
 
 
 def _stream(path, payload, params):
-    """Yield a checked archive's grid, then its ``payload`` members' (t, y) arrays.
+    """Yield a checked archive's grid, then its ``payload`` members' arrays.
 
     The payload members are read in the order named: the factor ``h``,
-    shape (n_ybar, n_t, n_y), as its ybar slices; the policy members,
-    shape (n_t, n_y), whole.  Each failure raises ConfigError when the
-    stream reaches it: the member set and the hash before the grid is
-    yielded, a payload member's shape and CRC-32 as it is read.
+    shape (n_t, n_ybar, n_y), as its (n_ybar, n_y) levels in march order;
+    the policy members, shape (n_t, n_y), whole.  Each failure raises
+    ConfigError when the stream reaches it: the member set and the hash
+    before the grid is yielded, a payload member's shape and CRC-32 as it
+    is read.
     """
     with open(path, "rb") as fh:
         try:
@@ -116,7 +135,7 @@ def _stream(path, payload, params):
                 yield grid
                 n_t, n_y, n_s = grid.shape
                 for name in payload:
-                    yield from _member(z.zip, name, (n_s, n_t, n_y) if name == "h" else (n_t, n_y))
+                    yield from _member(z.zip, name, (n_t, n_s, n_y) if name == "h" else (n_t, n_y))
         except ConfigError:
             raise
         # Damaged zip structure (RuntimeError: zipfile's encryption/method flags).
@@ -127,51 +146,95 @@ def _stream(path, payload, params):
             raise ConfigError(f"{path}: not a {'/'.join(payload)} container ({exc})") from exc
 
 
-def save_h_surface(path, h: HSurface, params: ModelParams):
-    _write(path, params, h.grid, h=h.slices)
+@contextlib.contextmanager
+def h_surface_writer(path, grid: GridSpec, params: ModelParams):
+    """Write a factor archive at ``path`` one level at a time: yields ``write(level)``.
+
+    ``write`` takes the (n_ybar, n_y) float64 levels in march order,
+    t_nodes[-1] first, as a solve's ``take`` gets them, and appends each to
+    the ``h`` member as it comes; exactly n_t of them must come before the
+    block ends (ValueError otherwise).  The file is written in place: a
+    caller that must not leave a partial archive writes to a staged name.
+    """
+    n_t, n_y, n_s = grid.shape
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+              "fortran_order": False, "shape": (n_t, n_s, n_y)}
+    written = 0
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        _write_members(zf, params, grid)
+        with zf.open("h.npy", "w", force_zip64=True) as fid:
+            np.lib.format.write_array_header_1_0(fid, header)
+
+            def write(level):
+                nonlocal written
+                if level.shape != (n_s, n_y) or level.dtype != np.float64:
+                    raise ValueError(f"a level is a ({n_s}, {n_y}) float64 array, "
+                                     f"got {level.dtype} {level.shape}")
+                fid.write(memoryview(np.ascontiguousarray(level)).cast("B"))
+                written += 1
+
+            yield write
+        if written != n_t:
+            raise ValueError(f"{path}: {written} of {n_t} levels written")
+
+
+@contextlib.contextmanager
+def staged(*paths):
+    """Temporary names beside ``paths``, moved onto them only if the block succeeds.
+
+    Yields one temporary path per path.  When the block ends without error,
+    each is moved onto its path by os.replace; when it raises, every
+    temporary file is removed and the paths are left as they were.
+    """
+    temps = [Path(p).with_name(Path(p).name + ".part") for p in paths]
+    try:
+        yield temps
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+    for temp, path in zip(temps, paths):
+        os.replace(temp, path)
 
 
 def load_h_surface(path, params: ModelParams | None = None):
-    """Open a factor archive: ``(grid, slices)``, the slices read as they are used.
+    """Open a factor archive: ``(grid, levels)``, the levels read as they are used.
 
     The member set and the parameter hash (when ``params`` is given) are
-    checked before this returns.  ``slices`` is a one-pass iterator of the
-    (n_t, n_y) factor on each ybar slice in order; reading it checks the
-    factor's shape, each slice finite and strictly positive
+    checked before this returns.  ``levels`` is a one-pass iterator of the
+    (n_ybar, n_y) factor levels in march order, t_nodes[-1] first; reading
+    it checks the factor's shape, each level finite and strictly positive
     (PositivityError naming the first bad node's (t, y, ybar), raised once
-    the rest of the member has passed its CRC-32) and, as the last slice is
-    read, the member's CRC-32 (ConfigError).  One slice is in
-    memory at a time, and the archive stays open until the iterator ends.
-    verify passes it to pide.residual; read_h_surface gathers it.
+    the rest of the member has passed its CRC-32) and, as the last level is
+    read, the member's CRC-32 (ConfigError).  One level is in memory at a
+    time, and the archive stays open until the iterator ends.  verify
+    passes it to pide.residual; read_h_surface gathers it.
     """
     stream = _stream(path, ("h",), params)
     grid = next(stream)
 
-    def slices():
-        for j, s in enumerate(stream):
+    def levels():
+        for m, level in enumerate(stream):
             try:
-                checked_factor(s, grid, j)
+                checked_factor(level, grid, grid.t_nodes.size - 1 - m)
             except PositivityError:
                 # Read on to the CRC-32 first: a damaged file is named as such.
                 for _ in stream:
                     pass
                 raise
-            yield s
+            yield level
 
-    return grid, slices()
+    return grid, levels()
 
 
 def read_h_surface(path, params: ModelParams | None = None) -> HSurface:
     """The whole factor surface of an archive, gathered from load_h_surface.
 
-    For callers that read the surface at will (tests, plots); ``values``
-    keeps the march's slice-major layout, a (t, y, ybar) view.
+    For callers that read the surface at will (tests, plots): HSurface's
+    (t, y, ybar) layout, built level by level (HSurface.from_levels).
     """
-    grid, slices = load_h_surface(path, params)
-    values = np.empty((grid.ybar_nodes.size, *grid.shape[:2]))
-    for j, s in enumerate(slices):
-        values[j] = s
-    return HSurface(grid=grid, values=np.moveaxis(values, 0, 2))
+    grid, levels = load_h_surface(path, params)
+    return HSurface.from_levels(grid, levels)
 
 
 def save_policy_surface(path, pol: PolicySurface, params: ModelParams):

@@ -20,7 +20,9 @@ tridiagonal solve that steps every window.  _extend makes the whole level
 of the windows.  solve_h runs one map step per level with a fixed policy;
 the equilibrium sweep prepares each level once, runs as many map steps as
 its policy fixed point needs, each read off the windows (_window_slopes),
-and extends only the accepted one.
+and extends only the accepted one.  A marched level is final, so _march
+hands each one on as it is made, to a consumer such as LevelResidual or
+the archive writer, and stores none: no solve holds the whole surface.
 
 Numerical scheme: implicit (backward Euler) time stepping of the
 convection-diffusion part with central differences in y, switching to
@@ -193,6 +195,8 @@ def default_grid(
     over the horizon, at the lowest slice's constant-policy fraction) at
     most 500, inside float range (H_MAX is e^690).  Otherwise DomainError
     is raised before any grid is built, naming the estimate and the pad.
+    So is an ``n_y`` that lays out fewer y nodes than a marched window
+    needs (_MIN_WINDOW), naming the least n_y that lays out enough here.
     """
     if not ybar_pad_sd >= 3.0:
         raise DomainError(f"ybar_pad_sd must be >= 3.0, got {ybar_pad_sd!r}")
@@ -224,8 +228,16 @@ def default_grid(
     tube_pad = (BAND_SD + 0.5) * sT
     y_lo = min(yb_lo - max(0.0, drift) - tube_pad, min(probes) - sT)
     y_hi = max(yb_hi - min(0.0, drift) + tube_pad, max(probes) + sT)
-    dy_target = 12.0 * sT / (n_y - 1)
-    n_y_eff = max(n_y, int(np.ceil((y_hi - y_lo) / dy_target)) + 1)
+
+    def y_count(n):
+        return max(n, int(np.ceil((y_hi - y_lo) / (12.0 * sT / (n - 1)))) + 1)
+
+    n_y_eff = y_count(n_y)
+    if n_y_eff < _MIN_WINDOW:
+        least = next(n for n in range(n_y + 1, _MIN_WINDOW + 1) if y_count(n) >= _MIN_WINDOW)
+        raise DomainError(
+            f"default_grid: grid.n_y = {n_y} lays out {n_y_eff} y nodes here, fewer than "
+            f"the {_MIN_WINDOW} a marched window needs; grid.n_y = {least} lays out enough")
     y_nodes = np.linspace(y_lo, y_hi, n_y_eff)
 
     xi, w = np.polynomial.hermite.hermgauss(n_gh)
@@ -375,20 +387,20 @@ def bilinear_interp(t_nodes, y_nodes, values, t, y, clip=False):
     return out.reshape(y.shape + row.shape[1:])
 
 
-def checked_factor(values, grid: GridSpec, j=None):
+def checked_factor(values, grid: GridSpec, k=None):
     """``values`` if every node is finite and strictly positive, else PositivityError.
 
-    ``values`` is a whole (t, y, ybar) surface, or with ``j`` the (t, y)
-    slice pinned to ybar_nodes[j].  The error names the (t, y, ybar) of the
-    first bad node in C order; NaN counts as bad.
+    ``values`` is a whole (t, y, ybar) surface, or with ``k`` the (ybar, y)
+    level at t_nodes[k].  The error names the (t, y, ybar) of the first bad
+    node in C order; NaN counts as bad.
     """
     # NaN fails both comparisons; the masks are built only to name a bad node.
     if not (values.min() > 0 and values.max() < np.inf):
-        k, i, *rest = np.argwhere(~(np.isfinite(values) & (values > 0)))[0]
+        bad = np.argwhere(~(np.isfinite(values) & (values > 0)))[0]
+        k, i, j = bad if k is None else (k, bad[1], bad[0])
         raise PositivityError(
             "continuation factor must be finite and strictly positive",
-            t=grid.t_nodes[k], y=grid.y_nodes[i],
-            ybar=grid.ybar_nodes[rest[0] if j is None else j],
+            t=grid.t_nodes[k], y=grid.y_nodes[i], ybar=grid.ybar_nodes[j],
         )
     return values
 
@@ -409,13 +421,15 @@ def ybar_blend(ybar_nodes, values, ybar):
 
 @dataclass
 class HSurface:
-    """Continuation factors on the (t, y, ybar) grid.
+    """Continuation factors on the (t, y, ybar) grid, gathered whole.
 
     ``values[k, i, j]`` is the factor at time t_nodes[k], state y_nodes[i],
     for the slice pinned to ybar_nodes[j].  All values are strictly
     positive (checked_factor); interpolation is bilinear in (t, y) within a
     slice and linear in log h across slices (ybar_blend).  Reads are
     unclipped: a (t, y) outside the grid's hull raises OutOfGridError.
+    The solvers hand their levels on instead of returning one; tests and
+    plots gather them (from_levels, persist.read_h_surface).
     """
 
     grid: GridSpec
@@ -429,10 +443,16 @@ class HSurface:
             )
         self.values = checked_factor(v, self.grid)
 
-    @property
-    def slices(self):
-        """The (n_t, n_y) slices in ybar order, views of ``values``: what residual reads."""
-        return np.moveaxis(self.values, 2, 0)
+    @classmethod
+    def from_levels(cls, grid: GridSpec, levels):
+        """The surface of ``levels``: (n_ybar, n_y) levels in march order, t_nodes[-1] first.
+
+        Exactly n_t levels must come (ValueError otherwise).
+        """
+        values = np.empty(grid.shape)
+        for k, level in zip(range(grid.t_nodes.size - 1, -1, -1), levels, strict=True):
+            values[k] = level.T
+        return cls(grid=grid, values=values)
 
     def interp(self, t, y):
         """All-slice values at one time t and points y: shape y.shape + (n_ybar,)."""
@@ -724,35 +744,44 @@ def _window_slopes(prep: _Level, grid: GridSpec, r0, r1):
     return read
 
 
-def _march(grid: GridSpec, advance) -> HSurface:
+def _march(grid: GridSpec, advance, pi, take=None):
     """Backward march from w = 0 at t = T - eps_T down to t_nodes[0].
 
     ``advance(level, k)`` returns the tube-extended log level at t[k] from
-    the one at t[k+1], shape (n_ybar, n_y).
+    the one at t[k+1], shape (n_ybar, n_y); ``pi`` is the (n_t, n_y)
+    policy, whose row k is final once level k is marched.  Each level of
+    the factor, exp of the log level, goes to ``take(level, pi[k])`` as it
+    is made, in march order: t_nodes[-1] (h = 1) first, t_nodes[0] last.
+    Nothing is stored.  Returns the factor at t_nodes[0].
     """
     n_t, n_y, n_s = grid.shape
-    values = np.empty((n_s, n_t, n_y))
-    values[:, n_t - 1] = 1.0
     level = np.zeros((n_s, n_y))
+    h = np.ones((n_s, n_y))
+    if take is not None:
+        take(h, pi[n_t - 1])
     for k in range(n_t - 2, -1, -1):
         level = advance(level, k)
-        np.exp(level, out=values[:, k])
-    return HSurface(grid=grid, values=np.moveaxis(values, 0, 2))
+        h = np.exp(level)
+        if take is not None:
+            take(h, pi[k])
+    return h
 
 
-def solve_h(policy, grid: GridSpec, params: ModelParams) -> HSurface:
+def solve_h(policy, grid: GridSpec, params: ModelParams, take=None):
     """March every ybar slice backward from h = 1 at t = T - eps_T.
 
     The policy enters only through the coefficients; slices do not couple
     inside this routine, so solving any subset reproduces the same numbers
     bit for bit.  Each time level is prepared once and stepped by one
     block-diagonal solve over all slices' windows (see _prepare_level,
-    _march_level and _extend), in log space; the returned surface holds the
-    factor itself, clamped into floating range outside the bridge-compatible
-    band and verified finite inside it.  A factor that leaves that range
-    inside a band raises PositivityError at the first such level in march
-    order (latest t first), the lowest failing slice there, and the node of
-    largest |ln h| in its band.
+    _march_level and _extend), in log space.  Each level of the factor,
+    clamped into floating range outside the bridge-compatible band and
+    verified finite inside it, goes to ``take(level, pi_row)`` in march
+    order (see _march): a (n_ybar, n_y) array and the policy at its time.
+    Returns the factor at t_nodes[0], shape (n_ybar, n_y).  A factor that
+    leaves that range inside a band raises PositivityError at the first
+    such level in march order (latest t first), the lowest failing slice
+    there, and the node of largest |ln h| in its band.
     """
     PI = policy_values(policy, grid.t_nodes, grid.y_nodes)
 
@@ -760,7 +789,7 @@ def solve_h(policy, grid: GridSpec, params: ModelParams) -> HSurface:
         prep = _prepare_level(level, k, grid, params)
         return _extend(prep, _march_level(prep, PI[k], grid, params))
 
-    return _march(grid, advance)
+    return _march(grid, advance, PI, take)
 
 
 def _terminal_layer_cut(grid: GridSpec, rho: float) -> int:
@@ -804,80 +833,141 @@ class ResidualNorms:
 _RESIDUAL_BLOCK = 24
 
 
-def residual(slices, policy, grid: GridSpec, params: ModelParams, coeff_fn=None) -> ResidualNorms:
-    """Relative residual (h_t + Q h_y + R h_yy + P h) / h on the band of ResidualNorms.
+class LevelResidual:
+    """The residual of ResidualNorms, taken from the factor's levels as they pass.
 
-    ``slices`` yields the factor's (n_t, n_y) slices in ybar order, one
-    pass: HSurface.slices, or persist.load_h_surface's stream, so a surface
-    read from disk never has to sit in memory whole.  Exactly n_ybar slices
-    must come (ValueError otherwise), and the stream is run to its end: the
-    archive reader checks the member's CRC-32 as it reads the last slice.
-
+    Call ``take(level, pi_row)`` with each (n_ybar, n_y) level of the factor
+    and the policy row at its time, in march order (t_nodes[-1] first, as
+    _march hands them on), then ``norms()``.  Blocks of _RESIDUAL_BLOCK core
+    time levels are evaluated as soon as the level below a block arrives.
+    Each level is copied into one window of a block and its two halo levels
+    (about 2 MB on the default grid), the only levels held.  For each
+    slice the block's band hull is read, with a one-node halo on both axes:
+    the rows from the lowest to the highest band node of any of its levels.
+    It is differenced centrally, h_t over t[k+1] - t[k-1] and h_y over
+    2 dy, weighed against its coefficients, and its nodes outside their
+    level's band are dropped.  Each (slice, block) keeps its partial sums
+    and its first worst node; norms() adds them up in (slice, block) order,
+    so every number equals that of a slice-by-slice pass bit for bit.
     Outside the band (the far corners, where the factor is a linear
     log-extension, and the terminal window) pointwise central differences
-    are not meaningful, and nothing is computed there.  Streamed one
-    terminal-state slice and one block of _RESIDUAL_BLOCK time levels at a
-    time, over the block's band hull: the rows from the lowest to the
-    highest band node of any of its levels.  The hull, read with a one-node
-    halo on both axes, is differenced centrally, h_t over t[k+1] - t[k-1]
-    and h_y over 2 dy, weighed against its coefficients, and its nodes
-    outside their level's band are dropped.  Every band node's
-    residual is the one a whole-array evaluation gives; only the rms sum is
-    accumulated in another order.  Raises DomainError when the band holds
-    no node.
+    are not meaningful, and nothing is computed there.
 
     ``coeff_fn`` may override the coefficient functions (signature matching
     :func:`coefficients`; it is called once per slice and block, with a
     scalar ybar and the hull's nodes); the default uses the model
-    coefficients with the supplied policy.
+    coefficients with the policy rows taken.
     """
-    t = grid.t_nodes
-    y = grid.y_nodes
-    yb = grid.ybar_nodes
-    PI = policy_values(policy, t, y)
-    fn = coefficients if coeff_fn is None else coeff_fn
-    end = min(_terminal_layer_cut(grid, params.rho), t.size - 1)
-    tau = (params.T - t)[:, None]
-    width = QUAD_SD * params.sigma_Y * np.sqrt(tau)
 
-    worst_at, band_max = [], []
-    sq_band, n_band = 0.0, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, hj in zip(range(yb.size), slices, strict=True):
-            for k0 in range(1, end, _RESIDUAL_BLOCK):
-                k1 = min(k0 + _RESIDUAL_BLOCK, end)
-                dev = yb[j] - y[None, 1:-1] - params.mu_Y * tau[k0:k1]
-                band = np.abs(dev) <= width[k0:k1]
+    def __init__(self, grid: GridSpec, params: ModelParams, coeff_fn=None):
+        n_t, n_y, n_s = grid.shape
+        self.grid, self.params = grid, params
+        self.fn = coefficients if coeff_fn is None else coeff_fn
+        self.end = min(_terminal_layer_cut(grid, params.rho), n_t - 1)
+        # Block starts, the latest last: the next block to complete.
+        self.starts = list(range(1, self.end, _RESIDUAL_BLOCK))
+        self.k = n_t
+        # Row p holds level k0 - 1 + p of the pending block k0, and policy
+        # row p the policy at k0 + p.
+        self.window = np.empty((_RESIDUAL_BLOCK + 2, n_s, n_y))
+        self.pi = np.empty((_RESIDUAL_BLOCK, n_y))
+        # (slice, block start) -> (sum of rel**2, band nodes, worst node, its |rel|)
+        self.parts = {}
+
+    def take(self, level, pi_row):
+        """The level at the next time node in march order, and the policy row there."""
+        self.k -= 1
+        k = self.k
+        if k < 0:
+            raise ValueError(f"more than {self.grid.t_nodes.size} levels")
+        if not self.starts or k > self.end:
+            return
+        k0 = self.starts[-1]
+        self.window[k - k0 + 1] = level
+        if k >= k0:
+            if k < k0 + _RESIDUAL_BLOCK:    # not the upper halo of a full block
+                self.pi[k - k0] = pi_row
+            return
+        self._block(self.starts.pop())
+        # Levels k0 - 1 and k0 are the next block's last two, and the
+        # policy at k0 - 1 its last row.
+        self.window[_RESIDUAL_BLOCK:] = self.window[:2]
+        self.pi[-1] = pi_row
+
+    def _block(self, k0):
+        t, y, yb = self.grid.t_nodes, self.grid.y_nodes, self.grid.ybar_nodes
+        params, dy = self.params, self.grid.dy
+        k1 = min(k0 + _RESIDUAL_BLOCK, self.end)
+        window, PI = self.window[:k1 - k0 + 2], self.pi[:k1 - k0]
+        tau = (params.T - t[k0:k1])[:, None]
+        width = QUAD_SD * params.sigma_Y * np.sqrt(tau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(yb.size):
+                dev = yb[j] - y[None, 1:-1] - params.mu_Y * tau
+                band = np.abs(dev) <= width
                 hull = np.flatnonzero(band.any(axis=0))
                 if not hull.size:
                     continue
                 lo, hi = hull[0] + 1, hull[-1] + 2    # the hull's node rows
                 band = band[:, hull[0]:hull[-1] + 1]
-                v = np.ascontiguousarray(hj[k0 - 1:k1 + 1, lo - 1:hi + 1])
+                v = np.ascontiguousarray(window[:, j, lo - 1:hi + 1])
                 mid = v[1:-1, 1:-1]
                 ht = ((v[2:, 1:-1] - v[:-2, 1:-1])
                       / (t[k0 + 1:k1 + 1] - t[k0 - 1:k1 - 1])[:, None])
-                hy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * grid.dy)
-                hyy = (v[1:-1, 2:] - 2.0 * mid + v[1:-1, :-2]) / grid.dy**2
+                hy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * dy)
+                hyy = (v[1:-1, 2:] - 2.0 * mid + v[1:-1, :-2]) / dy**2
 
-                P, Q, R = fn(t[k0:k1, None], y[None, lo:hi], yb[j], PI[k0:k1, lo:hi], params)
+                P, Q, R = self.fn(t[k0:k1, None], y[None, lo:hi], yb[j], PI[:, lo:hi], params)
                 rel = np.where(band, np.abs((ht + Q * hy + R * hyy + P * mid) / mid), -np.inf)
                 k, i = np.unravel_index(np.argmax(rel), rel.shape)
-                worst_at.append((k0 + int(k), lo + int(i), j))
-                band_max.append(rel[k, i])
-                sq_band += np.sum(rel[band]**2)
-                n_band += int(np.count_nonzero(band))
+                self.parts[j, k0] = (np.sum(rel[band]**2), int(np.count_nonzero(band)),
+                                     (k0 + int(k), lo + int(i), j), rel[k, i])
 
-        if not n_band:
-            raise DomainError("the residual band holds no interior node before the "
-                              "terminal window")
-        # np.argmax over the blocks' first maxima in (t, y, ybar) order
-        # picks the first largest band node, a NaN one first.
-        order = sorted(range(len(worst_at)), key=worst_at.__getitem__)
-        top = order[int(np.argmax(np.array(band_max)[order]))]
-        k, i, j = worst_at[top]
-        return ResidualNorms(
-            max_rel_band=float(band_max[top]),
-            rms_rel_band=float(np.sqrt(sq_band / n_band)),
-            worst=(float(t[k]), float(y[i]), float(yb[j])),
-        )
+    def norms(self) -> ResidualNorms:
+        """The band norms of every level taken; raises DomainError when the band holds no node."""
+        t, y, yb = self.grid.t_nodes, self.grid.y_nodes, self.grid.ybar_nodes
+        if self.k:
+            raise ValueError(f"the residual took {t.size - self.k} of {t.size} levels")
+        worst_at, band_max = [], []
+        sq_band, n_band = 0.0, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(yb.size):
+                for k0 in range(1, self.end, _RESIDUAL_BLOCK):
+                    if (j, k0) in self.parts:
+                        sq, n, at, top = self.parts[j, k0]
+                        sq_band += sq
+                        n_band += n
+                        worst_at.append(at)
+                        band_max.append(top)
+            if not n_band:
+                raise DomainError("the residual band holds no interior node before the "
+                                  "terminal window")
+            # np.argmax over the blocks' first maxima in (t, y, ybar) order
+            # picks the first largest band node, a NaN one first.
+            order = sorted(range(len(worst_at)), key=worst_at.__getitem__)
+            top = order[int(np.argmax(np.array(band_max)[order]))]
+            k, i, j = worst_at[top]
+            return ResidualNorms(
+                max_rel_band=float(band_max[top]),
+                rms_rel_band=float(np.sqrt(sq_band / n_band)),
+                worst=(float(t[k]), float(y[i]), float(yb[j])),
+            )
+
+
+def residual(levels, policy, grid: GridSpec, params: ModelParams, coeff_fn=None) -> ResidualNorms:
+    """Relative residual (h_t + Q h_y + R h_yy + P h) / h on the band of ResidualNorms.
+
+    ``levels`` yields the factor's (n_ybar, n_y) levels in march order,
+    t_nodes[-1] first, one pass: persist.load_h_surface's stream, say, so
+    a surface read from disk never has to sit in memory whole.  Exactly n_t
+    levels must come (ValueError otherwise), and the stream is run to its
+    end: the archive reader checks the member's CRC-32 as it reads the last
+    level.  The pull form of LevelResidual, which a solve feeds as it
+    marches; ``coeff_fn`` as there.  Raises DomainError when the band holds
+    no node.
+    """
+    acc = LevelResidual(grid, params, coeff_fn)
+    PI = policy_values(policy, grid.t_nodes, grid.y_nodes)
+    for level, pi_row in zip(levels, PI[::-1], strict=True):
+        acc.take(level, pi_row)
+    return acc.norms()

@@ -459,12 +459,85 @@ class TestCommands:
             assert main(["table", "--config", str(path), "--out", str(out)]) == 0
             name = block.replace(",", "_")
             data = json.loads((out / f"table_{name}.json").read_text())
-            assert sorted(data) == ["block", "rows", "t_columns"]
-            assert list(data["rows"]) == [str(r) for r in rows]
+            assert sorted(data) == ["block", "residual", "rows", "t_columns"]
+            assert list(data["rows"]) == list(data["residual"]) == [str(r) for r in rows]
             for key, cells in data["rows"].items():
                 assert len(cells) == 6 and np.all(np.isfinite(cells)), (block, key)
                 if abs(rho) == 1.0:
                     assert cells == [M] * 6, (block, key)
+                # Only an iterated row is solved, and it reports its residual.
+                res = data["residual"][key]
+                if rho * rho in (0.0, 1.0):
+                    assert res is None, (block, key)
+                else:
+                    assert list(res) == ["max_rel_band", "rms_rel_band", "worst"]
+                    assert 0 < res["rms_rel_band"] <= res["max_rel_band"], (block, key)
+
+    def test_table_rows_report_the_residual_of_their_solve(self, tmp_path, capsys):
+        # The row at exp_y = 2 solves the same grid and point as a solve at
+        # the block's parameters: the same residual, printed with the row.
+        out = tmp_path / "out"
+        grid = {"n_t_steps": 40, "n_y": 61, "n_ybar": 7, "n_gh": 9}
+        path = write_config(tmp_path, {"table_block": "0.02,0.6", "grid": grid})
+        assert main(["table", "--config", str(path), "--out", str(out)]) == 0
+        table = json.loads((out / "table_0.02_0.6.json").read_text())
+        printed = capsys.readouterr().out
+        path = write_config(tmp_path, {"params": {**BASE["params"], "rho": 0.6},
+                                       "grid": grid}, name="solve.json")
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "solve_summary.json").read_text())
+        assert table["residual"]["2"] == summary["residual"]
+        rms = summary["residual"]["rms_rel_band"]
+        assert f"exp_y=    2: " in printed and f"(residual rms {rms:.3g}, " in printed
+
+    @pytest.mark.parametrize("error", ["ConvergenceError", "PositivityError"])
+    def test_failed_solve_leaves_out_dir_as_found(self, tmp_path, monkeypatch, capsys, error):
+        # The archives are written under staged names while the levels
+        # pass; a solve that fails mid-march removes them and leaves an
+        # earlier run's files byte for byte.
+        import prefhedge.cli as cli
+
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"params": {**BASE["params"], "rho": 0.6},
+                                       "grid": self.GRID})
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        staged = []
+        take = cli.LevelResidual.take
+
+        def watched(self, level, pi_row):
+            staged.append((out / "h_surface.bin.part").exists())
+            return take(self, level, pi_row)
+
+        monkeypatch.setattr(cli.LevelResidual, "take", watched)
+        if error == "ConvergenceError":
+            monkeypatch.setattr(prefhedge.equilibrium, "_MAX_EVALS", 1)
+        else:
+            monkeypatch.setattr(prefhedge.pide, "_W_MAX", 2.0)
+        capsys.readouterr()
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+        assert f"solver error: {error}" in capsys.readouterr().err
+        assert len(staged) >= 2 and all(staged)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_solve_never_holds_the_factor_surface(self, tmp_path):
+        # The levels go to the residual and the archive as they are marched:
+        # the solve's traced peak stays below one factor surface.
+        import tracemalloc
+
+        grid = {"n_t_steps": 200, "n_y": 200, "n_ybar": 11}
+        path = write_config(tmp_path, {"params": {**BASE["params"], "rho": 0.6},
+                                       "grid": grid})
+        cfg = RunConfig.from_file(path)
+        n_t, n_y, n_s = default_grid(cfg.params, **grid).shape
+        assert (n_t, n_s) == (201, 11) and n_y >= 200
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_t * n_y * n_s * 8
 
     def test_failing_table_row_names_block_and_exp_y(self, tmp_path, monkeypatch, capsys):
         import prefhedge.cli as cli
@@ -677,6 +750,7 @@ class TestCommands:
         import prefhedge.pide
         from prefhedge.persist import read_h_surface
         from test_mc import reference_g_representation
+        from test_pide import levels_of
 
         def refuse(*a, **k):
             raise AssertionError("verify built the whole factor surface")
@@ -711,9 +785,9 @@ class TestCommands:
             (r.delta, r.held, r.spike, r.quotient, r.se, r.passed) for r in spike.rows]
         (reward,) = report["reward_crosscheck"]
         assert (reward["j_mc"], reward["se"]) == (spike.j_base, spike.j_base_se)
-        # The residual and reward rows, read off the streamed slices, equal
+        # The residual and reward rows, read off the streamed levels, equal
         # those of the whole surface bit for bit.
-        res = prefhedge.residual(h.slices, pol.pi, h.grid, cfg.params)
+        res = prefhedge.residual(levels_of(h), pol.pi, h.grid, cfg.params)
         assert (report["residual"]["rms_rel_band"], report["residual"]["max_rel_band"]) == (
             res.rms_rel_band, res.max_rel_band)
         t0, y0 = reward["t"], float(np.log(reward["exp_y"]))
@@ -815,7 +889,7 @@ class TestCommands:
               "verify": {"spike_deltas": [0.5], "spike_offsets": [0.1]}}
 
     def test_verify_checks_the_crc_after_the_last_slice(self, tmp_path, capsys):
-        # One flipped low mantissa byte of the last slice's last node keeps
+        # One flipped low mantissa byte of the last level's last node keeps
         # every node positive: the residual reads the whole stream, and only
         # the member's CRC-32 at its end catches the damage, before a report
         # is written.
@@ -839,15 +913,16 @@ class TestCommands:
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
     def test_verify_refuses_a_non_positive_slice(self, tmp_path, capsys, bad):
         from prefhedge.persist import _write, read_h_surface
+        from test_pide import levels_of
 
         out = tmp_path / "out"
         path = write_config(tmp_path, self.TAMPER)
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
         cfg = RunConfig.from_file(path)
         h = read_h_surface(out / "h_surface.bin", cfg.params)
-        slices = h.slices.copy()
-        slices[4, 10, 20] = bad
-        _write(out / "h_surface.bin", cfg.params, h.grid, h=slices)
+        levels = np.array(levels_of(h))
+        levels[h.grid.t_nodes.size - 1 - 10, 4, 20] = bad
+        _write(out / "h_surface.bin", cfg.params, h.grid, h=levels)
         assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "PositivityError" in err and "strictly positive" in err
@@ -861,6 +936,14 @@ class TestCommands:
         assert rc == 0
         report = json.loads((tmp_path / "out" / "bridge_report.json").read_text())
         assert report["pass"] is True
+
+    def test_too_few_y_nodes_name_grid_n_y(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"params": {**BASE["params"], "rho": 0.6},
+                                       "grid": {"n_y": 2}})
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "grid.n_y = 2 lays out 3 y nodes" in err and "grid.n_y = 3 lays out" in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"surprise": True})

@@ -10,7 +10,6 @@ from prefhedge import (
     fixed_point_solve,
     policy_from_h,
     reward_quadrature,
-    solve_h,
 )
 from prefhedge import equilibrium, pide
 from prefhedge.equilibrium import (
@@ -21,6 +20,7 @@ from prefhedge.equilibrium import (
 )
 from prefhedge.model import EPS_GAMMA, expected_terminal_gamma
 from prefhedge.pide import HSurface, _terminal_layer_cut, bilinear_interp
+from test_pide import solved_h, solved_pair
 
 
 def terminal_average(f, grid, params, t, y):
@@ -98,7 +98,7 @@ class TestClosedLayer:
     def perfect(self, request):
         p = params_with(-0.02, request.param)
         g = default_grid(p, probe_y=[np.log(0.8)])
-        return g, p, *fixed_point_solve(g, p)
+        return g, p, *solved_pair(g, p)
 
     def test_perfect_correlation_is_closed(self, perfect):
         g, p, h, pol = perfect
@@ -107,7 +107,7 @@ class TestClosedLayer:
         assert (meta.iterations, meta.sup_changes) == (0, ())
         assert np.array_equal(pol.pi, pol.myopic + pol.hedging)
         assert np.max(np.abs(pol.pi - M)) <= 2 * np.spacing(M)
-        assert np.array_equal(solve_h(pol.pi, g, p).values, h.values)
+        assert np.array_equal(solved_h(pol.pi, g, p).values, h.values)
         assert np.array_equal(policy_from_h(h, g, p).pi, pol.pi)
 
     def test_supremand_maximizer_is_merton_fraction(self, perfect):
@@ -160,7 +160,7 @@ class TestHedgingIntegral:
     def test_against_dense_trapezoid(self):
         p = params_with(0.02, 0.6)
         g = default_grid(p, n_t_steps=100, n_y=161, n_ybar=21)
-        h = solve_h(0.3, g, p)
+        h = solved_h(0.3, g, p)
         t0, y0 = 4.0, p.y0
         got = hedging_integral(t0, y0, h, g, p)
 
@@ -244,7 +244,7 @@ class TestFixedPoint:
         p = params_with(0.02, 0.6)
         g = default_grid(p, n_t_steps=100, n_y=121, n_ybar=11)
         h, pol = fixed_point_solve(g, p)
-        remap = policy_from_h(solve_h(pol.pi, g, p), g, p)
+        remap = policy_from_h(solved_h(pol.pi, g, p), g, p)
         # one extra application of the map moves the policy less than tol
         # wherever the map is freely iterated (away from closed rows)
         core = np.abs(remap.pi - pol.pi)[:-20, 30:-30]
@@ -257,8 +257,14 @@ class TestFixedPoint:
         # returned factors bit for bit.
         p = params_with(mu_Y, rho)
         g = default_grid(p, n_t_steps=60, n_y=81, n_ybar=9, n_gh=11)
-        h, pol = fixed_point_solve(g, p)
-        assert np.array_equal(solve_h(pol.pi, g, p).values, h.values)
+        levels, pi_rows = [], []
+        _h0, pol = fixed_point_solve(
+            g, p, lambda level, pi_row: levels.append(level) or pi_rows.append(pi_row))
+        assert np.array_equal(solved_h(pol.pi, g, p).values,
+                              HSurface.from_levels(g, levels).values)
+        # Each level came with its settled policy row, in march order.
+        assert np.array_equal(np.array(pi_rows[::-1]), pol.pi)
+        assert np.array_equal(_h0, levels[-1])
 
     def test_coarse_time_grid_hard_point_settles(self):
         # 41 time levels at (-0.02, -0.6, e^y = 0.8): plain per-level
@@ -268,7 +274,7 @@ class TestFixedPoint:
         g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9, probe_y=[y])
         h, pol = fixed_point_solve(g, p)
         assert pol.iteration_meta.sup_changes[-1] < equilibrium._TOL_SUP
-        remap = policy_from_h(solve_h(pol.pi, g, p), g, p)
+        remap = policy_from_h(solved_h(pol.pi, g, p), g, p)
         assert np.abs(remap.pi - pol.pi)[:-2, 2:-2].max() < equilibrium._TOL_SUP
 
     def test_unsettled_level_raises_naming_t(self, monkeypatch):
@@ -300,7 +306,7 @@ class TestFixedPoint:
     def test_first_order_condition(self):
         p = params_with(0.02, 0.6)
         g = default_grid(p, n_t_steps=100, n_y=121, n_ybar=11)
-        h, pol = fixed_point_solve(g, p)
+        h, pol = solved_pair(g, p)
         # nodes whose conditional terminal mean falls inside the slice range
         # (outside it the quadrature degenerates and the policy is a closure,
         # not a pointwise stationarity solution)
@@ -351,7 +357,7 @@ def test_reward_quadrature_constant_policy_oracle():
     p = params_with(0.02, 0.6)
     pi0 = 0.3
     g = default_grid(p)
-    h = solve_h(pi0, g, p)
+    h = solved_h(pi0, g, p)
     Eg = np.exp(p.y0 + (p.mu_Y + 0.5 * p.sigma_Y**2) * p.T)
     geff = (1 - p.rho**2) * Eg + p.rho**2
     j_exact = p.T * (p.r + pi0 * (p.mu_S - p.r) - 0.5 * pi0**2 * p.sigma_S**2 * geff)
@@ -380,7 +386,7 @@ def reference_reward_quadrature(h, t0, x0, y0, params, n_nodes=21):
 def test_reward_quadrature_matches_per_node_loop(mu_Y, rho):
     p = params_with(mu_Y, rho)
     g = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
-    h, _pol = fixed_point_solve(g, p)
+    h, _pol = solved_pair(g, p)
     # At (0, -mu_Y T) the middle node maps onto ybar = 0 and is nudged
     # off gamma = 1 when the slices span 0 (they do at mu_Y < 0).
     points = [(0.0, p.y0, 1.0, 11), (12.3, p.y0 + 0.3, 2.5, 21),
@@ -437,7 +443,7 @@ class TestPreparedPolicyMap:
     def test_matches_one_pass_reference_bit_for_bit(self, mu_Y, rho):
         p = params_with(mu_Y, rho)
         g = default_grid(p, n_t_steps=60, n_y=81, n_ybar=9, n_gh=11)
-        h, _pol = fixed_point_solve(g, p)
+        h, _pol = solved_pair(g, p)
         n_y = g.y_nodes.size
         cut_active = 0
         for k in range(g.t_nodes.size):

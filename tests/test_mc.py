@@ -18,11 +18,11 @@ from prefhedge import (
     reward_mc,
     simulate_conditioned,
     simulate_unconditional,
-    solve_h,
     verify_g_representation_batch,
 )
 from prefhedge.mc import GRepReport, PathBatch, _mean_se, eval_policy, z_score
 from prefhedge.model import crra_utility, phi_prime
+from test_pide import solved_h, solved_pair
 
 P0 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.0,
                  mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
@@ -298,7 +298,7 @@ class TestGRepresentation:
     def test_zero_policy_limit(self):
         p = P6
         grid = default_grid(p, n_t_steps=80, n_y=121, n_ybar=11)
-        h = solve_h(0.0, grid, p)
+        h = solved_h(0.0, grid, p)
         ybar = float(grid.ybar_nodes[5])
         cfg = SimConfig(n_paths=4_000, n_steps=60, seed=11)
         rep = g_representation(h, 0.0, 0.0, 1.0, p.y0, ybar, cfg, p)
@@ -312,7 +312,7 @@ class TestGRepresentation:
     def test_solved_system_conditioned_representation(self):
         p = P6
         grid = default_grid(p, probe_y=[p.y0])
-        h, pol = fixed_point_solve(grid, p)
+        h, pol = solved_pair(grid, p)
         cfg = SimConfig(n_paths=50_000, n_steps=300, seed=29)
         mean = p.y0 + p.mu_Y * p.T
         ybar = float(grid.ybar_nodes[int(np.argmin(np.abs(grid.ybar_nodes - mean)))])
@@ -323,7 +323,7 @@ class TestGRepresentation:
     def test_fine_steps_stay_finite(self):
         p = P6
         grid = default_grid(p, n_t_steps=80, n_y=121, n_ybar=11)
-        h = solve_h(0.3, grid, p)
+        h = solved_h(0.3, grid, p)
         ybar = float(grid.ybar_nodes[5])
         cfg = SimConfig(n_paths=2_000, n_steps=800, seed=13)
         rep = g_representation(h, 0.3, 0.0, 1.0, p.y0, ybar, cfg, p)
@@ -332,7 +332,7 @@ class TestGRepresentation:
     def test_nan_policy_fails_closed(self):
         p = P6
         grid = default_grid(p, n_t_steps=40, n_y=61, n_ybar=7)
-        h = solve_h(0.3, grid, p)
+        h = solved_h(0.3, grid, p)
         cfg = SimConfig(n_paths=500, n_steps=20, seed=17)
 
         def nan_policy(t, y):
@@ -395,7 +395,7 @@ class TestSharedStreamGRepresentation:
 
     def _check(self, policy, cfg, h=None):
         if h is None:
-            h = solve_h(0.3, default_grid(self.P, probe_y=[self.P.y0], **self.GRID), self.P)
+            h = solved_h(0.3, default_grid(self.P, probe_y=[self.P.y0], **self.GRID), self.P)
         points = self._points(h.grid)
         moments = self._rode(policy, points, cfg).rider_moments
         got = verify_g_representation_batch([h.interp_at(*p) for p in points], points, 1.0,
@@ -411,7 +411,7 @@ class TestSharedStreamGRepresentation:
 
     def test_surface_policy(self):
         grid = default_grid(self.P, probe_y=[self.P.y0], **self.GRID)
-        h, pol = fixed_point_solve(grid, self.P)
+        h, pol = solved_pair(grid, self.P)
         self._check(pol, SimConfig(n_paths=2_000, n_steps=20, seed=61), h=h)
 
     def test_callable_policy(self):
@@ -430,7 +430,7 @@ class TestSharedStreamGRepresentation:
 
     def test_nan_in_one_start_fails_closed(self):
         grid = default_grid(self.P, probe_y=[self.P.y0], **self.GRID)
-        h = solve_h(0.3, grid, self.P)
+        h = solved_h(0.3, grid, self.P)
         cfg = SimConfig(n_paths=500, n_steps=20, seed=79)
 
         def policy(t, y):
@@ -450,7 +450,7 @@ class TestSharedStreamGRepresentation:
         # spike report is the one without riders, and the riders' moments
         # give the reports of the points' own stream-1 run.
         grid = default_grid(self.P, probe_y=[self.P.y0], **self.GRID)
-        h, pol = fixed_point_solve(grid, self.P)
+        h, pol = solved_pair(grid, self.P)
         cfg = SimConfig(n_paths=2_000, n_steps=20, seed=61)
         points = self._points(h.grid)
         kw = dict(deltas=(0.5,), perturbations=(0.1,), z_gate=3.0, ybar_quadrature=5)

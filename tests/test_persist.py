@@ -10,10 +10,10 @@ from prefhedge import (
     ConfigError,
     ModelParams,
     default_grid,
+    h_surface_writer,
     load_h_surface,
     load_policy_surface,
     read_h_surface,
-    save_h_surface,
     save_policy_surface,
     solve_h,
 )
@@ -21,6 +21,7 @@ from prefhedge.equilibrium import policy_from_h
 from prefhedge.errors import PositivityError
 from prefhedge.persist import _write, params_hash
 from prefhedge.pide import BAND_SD, QUAD_SD, HSurface
+from test_pide import levels_of
 
 P = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.6,
                 mu_Y=0.02, sigma_Y=0.04, T=40.0, y0=np.log(2.0))
@@ -29,9 +30,18 @@ P = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.6,
 @pytest.fixture(scope="module")
 def solved():
     grid = default_grid(P, n_t_steps=40, n_y=81, n_ybar=7)
-    h = solve_h(0.3, grid, P)
+    levels = []
+    solve_h(0.3, grid, P, lambda level, _pi_row: levels.append(level))
+    h = HSurface.from_levels(grid, levels)
     pol = policy_from_h(h, grid, P)
     return grid, h, pol
+
+
+def save_h_surface(path, h, params):
+    """The archive of a gathered surface, its levels written as a solve hands them on."""
+    with h_surface_writer(path, h.grid, params) as write:
+        for level in levels_of(h):
+            write(level)
 
 
 def test_h_surface_round_trip(tmp_path, solved):
@@ -44,21 +54,59 @@ def test_h_surface_round_trip(tmp_path, solved):
     assert np.array_equal(back.grid.ybar_nodes, grid.ybar_nodes)
     assert back.grid.eps_T == grid.eps_T
     assert type(back.grid.T) is float and type(back.grid.eps_T) is float
-    # the loaded values keep the march's slice-major (ybar, t, y) layout
-    assert np.moveaxis(back.values, 2, 0).flags.c_contiguous
+    # gathered level by level into HSurface's (t, y, ybar) C layout
+    assert back.values.flags.c_contiguous
 
 
 def test_h_surface_streams_its_slices(tmp_path, solved):
-    # The grid comes first and the slices one at a time, in ybar order.
+    # The grid comes first and the (ybar, y) levels one at a time, in march
+    # order: the last time node first.
     grid, h, _ = solved
     path = tmp_path / "h.bin"
     save_h_surface(path, h, P)
-    back, slices = load_h_surface(path, P)
+    back, levels = load_h_surface(path, P)
     assert np.array_equal(back.ybar_nodes, grid.ybar_nodes)
-    got = list(slices)
-    assert len(got) == grid.ybar_nodes.size
-    for j, s in enumerate(got):
-        assert s.shape == grid.shape[:2] and np.array_equal(s, h.values[:, :, j])
+    got = list(levels)
+    n_t, n_y, n_s = grid.shape
+    assert len(got) == n_t
+    for m, level in enumerate(got):
+        assert level.shape == (n_s, n_y) and np.array_equal(level, h.values[n_t - 1 - m].T)
+
+
+def test_h_member_reads_with_plain_numpy(tmp_path, solved):
+    # h[m] is the level at t_nodes[n_t - 1 - m], shape (n_ybar, n_y).
+    grid, h, _ = solved
+    path = tmp_path / "h.bin"
+    save_h_surface(path, h, P)
+    n_t, n_y, n_s = grid.shape
+    with np.load(path) as z:
+        assert np.array_equal(z["t_nodes"], grid.t_nodes)
+        assert z["h"].shape == (n_t, n_s, n_y)
+        for m in range(n_t):
+            assert np.array_equal(z["h"][m], h.values[n_t - 1 - m].T)
+
+
+@pytest.mark.parametrize("count", [0, 40, 42])
+def test_writer_takes_exactly_n_t_levels(tmp_path, solved, count):
+    grid, h, _ = solved
+    levels = levels_of(h)
+    levels = (levels + levels)[:count]
+    assert grid.t_nodes.size == 41
+    with pytest.raises(ValueError, match="levels written"):
+        with h_surface_writer(tmp_path / "h.bin", grid, P) as write:
+            for level in levels:
+                write(level)
+
+
+@pytest.mark.parametrize("kind", ["short", "transposed", "float32"])
+def test_writer_refuses_a_misshapen_level(tmp_path, solved, kind):
+    grid, _h, _ = solved
+    n_t, n_y, n_s = grid.shape
+    level = {"short": np.ones((n_s, n_y - 1)), "transposed": np.ones((n_y, n_s)),
+             "float32": np.ones((n_s, n_y), dtype=np.float32)}[kind]
+    with pytest.raises(ValueError, match=rf"a level is a \({n_s}, {n_y}\) float64 array"):
+        with h_surface_writer(tmp_path / "h.bin", grid, P) as write:
+            write(level)
 
 
 def test_stream_checks_the_crc_with_the_last_slice(tmp_path, solved):
@@ -66,19 +114,19 @@ def test_stream_checks_the_crc_with_the_last_slice(tmp_path, solved):
     path = tmp_path / "h.bin"
     save_h_surface(path, h, P)
     blob = bytearray(path.read_bytes())
-    # The low mantissa byte of the last slice's last node: still positive.
+    # The low mantissa byte of the last level's last node: still positive.
     with zipfile.ZipFile(path) as zf:
         info = zf.getinfo("h.npy")
     name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
     end = info.header_offset + 30 + name_len + extra_len + info.file_size
     blob[end - 8] ^= 0x01
     path.write_bytes(bytes(blob))
-    _grid, slices = load_h_surface(path, P)
+    _grid, levels = load_h_surface(path, P)
     # zipfile checks the CRC-32 as the member's last byte is read.
-    for _ in range(grid.ybar_nodes.size - 1):
-        next(slices)
+    for _ in range(grid.t_nodes.size - 1):
+        next(levels)
     with pytest.raises(ConfigError, match="checksum"):
-        next(slices)
+        next(levels)
 
 
 def test_damaged_slice_is_named_by_its_checksum(tmp_path, solved):
@@ -93,29 +141,31 @@ def test_damaged_slice_is_named_by_its_checksum(tmp_path, solved):
     name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
     end = info.header_offset + 30 + name_len + extra_len + info.file_size
     n_t, n_y, n_s = grid.shape
-    blob[end - (n_s - 3) * n_t * n_y * 8 - 1] ^= 0x80
+    # The sign bit of the third level's last node.
+    blob[end - (n_t - 3) * n_s * n_y * 8 - 1] ^= 0x80
     path.write_bytes(bytes(blob))
-    _grid, slices = load_h_surface(path, P)
+    _grid, levels = load_h_surface(path, P)
     for _ in range(2):
-        next(slices)
+        next(levels)
     with pytest.raises(ConfigError, match="checksum"):
-        next(slices)
+        next(levels)
 
 
 @pytest.mark.parametrize("bad", [0.0, -2.0, np.inf, np.nan])
 def test_stream_refuses_a_non_positive_slice(tmp_path, solved, bad):
-    # A node that is not finite and positive raises where its slice is
-    # read, naming its (t, y, ybar); the earlier slices have gone out.
+    # A node that is not finite and positive raises where its level is
+    # read, naming its (t, y, ybar); the later levels have gone out.
     grid, h, _ = solved
-    values = h.slices.copy()
-    values[3, 7, 11] = bad
+    n_t = grid.t_nodes.size
+    values = np.array(levels_of(h))
+    values[n_t - 1 - 7, 3, 11] = bad
     path = tmp_path / "h.bin"
     _write(path, P, grid, h=values)
-    _grid, slices = load_h_surface(path, P)
-    for _ in range(3):
-        next(slices)
+    _grid, levels = load_h_surface(path, P)
+    for _ in range(n_t - 1 - 7):
+        next(levels)
     with pytest.raises(PositivityError) as exc:
-        next(slices)
+        next(levels)
     assert (exc.value.t, exc.value.y, exc.value.ybar) == (
         grid.t_nodes[7], grid.y_nodes[11], grid.ybar_nodes[3])
     with pytest.raises(PositivityError):
@@ -137,15 +187,18 @@ def test_members_equal_np_savez(tmp_path, solved, kind):
     # The streamed writer must give np.savez's members byte for byte; the
     # 0-d T and eps_T members stay 0-d, which a load round trip would hide.
     grid, h, pol = solved
-    if kind == "h_not_contiguous":
-        h = HSurface(grid=grid, values=np.ascontiguousarray(h.values))
-        assert not np.moveaxis(h.values, 2, 0).flags.c_contiguous
     if kind == "policy":
         save_policy_surface(tmp_path / "got.bin", pol, P)
         payload = {"pi": pol.pi, "myopic": pol.myopic, "hedging": pol.hedging}
     else:
-        save_h_surface(tmp_path / "got.bin", h, P)
-        payload = {"h": np.moveaxis(h.values, 2, 0)}
+        levels = levels_of(h)
+        if kind == "h":
+            levels = [np.ascontiguousarray(level) for level in levels]
+        assert all(level.flags.c_contiguous == (kind == "h") for level in levels)
+        with h_surface_writer(tmp_path / "got.bin", grid, P) as write:
+            for level in levels:
+                write(level)
+        payload = {"h": np.array(levels)}
     with open(tmp_path / "want.bin", "wb") as fh:
         np.savez(fh, params_hash=np.frombuffer(params_hash(P), dtype=np.uint8),
                  **{f.name: getattr(grid, f.name) for f in dataclasses.fields(grid)},

@@ -21,6 +21,25 @@ from prefhedge import pide
 from prefhedge.pide import GridSpec, HSurface
 
 
+def levels_of(h):
+    """The (n_ybar, n_y) levels of a gathered surface in march order, t_nodes[-1] first."""
+    return [h.values[k].T for k in range(h.grid.t_nodes.size - 1, -1, -1)]
+
+
+def solved_h(policy, grid, params):
+    """solve_h's levels, gathered into an HSurface as they are handed on."""
+    levels = []
+    solve_h(policy, grid, params, lambda level, _pi_row: levels.append(level))
+    return HSurface.from_levels(grid, levels)
+
+
+def solved_pair(grid, params):
+    """fixed_point_solve's levels gathered into an HSurface, and its policy."""
+    levels = []
+    _h0, pol = fixed_point_solve(grid, params, lambda level, _pi_row: levels.append(level))
+    return HSurface.from_levels(grid, levels), pol
+
+
 def reference_march(policy, grid, params, slices=None):
     """Per-slice march: one scipy solve per slice and time level.
 
@@ -86,6 +105,50 @@ def reference_residual(h, policy, grid, params, coeff_fn=None):
             rms_rel_band=float(np.sqrt(np.mean(rel_band**2))),
             worst=(float(t[k + 1]), float(y[i + 1]), float(yb[j])),
         )
+
+
+def slice_by_slice_residual(h, policy, grid, params, coeff_fn=None):
+    """The residual as one pass per ybar slice, block after block in t.
+
+    The arithmetic and the order of the sums of a slice-major pass over
+    the (n_t, n_y) slices; the streamed residual must equal it bit for bit.
+    """
+    t, y, yb = grid.t_nodes, grid.y_nodes, grid.ybar_nodes
+    PI = pide.policy_values(policy, t, y)
+    fn = coefficients if coeff_fn is None else coeff_fn
+    end = min(pide._terminal_layer_cut(grid, params.rho), t.size - 1)
+    tau = (params.T - t)[:, None]
+    width = pide.QUAD_SD * params.sigma_Y * np.sqrt(tau)
+    worst_at, band_max, sq_band, n_band = [], [], 0.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(yb.size):
+            hj = h.values[:, :, j]
+            for k0 in range(1, end, pide._RESIDUAL_BLOCK):
+                k1 = min(k0 + pide._RESIDUAL_BLOCK, end)
+                band = np.abs(yb[j] - y[None, 1:-1] - params.mu_Y * tau[k0:k1]) <= width[k0:k1]
+                hull = np.flatnonzero(band.any(axis=0))
+                if not hull.size:
+                    continue
+                lo, hi = hull[0] + 1, hull[-1] + 2
+                band = band[:, hull[0]:hull[-1] + 1]
+                v = np.ascontiguousarray(hj[k0 - 1:k1 + 1, lo - 1:hi + 1])
+                mid = v[1:-1, 1:-1]
+                ht = (v[2:, 1:-1] - v[:-2, 1:-1]) / (t[k0 + 1:k1 + 1] - t[k0 - 1:k1 - 1])[:, None]
+                hy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * grid.dy)
+                hyy = (v[1:-1, 2:] - 2.0 * mid + v[1:-1, :-2]) / grid.dy**2
+                P, Q, R = fn(t[k0:k1, None], y[None, lo:hi], yb[j], PI[k0:k1, lo:hi], params)
+                rel = np.where(band, np.abs((ht + Q * hy + R * hyy + P * mid) / mid), -np.inf)
+                k, i = np.unravel_index(np.argmax(rel), rel.shape)
+                worst_at.append((k0 + int(k), lo + int(i), j))
+                band_max.append(rel[k, i])
+                sq_band += np.sum(rel[band]**2)
+                n_band += int(np.count_nonzero(band))
+        order = sorted(range(len(worst_at)), key=worst_at.__getitem__)
+        top = order[int(np.argmax(np.array(band_max)[order]))]
+        k, i, j = worst_at[top]
+        return pide.ResidualNorms(max_rel_band=float(band_max[top]),
+                                  rms_rel_band=float(np.sqrt(sq_band / n_band)),
+                                  worst=(float(t[k]), float(y[i]), float(yb[j])))
 
 
 P06 = ModelParams(r=0.02, mu_S=0.07, sigma_S=0.2, rho=0.6,
@@ -178,8 +241,17 @@ class TestGridSpec:
         with pytest.raises(DomainError, match="at least 5"):
             dataclasses.replace(g, y_nodes=g.y_nodes[i:i + 4])
         g5 = dataclasses.replace(g, y_nodes=g.y_nodes[i:i + 5])
-        h = solve_h(0.3, g5, P06)
+        h = solved_h(0.3, g5, P06)
         assert np.array_equal(h.values, reference_march(0.3, g5, P06))
+
+    def test_too_few_y_nodes_name_n_y(self):
+        # At the sweep point n_y = 2 lays out 3 y nodes, which GridSpec
+        # would refuse without naming the setting; 3 lays out the 5 a
+        # window needs.
+        with pytest.raises(DomainError, match=r"grid\.n_y = 2 lays out 3 y nodes here, fewer "
+                                              r"than the 5 .* grid\.n_y = 3 lays out enough"):
+            default_grid(P06, n_y=2)
+        assert default_grid(P06, n_y=3).y_nodes.size == 5
 
     @pytest.mark.parametrize("pad", [-1.0, 0.0, 2.9, float("nan")])
     def test_rejects_pad_below_three(self, pad):
@@ -403,7 +475,7 @@ class TestPolicyRowRead:
 class TestSolveH:
     def test_terminal_slice_is_ones(self):
         g = default_grid(P0, n_t_steps=30, n_y=61, n_ybar=7)
-        h = solve_h(0.0, g, P0)
+        h = solved_h(0.0, g, P0)
         assert np.all(h.values[-1] == 1.0)
 
     def test_rejects_wrong_shaped_policy_array(self):
@@ -417,11 +489,11 @@ class TestSolveH:
         # factor is exp(r (1-gamma) (T_eff - t)) exactly; transport and
         # diffusion act on a flat profile and contribute nothing.
         g = default_grid(P0, n_t_steps=40, n_y=81, n_ybar=7)
-        h = solve_h(0.0, g, P0)
+        h0 = solve_h(0.0, g, P0)    # the factor at t_nodes[0], (n_ybar, n_y)
         for j, yb in enumerate(g.ybar_nodes):
             gamma = np.exp(yb)
             expect = np.exp(P0.r * (1 - gamma) * (g.t_nodes[-1] - g.t_nodes[0]))
-            assert h.values[0, 40, j] == pytest.approx(expect, rel=1e-9)
+            assert h0[j, 40] == pytest.approx(expect, rel=1e-9)
 
     def test_deterministic_limit(self):
         # vanishing preference volatility with mu_Y = 0: the bridge pins
@@ -429,19 +501,19 @@ class TestSolveH:
         p = ModelParams(r=0.03, mu_S=0.07, sigma_S=0.2, rho=0.4,
                         mu_Y=0.0, sigma_Y=1e-4, T=10.0, y0=np.log(2.0))
         g = default_grid(p, n_t_steps=200, n_y=81, n_ybar=7)
-        h = solve_h(0.0, g, p)
+        h0 = solve_h(0.0, g, p)
         for j, yb in enumerate(g.ybar_nodes):
             gamma = np.exp(yb)
             iy = int(np.argmin(np.abs(g.y_nodes - yb)))
             expect = np.exp(p.r * (1 - gamma) * (g.t_nodes[-1] - g.t_nodes[0]))
-            assert h.values[0, iy, j] == pytest.approx(expect, rel=0.01)
+            assert h0[j, iy] == pytest.approx(expect, rel=0.01)
 
     def test_constant_policy_exact_solution(self):
         # log-affine closed form for a constant fraction: the strongest
         # end-to-end check of coefficients, stepping, and boundary handling
         pi0 = 0.3
         g = default_grid(P06)
-        h = solve_h(pi0, g, P06)
+        h = solved_h(pi0, g, P06)
         c1 = pi0 * P06.rho * P06.sigma_S / P06.sigma_Y
         a = P06.r + pi0 * (P06.mu_S - P06.r) - 0.5 * pi0**2 * P06.sigma_S**2
         errs = []
@@ -466,7 +538,7 @@ class TestSolveH:
 
     def test_positivity_everywhere(self):
         g = default_grid(P06, n_t_steps=60, n_y=91, n_ybar=9)
-        h = solve_h(0.4, g, P06)
+        h = solved_h(0.4, g, P06)
         assert np.all(h.values > 0)
         assert np.all(np.isfinite(h.values))
 
@@ -476,7 +548,7 @@ class TestSolveH:
                         mu_Y=-0.05, sigma_Y=0.04, T=10.0, y0=-1.5)
         g = default_grid(p, n_t_steps=60, n_y=81, n_ybar=7)
         assert np.all(g.ybar_nodes < 0)
-        h = solve_h(0.1, g, p)
+        h = solved_h(0.1, g, p)
         Pv, _, _ = coefficients(
             g.t_nodes[:, None, None], g.y_nodes[None, :, None],
             g.ybar_nodes[None, None, :], 0.1, p,
@@ -486,11 +558,11 @@ class TestSolveH:
 
     def test_slices_do_not_couple(self):
         g = default_grid(P06, n_t_steps=40, n_y=81, n_ybar=9)
-        h_full = solve_h(0.3, g, P06)
+        h_full = solved_h(0.3, g, P06)
         sub = GridSpec(T=g.T, eps_T=g.eps_T, t_nodes=g.t_nodes, y_nodes=g.y_nodes,
                        ybar_nodes=g.ybar_nodes[2:5], gh_nodes=g.gh_nodes,
                        ybar_weights=g.ybar_weights)
-        h_sub = solve_h(0.3, sub, P06)
+        h_sub = solved_h(0.3, sub, P06)
         assert np.array_equal(h_sub.values, h_full.values[:, :, 2:5])
 
 
@@ -697,7 +769,7 @@ class TestBatchedMarch:
         def policy(t, y):
             return 0.3 + 0.2 * np.tanh(y - p.y0) + 0.002 * t
 
-        h = solve_h(policy, g, p)
+        h = solved_h(policy, g, p)
         assert np.array_equal(h.values, reference_march(policy, g, p))
 
     def test_positivity_error_is_reported_level_major(self):
@@ -728,7 +800,7 @@ class TestResidual:
                                              np.shape(yb), np.shape(pi)))
             return z, z, z
 
-        r = residual(h.slices, 0.0, g, P0, coeff_fn=zero_coeffs)
+        r = residual(levels_of(h), 0.0, g, P0, coeff_fn=zero_coeffs)
         assert (r.max_rel_band, r.rms_rel_band) == (0.0, 0.0)
 
     def test_manufactured_solution(self):
@@ -743,7 +815,7 @@ class TestResidual:
                                         np.shape(yb), np.shape(pi))
             return np.full(shape, a), np.zeros(shape), np.zeros(shape)
 
-        r = residual(h.slices, 0.0, g, P0, coeff_fn=mms_coeffs)
+        r = residual(levels_of(h), 0.0, g, P0, coeff_fn=mms_coeffs)
         assert r.max_rel_band < 1e-8
 
     @pytest.mark.parametrize("c", [1.0, 5.0])
@@ -762,17 +834,18 @@ class TestResidual:
                                         np.shape(yb), np.shape(pi))
             return np.full(shape, -(q * c + R * c**2)), np.full(shape, q), np.full(shape, R)
 
-        r = residual(h.slices, 0.0, g, P0, coeff_fn=exp_coeffs)
+        r = residual(levels_of(h), 0.0, g, P0, coeff_fn=exp_coeffs)
         want = abs(q * (np.sinh(c * dy) / dy - c)
                    + R * ((2.0 * np.cosh(c * dy) - 2.0) / dy**2 - c**2))
         assert r.max_rel_band == pytest.approx(want, rel=1e-10)
         assert r.rms_rel_band == pytest.approx(want, rel=1e-10)
 
     def test_solver_self_check_rho0(self):
-        from prefhedge import fixed_point_solve
         g = default_grid(P0)
-        h, pol = fixed_point_solve(g, P0)
-        r = residual(h.slices, pol.pi, g, P0)
+        h, pol = solved_pair(g, P0)
+        r = residual(levels_of(h), pol.pi, g, P0)
+        # 16 blocks of 21 slices: the order of the sums shows in the rms.
+        assert r == slice_by_slice_residual(h, pol.pi, g, P0)
         # tolerance pinned by the grid-refinement study: halving dt halves
         # both band norms (first-order march)
         assert r.max_rel_band < 1e-4
@@ -780,29 +853,39 @@ class TestResidual:
 
     @pytest.fixture(scope="class")
     def solved(self, tmp_path_factory):
-        from prefhedge import fixed_point_solve, read_h_surface, save_h_surface
+        """The grid, the policy, the gathered surface and three sources of its levels.
+
+        "fresh": the levels as the solve hands them on; "loaded": the
+        archive's stream; "contiguous": transposed views of the gathered
+        (t, y, ybar) C array.  Each source is a function that starts a pass.
+        """
+        from prefhedge import h_surface_writer, load_h_surface
         g = default_grid(P06, n_t_steps=40, n_y=61, n_ybar=7, n_gh=9)
-        h, pol = fixed_point_solve(g, P06)
+        fresh = []
+        _h0, pol = fixed_point_solve(g, P06, lambda level, _pi_row: fresh.append(level))
+        h = HSurface.from_levels(g, fresh)
         path = tmp_path_factory.mktemp("residual") / "h.bin"
-        save_h_surface(path, h, P06)
-        loaded = read_h_surface(path, P06)
-        contiguous = HSurface(grid=g, values=np.ascontiguousarray(loaded.values))
-        return g, pol, {"fresh": h, "loaded": loaded, "contiguous": contiguous}, path
+        with h_surface_writer(path, g, P06) as write:
+            for level in fresh:
+                write(level)
+        sources = {"fresh": lambda: iter(fresh),
+                   "loaded": lambda: load_h_surface(path, P06)[1],
+                   "contiguous": lambda: iter(levels_of(h))}
+        return g, pol, h, sources
 
     @pytest.mark.parametrize("source", ["fresh", "loaded", "contiguous"])
     @pytest.mark.parametrize("case", ["model", "overflowing_coeffs", "empty_band",
                                       "nan_late_block", "late_worst"])
     def test_streamed_matches_whole_array_reference(self, solved, source, case, monkeypatch):
-        g, pol, surfaces, _path = solved
-        h = surfaces[source]
+        g, pol, h, sources = solved
+        levels = sources[source]
         # 39 core time levels: a full block and a shorter last one.
         n_core = g.t_nodes.size - 2
         assert pide._RESIDUAL_BLOCK < n_core and n_core % pide._RESIDUAL_BLOCK != 0
         late = g.t_nodes[pide._RESIDUAL_BLOCK + 5]
-        # The march and the loader keep the slice-major (ybar, t, y) layout;
-        # the "contiguous" copy checks the (t, y, ybar) C layout as well.
-        assert h.values.flags.c_contiguous == (source == "contiguous")
-        assert np.moveaxis(h.values, 2, 0).flags.c_contiguous == (source != "contiguous")
+        # The march and the loader hand on C-contiguous (ybar, y) levels;
+        # the "contiguous" source's views of the (t, y, ybar) array are not.
+        assert next(levels()).flags.c_contiguous == (source != "contiguous")
         coeff_fn = None
         if case == "overflowing_coeffs":
             # P * h overflows at band nodes of every slice, on the top slice
@@ -826,10 +909,10 @@ class TestResidual:
                 return np.where(t == late, P * 1e60, P), Q, R
         if case == "empty_band":
             with pytest.raises(DomainError, match="band holds no"):
-                residual(h.slices, pol.pi, g, P06)
+                residual(levels(), pol.pi, g, P06)
             return
         want = reference_residual(h, pol.pi, g, P06, coeff_fn=coeff_fn)
-        got = residual(h.slices, pol.pi, g, P06, coeff_fn=coeff_fn)
+        got = residual(levels(), pol.pi, g, P06, coeff_fn=coeff_fn)
         if case == "overflowing_coeffs":
             assert np.isinf(want.max_rel_band)
             assert want.worst[::2] == (g.t_nodes[1], g.ybar_nodes[-1])
@@ -840,11 +923,30 @@ class TestResidual:
         np.testing.assert_equal(got.max_rel_band, want.max_rel_band)
         assert got.worst == want.worst
         np.testing.assert_allclose(got.rms_rel_band, want.rms_rel_band, rtol=1e-12)
+        # The partial sums are added in (slice, block) order: bit for bit
+        # the rms of a slice-by-slice pass.
+        np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(
+            slice_by_slice_residual(h, pol.pi, g, P06, coeff_fn=coeff_fn)))
+
+    @pytest.mark.parametrize("last_block", [1, 2, 23, 24])
+    def test_every_block_length(self, last_block):
+        # The latest block holds last_block core levels (a full one at 24);
+        # the streamed residual stays bit for bit the slice-by-slice pass.
+        def core_levels(n):
+            g = default_grid(P06, n_t_steps=n, n_y=41, n_ybar=5, n_gh=9)
+            return g, pide._terminal_layer_cut(g, P06.rho) - 1
+        g, n = next(core_levels(n) for n in range(60, 200)
+                    if (core_levels(n)[1] - 1) % pide._RESIDUAL_BLOCK + 1 == last_block)
+        assert n > pide._RESIDUAL_BLOCK
+        levels = []
+        solve_h(0.3, g, P06, lambda level, _pi_row: levels.append(level))
+        want = slice_by_slice_residual(HSurface.from_levels(g, levels), 0.3, g, P06)
+        assert residual(levels, 0.3, g, P06) == want
 
     def test_evaluates_only_band_hulls(self, solved):
         # Each coefficient call covers the levels of one block before the
         # terminal cut and exactly the rows of that block's band hull.
-        g, pol, surfaces, _path = solved
+        g, pol, _h, sources = solved
         t, y, yb = g.t_nodes, g.y_nodes, g.ybar_nodes
         calls = []
 
@@ -852,8 +954,8 @@ class TestResidual:
             calls.append((t_[:, 0], y_[0], yb_))
             return coefficients(t_, y_, yb_, pi, params)
 
-        got = residual(surfaces["fresh"].slices, pol.pi, g, P06, coeff_fn=recording)
-        assert got == residual(surfaces["fresh"].slices, pol.pi, g, P06)
+        got = residual(sources["fresh"](), pol.pi, g, P06, coeff_fn=recording)
+        assert got == residual(sources["fresh"](), pol.pi, g, P06)
         cut = pide._terminal_layer_cut(g, P06.rho)
         assert 1 < cut < t.size - 1
         n_nodes = 0
